@@ -15,8 +15,8 @@
 // lock-free (per-bucket seqlock validation), writers lock only the buckets
 // they touch.
 //
-// The API is batch-first (v2): MultiGet stages the hash ladders and bucket
-// addresses of a whole batch before resolving any key, so the independent
+// The API is batch-first (v2): MultiGet prefetches each memory access of a
+// whole batch's descents one round before reading it, so the independent
 // DRAM misses of all descents overlap — the same MLP argument the paper
 // makes for one lookup, generalized across a pipeline of requests. Set
 // reports whether the key was newly added, and NewCursor provides paginated
@@ -82,11 +82,11 @@ func (t *Trie) Set(key []byte, value uint64) (added bool, err error) { return t.
 // Get returns the value stored for key.
 func (t *Trie) Get(key []byte) (uint64, bool) { return t.t.Get(key) }
 
-// MultiGet looks up a batch of keys with interleaved probes: the hash
-// ladders and bucket addresses of the whole batch are staged (and their
-// cache lines touched) before any key resolves, so the independent DRAM
-// misses overlap instead of serializing. vals and found must each have at
-// least len(keys) elements.
+// MultiGet looks up a batch of keys as a staged prefetch pipeline: every
+// memory access of every key's descent (bucket lines, record slot, key
+// bytes) is prefetched one round before it is read, so the batch's
+// independent DRAM misses overlap instead of serializing. vals and found
+// must each have at least len(keys) elements.
 func (t *Trie) MultiGet(keys [][]byte, vals []uint64, found []bool) {
 	t.t.MultiGet(keys, vals, found)
 }

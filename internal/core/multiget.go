@@ -3,31 +3,56 @@ package core
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/keys"
 )
 
-// Batched lookups. A single Cuckoo Trie lookup already enjoys intra-key MLP:
-// every level's candidate buckets are computable from the key alone, so the
-// probes of one root-to-leaf descent are independent DRAM accesses (§4.4).
-// MultiGet generalizes the argument *across* keys: a server draining a
-// pipeline of point lookups has no dependencies between requests either, so
-// the batch is resolved level-synchronously in two repeating phases —
+// Batched lookups as a staged prefetch pipeline. A single Cuckoo Trie lookup
+// already enjoys intra-key MLP: every level's candidate buckets are
+// computable from the key alone, so the probes of one root-to-leaf descent
+// are independent DRAM accesses (§4.4). MultiGet generalizes the argument
+// *across* keys: a server draining a pipeline of point lookups has no
+// dependencies between requests either. Each key of the batch is a small
+// state machine, and every memory access of its descent is issued as a real
+// prefetch one round before the round that consumes it (AMAC / group
+// prefetching), so a batch has all of its keys' misses in flight together:
 //
-//  1. stage: compute the full hash ladder H(k[:1])..H(k[:n]) for every key
-//     up front and touch (prefetch) the candidate buckets of each key's next
-//     probe, issuing all of the batch's independent misses back-to-back;
-//  2. resolve: advance every key by one probe, which now mostly hits cache.
+//	entry     prefetch the caller's key bytes            (all keys)
+//	stage     symbols + hash ladder, prefetch the        (all keys)
+//	          first probe's two buckets, all lines
+//	round r   mgDescend: probe one level; the moment     (each live key,
+//	          the child is known prefetch the next        once per round)
+//	          probe's buckets — or, at a leaf, its
+//	          record slot                → mgSlot
+//	          mgSlot: read the slot's meta word,
+//	          prefetch the key chunk bytes → mgVerify
+//	          mgVerify: key → bytes.Equal → value →
+//	          re-validate the leaf's bucket version
 //
+// The prefetches are pure hints: every seqlock check, version re-validation
+// and retry decision is the single-key Get's, taken on the consuming round.
 // Keys that hit a concurrency conflict (torn read, table resize) fall back
 // to the single-key Get, which carries its own retry loop.
 
-// prefetch touches bucket b's first cache line so a subsequent probe of the
-// bucket is likely a cache hit. The atomic load cannot be elided by the
-// compiler, making it a portable stand-in for a prefetch instruction.
+// prefetch hints every cache line of bucket b. A 104-byte bucket starts at
+// word base = 13b of a 64-byte-aligned array, so it spans two lines, or
+// three when it starts past the middle of its first one.
 func (t *table) prefetch(b uint64) {
-	atomic.LoadUint64(&t.words[b*bucketWords])
+	base := b * bucketWords
+	prefetchWord(&t.words[base])
+	prefetchWord(&t.words[base+8])
+	if base&7 > 3 {
+		prefetchWord(&t.words[base+bucketWords-1])
+	}
+}
+
+// prefetchBytes hints the first and last line of k; the lines between them
+// of a long key are a sequential stream the hardware follows by itself.
+func prefetchBytes(k []byte) {
+	if len(k) > 0 {
+		prefetchByte(&k[0])
+		prefetchByte(&k[len(k)-1])
+	}
 }
 
 // mgScratch is MultiGet's reusable per-batch working memory.
@@ -39,36 +64,44 @@ type mgScratch struct {
 
 var mgScratchPool = sync.Pool{New: func() any { return new(mgScratch) }}
 
+// Stages of one key's descent; a key is live while its stage is below
+// mgDone.
+const (
+	mgDescend = iota // next probe's buckets are prefetched
+	mgSlot           // leaf reached, its record slot is prefetched
+	mgVerify         // the record's key bytes are prefetched
+	mgDone           // vals/found are final
+	mgRetry          // conflict: resolve via single-key Get at the end
+)
+
 // mgState tracks one key's in-flight descent.
 type mgState struct {
 	syms   []byte
 	hashes []uint64 // hashes[i] = H(syms[:i]) under the current table
 	cur    pathNode
 	i      int // next symbol index to consume
-	done   bool
-	retry  bool // resolve via single-key Get at the end
+	stage  uint8
 }
 
-// nextProbeHash returns the hash of the next child this key will fetch: for
-// a regular node that is the next symbol's extension; for a jump node it is
-// the hash at the jump's end, since the intermediate symbols are compared
+// prefetchNextProbe hints the buckets of the next child this key will fetch:
+// for a regular node that is the next symbol's extension; for a jump node it
+// is the hash at the jump's end, since the intermediate symbols are compared
 // in-entry without probing.
-func (st *mgState) nextProbeHash() (uint64, bool) {
-	switch st.cur.ent.kind {
-	case kindInternal:
-		if st.i+1 < len(st.hashes) {
-			return st.hashes[st.i+1], true
-		}
-	case kindJump:
-		if end := st.cur.depth + int(st.cur.ent.jumpLen); end < len(st.hashes) {
-			return st.hashes[end], true
-		}
+func (st *mgState) prefetchNextProbe(t *table) {
+	at := st.i + 1
+	if st.cur.ent.kind == kindJump {
+		at = st.cur.depth + int(st.cur.ent.jumpLen)
 	}
-	return 0, false
+	if at < len(st.hashes) {
+		b1, b2, _ := t.bucketsOf(st.hashes[at])
+		t.prefetch(b1)
+		t.prefetch(b2)
+	}
 }
 
-// MultiGet looks up a batch of keys, overlapping the independent probes of
-// all descents. vals and found must each have at least len(ks) elements.
+// MultiGet looks up a batch of keys, overlapping the independent memory
+// accesses of all descents. vals and found must each have at least len(ks)
+// elements.
 func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	n := len(ks)
 	if n == 0 {
@@ -87,6 +120,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	totalSyms := 0
 	for j := 0; j < n; j++ {
 		if len(ks[j]) <= MaxKeyLen {
+			prefetchBytes(ks[j])
 			totalSyms += keys.NumSymbols(ks[j])
 		}
 	}
@@ -102,26 +136,24 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 		sc.hashes = make([]uint64, 0, totalSyms+n)
 	}
 	states := sc.states[:n]
-	for j := range states {
-		states[j] = mgState{} // pooled memory: clear stale done/retry flags
-	}
 	symBuf := sc.syms[:0]
 	hashBuf := sc.hashes[:0]
 
 	active := 0
 	for j := 0; j < n; j++ {
 		st := &states[j]
+		*st = mgState{} // pooled memory: clear the previous batch's state
 		if len(ks[j]) > MaxKeyLen {
 			vals[j], found[j] = 0, false
-			st.done = true
+			st.stage = mgDone
 			continue
 		}
 		if !rok {
-			st.retry = true
+			st.stage = mgRetry
 			continue
 		}
-		// Stage phase: symbols and the whole hash ladder, computed before any
-		// probe resolves, so every level's bucket addresses are known up front.
+		// Symbols and the whole hash ladder, computed before any probe
+		// resolves, so every level's bucket addresses are known up front.
 		lo := len(symBuf)
 		symBuf = keys.AppendSymbols(symBuf, ks[j])
 		st.syms = symBuf[lo:len(symBuf):len(symBuf)]
@@ -134,42 +166,32 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 		}
 		st.hashes = hashBuf[hlo:len(hashBuf):len(hashBuf)]
 		st.cur = pathNode{ent: root, ref: rootRef, depth: 0, hash: 0}
+		st.prefetchNextProbe(t)
 		active++
 	}
 
-	touch := func() {
-		for j := range states {
-			st := &states[j]
-			if st.done || st.retry {
-				continue
-			}
-			if h, ok := st.nextProbeHash(); ok {
-				b1, b2, _ := t.bucketsOf(h)
-				t.prefetch(b1)
-				t.prefetch(b2)
-			}
-		}
-	}
-
-	touch()
 	for active > 0 {
 		for j := range states {
 			st := &states[j]
-			if st.done || st.retry {
+			switch st.stage {
+			case mgDescend:
+				tr.mgAdvance(t, st, vals, found, j)
+			case mgSlot:
+				tr.recs.prefetchKey(st.cur.ent.recIdx)
+				st.stage = mgVerify
+			case mgVerify:
+				tr.mgVerify(t, st, ks[j], vals, found, j)
+			default:
 				continue
 			}
-			tr.mgAdvance(t, st, ks[j], vals, found, j)
-			if st.done || st.retry {
+			if st.stage >= mgDone {
 				active--
 			}
-		}
-		if active > 0 {
-			touch()
 		}
 	}
 
 	for j := range states {
-		if states[j].retry {
+		if states[j].stage == mgRetry {
 			vals[j], found[j] = tr.Get(ks[j])
 		}
 	}
@@ -177,13 +199,14 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 
 // mgAdvance performs one probe step of key j's descent: it consumes in-entry
 // jump symbols without memory accesses, then fetches exactly one child (or
-// reaches a terminal miss/leaf). Conflicts mark the key for single-Get retry.
-func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
+// reaches a terminal miss) and prefetches what the next round will read.
+// Conflicts mark the key for single-Get retry.
+func (tr *Trie) mgAdvance(t *table, st *mgState, vals []uint64, found []bool, j int) {
 	cur := &st.cur
 	for {
 		if st.i >= len(st.syms) {
 			// The terminator cannot have children: torn read, retry.
-			st.retry = true
+			st.stage = mgRetry
 			return
 		}
 		s := st.syms[st.i]
@@ -191,14 +214,14 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found 
 		case kindInternal:
 			if !bitmapHas(cur.ent.w1, s) {
 				vals[j], found[j] = 0, false
-				st.done = true
+				st.stage = mgDone
 				return
 			}
 		case kindJump:
 			off := st.i - cur.depth
 			if cur.ent.jumpSymbol(off) != s {
 				vals[j], found[j] = 0, false
-				st.done = true
+				st.stage = mgDone
 				return
 			}
 			if off+1 < int(cur.ent.jumpLen) {
@@ -206,38 +229,50 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found 
 				continue
 			}
 		default:
-			st.retry = true
+			st.stage = mgRetry
 			return
 		}
 		h := st.hashes[st.i+1]
 		child, ref, ok := t.findChild(cur, h, s, cur.ent.kind == kindJump)
 		if !ok {
-			st.retry = true
+			st.stage = mgRetry
 			return
 		}
 		st.cur = pathNode{ent: child, ref: ref, depth: st.i + 1, hash: h}
 		st.i++
-		if child.kind == kindLeaf {
-			if child.dirty {
-				st.retry = true
-				return
-			}
-			rk := tr.recs.key(child.recIdx)
-			match := bytes.Equal(rk, k)
-			val := tr.recs.value(child.recIdx)
-			if t.loadVersion(ref.bucket) != ref.ver {
-				st.retry = true
-				return
-			}
-			if match {
-				vals[j], found[j] = val, true
-			} else {
-				vals[j], found[j] = 0, false
-			}
-			st.done = true
+		if child.kind != kindLeaf {
+			st.prefetchNextProbe(t)
+			return
 		}
+		if child.dirty {
+			st.stage = mgRetry
+			return
+		}
+		tr.recs.prefetchSlot(child.recIdx)
+		st.stage = mgSlot
 		return
 	}
+}
+
+// mgVerify is the leaf's last stage, the single-key Get's sequence
+// unchanged: compare the record's key, read its value, then re-validate the
+// leaf — if it was deleted meanwhile its record slot may have been reused
+// and both reads are stale.
+func (tr *Trie) mgVerify(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
+	leaf := &st.cur
+	rk := tr.recs.key(leaf.ent.recIdx)
+	match := bytes.Equal(rk, k)
+	val := tr.recs.value(leaf.ent.recIdx)
+	if t.loadVersion(leaf.ref.bucket) != leaf.ref.ver {
+		st.stage = mgRetry
+		return
+	}
+	if match {
+		vals[j], found[j] = val, true
+	} else {
+		vals[j], found[j] = 0, false
+	}
+	st.stage = mgDone
 }
 
 // MultiSet inserts or updates a batch of keys. Writes mutate shared buckets,

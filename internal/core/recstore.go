@@ -149,6 +149,23 @@ func (rs *recordStore) value(idx uint32) uint64 {
 	return atomic.LoadUint64(&sl[base+1])
 }
 
+// prefetchSlot hints record idx's slot (meta word and value share one line)
+// into cache. Like prefetchKey it is a read-only hint for MultiGet's staged
+// leaf: nothing is returned, so nothing it touches needs re-validation.
+func (rs *recordStore) prefetchSlot(idx uint32) {
+	sl := *rs.slots.Load()
+	if base := int(idx) * recSlotStride; base+1 < len(sl) {
+		prefetchWord(&sl[base])
+	}
+}
+
+// prefetchKey reads record idx's meta word and hints the first and last
+// line of the key bytes it names. A stale triple hints stale-but-mapped
+// chunk bytes, which is harmless.
+func (rs *recordStore) prefetchKey(idx uint32) {
+	prefetchBytes(rs.key(idx))
+}
+
 func (rs *recordStore) setValue(idx uint32, v uint64) {
 	sl := *rs.slots.Load()
 	base := int(idx) * recSlotStride

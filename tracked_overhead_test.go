@@ -3,11 +3,14 @@ package cuckootrie_test
 // The observability contract for index.Tracked: wrapping an engine must
 // cost ≤5% of batched read throughput, because the decorator's price —
 // one clock pair and one histogram Record — amortizes over the whole
-// MultiGet batch. Measured as min-of-N testing.Benchmark runs on the
-// multiget microbenchmark so one scheduler hiccup can't fail the bound.
+// MultiGet batch. Measured as the median ratio of interleaved raw/tracked
+// pairs of short slices, so neither one scheduler hiccup nor a machine
+// speed shift can decide the bound.
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	cuckootrie "repro"
 	"repro/internal/dataset"
@@ -43,27 +46,45 @@ func TestTrackedOverheadMultiGet(t *testing.T) {
 	}
 	tracked := index.Tracked(trie)
 
-	// Min-of-N: the best observed pace is the honest cost of each path;
-	// everything above it is machine noise, which must not decide a 5%
-	// bound either way.
-	minNs := func(fn func(b *testing.B)) float64 {
-		best := 0.0
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(fn)
-			per := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || per < best {
-				best = per
-			}
+	// Raw and tracked slices alternate in pairs over the same batches, and
+	// the bound is on the median of the per-pair ratios: the VM shifts
+	// speed level for minutes at a time, so only two slices taken back to
+	// back share a level, and a hiccup inside one pair moves one ratio,
+	// not the verdict. Odd pairs run tracked first, so whatever the second
+	// slice of a pair gains from the first's cache footprint cancels.
+	const (
+		pairs        = 401
+		sliceBatches = 200 // ~5 ms a slice
+	)
+	vals := make([]uint64, overheadBatch)
+	found := make([]bool, overheadBatch)
+	timeSlice := func(ix index.Index, first int) float64 {
+		t0 := time.Now()
+		for i := first; i < first+sliceBatches; i++ {
+			lo := (i * overheadBatch) % (len(ks) - overheadBatch)
+			ix.MultiGet(ks[lo:lo+overheadBatch], vals, found)
 		}
-		return best
+		return float64(time.Since(t0))
 	}
-	raw := minNs(multiGetBench(trie, ks))
-	wrapped := minNs(multiGetBench(tracked, ks))
-	overhead := (wrapped - raw) / raw * 100
-	t.Logf("multiget batch=%d: raw %.0f ns/op, tracked %.0f ns/op, overhead %.2f%%",
-		overheadBatch, raw, wrapped, overhead)
+	timeSlice(tracked, 0) // warm-up: pooled scratch, histogram shards
+	var ratios [pairs]float64
+	for i := range ratios {
+		var raw, wrapped float64
+		if i%2 == 0 {
+			raw = timeSlice(trie, i*sliceBatches)
+			wrapped = timeSlice(tracked, i*sliceBatches)
+		} else {
+			wrapped = timeSlice(tracked, i*sliceBatches)
+			raw = timeSlice(trie, i*sliceBatches)
+		}
+		ratios[i] = (wrapped - raw) / raw * 100
+	}
+	sort.Float64s(ratios[:])
+	overhead := ratios[pairs/2]
+	t.Logf("multiget batch=%d, %d raw/tracked pairs of %d batches: overhead quartiles %.2f%% / %.2f%% / %.2f%%",
+		overheadBatch, pairs, sliceBatches, ratios[pairs/4], overhead, ratios[3*pairs/4])
 	if overhead > 5 {
-		t.Fatalf("Tracked overhead %.2f%% exceeds the 5%% observability budget", overhead)
+		t.Fatalf("Tracked overhead %.2f%% (median of %d pairs) exceeds the 5%% observability budget", overhead, pairs)
 	}
 	if tracked.OpHist(index.OpMultiGet).Count() == 0 {
 		t.Fatal("tracked run recorded no multiget samples")
