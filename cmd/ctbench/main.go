@@ -23,7 +23,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the figure as one JSON report (banner fields + rows) instead of text; supported: sharded, load, persist, repl, fig7, fig8, fig10")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ctbench [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table3 ablation multiget sharded load persist repl exec all\n")
+		fmt.Fprintf(os.Stderr, "experiments: table1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table3 ablation multiget sharded load persist repl all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -38,14 +38,13 @@ func main() {
 			"load":    func() error { return bench.FigLoadJSON(os.Stdout, o) },
 			"persist": func() error { return bench.FigPersistJSON(os.Stdout, o) },
 			"repl":    func() error { return bench.FigReplJSON(os.Stdout, o) },
-			"exec":    func() error { return bench.FigExecJSON(os.Stdout, o) },
 			"fig7":    func() error { return bench.Fig7JSON(os.Stdout, o) },
 			"fig8":    func() error { return bench.Fig8JSON(os.Stdout, o) },
 			"fig10":   func() error { return bench.Fig10JSON(os.Stdout, o) },
 		}
 		run, ok := jsonRunners[flag.Arg(0)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ctbench: -json supports only: sharded, load, persist, repl, exec, fig7, fig8, fig10 (got %q)\n", flag.Arg(0))
+			fmt.Fprintf(os.Stderr, "ctbench: -json supports only: sharded, load, persist, repl, fig7, fig8, fig10 (got %q)\n", flag.Arg(0))
 			os.Exit(2)
 		}
 		if err := run(); err != nil {
@@ -72,12 +71,11 @@ func main() {
 		"load":     func() { bench.FigLoad(os.Stdout, o) },
 		"persist":  func() { bench.FigPersist(os.Stdout, o) },
 		"repl":     func() { bench.FigRepl(os.Stdout, o) },
-		"exec":     func() { bench.FigExec(os.Stdout, o) },
 	}
 	name := flag.Arg(0)
 	if name == "all" {
 		for _, k := range []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-			"fig10", "fig11", "fig12", "fig13", "table3", "ablation", "multiget", "sharded", "load", "persist", "repl", "exec"} {
+			"fig10", "fig11", "fig12", "fig13", "table3", "ablation", "multiget", "sharded", "load", "persist", "repl"} {
 			runners[k]()
 		}
 		return

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,18 +126,19 @@ func TestCrashRecoverySmoke(t *testing.T) {
 // present after restart — the same contract as fsync=always, at batched
 // cost.
 func TestGroupCommitCrashDrill(t *testing.T) {
-	groupCommitCrashDrill(t, "serial")
+	groupCommitCrashDrill(t, "serial", 1)
 }
 
-// TestGroupCommitCrashDrillStripedExec runs the same drill with pipelines
-// fanned out across per-stripe executors: concurrent lanes reorder the
-// appends, but the ack barrier still withholds replies until the fsync
-// covers the batch, so the durability contract is identical.
-func TestGroupCommitCrashDrillStripedExec(t *testing.T) {
-	groupCommitCrashDrill(t, "striped-exec")
+// TestGroupCommitCrashDrillStripedConn runs the same drill with two
+// connections pipelining concurrently under -exec striped-conn: concurrent
+// appenders interleave their LSNs, but each connection's ack barrier still
+// withholds its replies until the fsync covers its last write, so the
+// durability contract is identical.
+func TestGroupCommitCrashDrillStripedConn(t *testing.T) {
+	groupCommitCrashDrill(t, "striped-conn", 2)
 }
 
-func groupCommitCrashDrill(t *testing.T, execMode string) {
+func groupCommitCrashDrill(t *testing.T, execMode string, conns int) {
 	if testing.Short() {
 		t.Skip("builds and kills a real server process")
 	}
@@ -144,26 +146,42 @@ func groupCommitCrashDrill(t *testing.T, execMode string) {
 	dir := t.TempDir()
 
 	cmd, addr := startCtredis(t, bin, "-data-dir", dir, "-fsync", "group", "-exec", execMode)
-	cl, err := miniredis.Dial(addr)
-	if err != nil {
-		cmd.Process.Kill()
-		t.Fatal(err)
-	}
 	const writes, pipeline = 500, 50
-	for base := 0; base < writes; base += pipeline {
-		cmds := make([][][]byte, pipeline)
-		for i := range cmds {
-			n := base + i
-			cmds[i] = [][]byte{[]byte("ZADD"), []byte(fmt.Sprintf("set%d", n%8)),
-				[]byte(fmt.Sprintf("m%05d", n)), []byte(fmt.Sprint(n))}
-		}
-		out, err := cl.Pipeline(cmds)
-		if err != nil || len(out) != pipeline {
+	perConn := writes / conns
+	var wg sync.WaitGroup
+	errs := make([]error, conns)
+	for g := 0; g < conns; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl, err := miniredis.Dial(addr)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			defer cl.Close()
+			for base := g * perConn; base < (g+1)*perConn; base += pipeline {
+				cmds := make([][][]byte, pipeline)
+				for i := range cmds {
+					n := base + i
+					cmds[i] = [][]byte{[]byte("ZADD"), []byte(fmt.Sprintf("set%d", n%8)),
+						[]byte(fmt.Sprintf("m%05d", n)), []byte(fmt.Sprint(n))}
+				}
+				out, err := cl.Pipeline(cmds)
+				if err != nil || len(out) != pipeline {
+					errs[g] = fmt.Errorf("pipeline at %d: %d replies, %v", base, len(out), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			cmd.Process.Kill()
-			t.Fatalf("pipeline at %d: %d replies, %v", base, len(out), err)
+			t.Fatal(err)
 		}
 	}
-	cl.Close()
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 0, "cut a background snapshot every N logged writes (0 disables; SAVE/BGSAVE always work)")
 	autoRewrite := flag.Int64("auto-rewrite-bytes", 64<<20, "rewrite the log (background snapshot + segment compaction) once the WAL grows this many bytes past the last snapshot (0 disables)")
 	replicaOf := flag.String("replicaof", "", "replicate from this primary (host:port); the server is a memory-only read replica")
-	execFlag := flag.String("exec", "serial", "command execution mode: serial (Redis's one-at-a-time loop) | striped-conn (per-connection concurrency, concurrent-safe engines only) | striped-exec (pipelines fan out across per-stripe executors, any engine)")
+	execFlag := flag.String("exec", "serial", "command execution mode: serial (Redis's one-at-a-time loop, any engine) | striped-conn (per-connection concurrency; runs as serial when the engine is not concurrent-safe)")
 	maxConns := flag.Int("maxconns", 0, "max simultaneous client connections; over the cap new connections get -ERR and are closed (0 = unlimited; rejections counted in INFO clients)")
 	slowlogThreshold := flag.Duration("slowlog-threshold", 10*time.Millisecond, "log commands at least this slow to SLOWLOG (0 logs everything, negative disables)")
 	flag.Parse()
@@ -91,13 +91,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if mode == miniredis.ExecStripedConn && *dataDir != "" && !index.IsConcurrent(f(1)) {
-		// Refuse the combination at boot instead of serving a store whose
-		// SAVE/BGSAVE/full-sync paths can only ever reply -ERR: striped-conn
-		// has no execution lock to quiesce a non-concurrent engine with.
-		log.Fatalf("-exec striped-conn with engine %s cannot persist: no safe snapshot path for a non-concurrent engine (use -exec serial or striped-exec)", *engine)
-	}
 	srv := miniredis.NewServerExec(f, *capacity, mode)
+	if srv.Mode() != mode {
+		log.Printf("-exec %s needs a concurrent-safe engine and %s is not: running -exec %s", mode, *engine, srv.Mode())
+	}
 	srv.SetMaxConns(*maxConns)
 	srv.SetSlowlogThreshold(*slowlogThreshold)
 	recovered := 0

@@ -3,28 +3,27 @@
 //
 // The server's deadlock-freedom argument is a single global order:
 //
-//	cmdMu → execMus → bulkMu → saveMu → replMu → stripe locks (ascending index)
+//	cmdMu → bulkMu → saveMu → replMu → stripe locks (ascending index)
 //
 // (miniredis.Server and keyspace; see the comments on Server's fields).
 // The race detector only notices an inversion on an interleaving that
 // actually deadlocks or races; this analyzer rejects the inversion on any
 // path, in any build, by rank-checking every Lock/RLock a function
 // performs while an earlier table lock is still held. Stripe-style lock
-// arrays (keyspace.stripes, Server.writeMus, Server.execMus) must
-// additionally be acquired in ascending index order: a descending loop
-// over them, or constant indices acquired out of order, is flagged.
+// arrays (keyspace.stripes, Server.writeMus) must additionally be
+// acquired in ascending index order: a descending loop over them, or
+// constant indices acquired out of order, is flagged.
 //
 // The walk within one function is intraprocedural, plus ONE level of
 // call-graph propagation: every function gets a summary of the table
 // locks its body acquires directly and whether it parks directly, and a
 // call made while a table lock is held is checked against the callee's
-// summary. That is exactly the depth the executor layer's helper
-// extraction needs — runBarrier holds every execMu and calls dispatchOne;
-// a handler that re-took a stripe or parked on WAL.Commit would slip
-// through a purely intraprocedural walk. Deeper chains still collapse to
-// single-lock functions that pass vacuously. New locks are one line in
-// the tables below. //ctvet:ignore <reason> suppresses a finding; a
-// function whose caller guarantees a lock is held can declare
+// summary. That is the depth a helper extraction needs — a function that
+// holds cmdMu and calls a helper that re-took it or parked on WAL.Commit
+// would slip through a purely intraprocedural walk. Deeper chains still
+// collapse to single-lock functions that pass vacuously. New locks are one
+// line in the tables below. //ctvet:ignore <reason> suppresses a finding;
+// a function whose caller guarantees a lock is held can declare
 // //ctvet:holds <lock> on the line above its declaration.
 //
 // Group commit adds a second protocol on top of the order: WAL.Commit
@@ -54,15 +53,10 @@ import (
 // while every held table lock has a strictly smaller rank. Registering a
 // new lock is one line here.
 var lockRank = map[string]int{
-	"cmdMu": 10,
-	// execMus: striped-exec's per-stripe executor locks. A lane holds one;
-	// the cross-stripe barrier (runBarrier, quiesce) takes all ascending.
-	// Handlers under the barrier go on to take bulkMu/saveMu/replMu/
-	// writeMus/stripes, so the array ranks between cmdMu and bulkMu.
-	"execMus": 15,
-	"bulkMu":  20,
-	"saveMu":  30,
-	"replMu":  40,
+	"cmdMu":  10,
+	"bulkMu": 20,
+	"saveMu": 30,
+	"replMu": 40,
 	// Lock arrays: rank applies to the whole array; ascending-index
 	// acquisition within the array is checked separately.
 	"writeMus": 50,
@@ -72,7 +66,6 @@ var lockRank = map[string]int{
 // lockArrays marks the table locks that are arrays of locks (indexed
 // acquisition, ascending order required).
 var lockArrays = map[string]bool{
-	"execMus":  true,
 	"writeMus": true,
 	"stripes":  true,
 }
@@ -106,15 +99,14 @@ var parkCalls = []parkCall{
 
 // parkForbids lists the table locks the append path needs and that are
 // therefore forbidden across a park: cmdMu serializes dispatch on serial
-// servers (a park under it starves the syncer outright), execMus
-// serialize striped-exec's lanes the same way, and the writeMus/stripes
-// arrays serialize per-key apply+append.
-var parkForbids = []string{"cmdMu", "execMus", "writeMus", "stripes"}
+// servers (a park under it starves the syncer outright), and the
+// writeMus/stripes arrays serialize per-key apply+append.
+var parkForbids = []string{"cmdMu", "writeMus", "stripes"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "check Lock/RLock sequences against the repo's global lock order " +
-		"(cmdMu → execMus → bulkMu → saveMu → replMu → stripe locks ascending), " +
+		"(cmdMu → bulkMu → saveMu → replMu → stripe locks ascending), " +
 		"with one-level call-graph propagation, and that WAL.Commit never " +
 		"parks — directly or one call deep — while a lock the append path needs is held",
 	Run: run,
@@ -462,7 +454,7 @@ func (s *state) checkCallee(call *ast.CallExpr) {
 			}
 			if h.rank >= rank {
 				s.pass.Reportf(call.Pos(),
-					"calls %s, which acquires %s (rank %d) while %s (rank %d) is held here; the repo lock order is cmdMu → execMus → bulkMu → saveMu → replMu → stripe locks",
+					"calls %s, which acquires %s (rank %d) while %s (rank %d) is held here; the repo lock order is cmdMu → bulkMu → saveMu → replMu → stripe locks",
 					fn.Name(), name, rank, heldName, h.rank)
 			}
 		}
@@ -482,7 +474,7 @@ func (s *state) acquire(name string, idx ast.Expr, pos token.Pos) {
 		}
 		if h.rank >= rank {
 			s.pass.Reportf(pos,
-				"acquires %s (rank %d) while holding %s (rank %d); the repo lock order is cmdMu → execMus → bulkMu → saveMu → replMu → stripe locks",
+				"acquires %s (rank %d) while holding %s (rank %d); the repo lock order is cmdMu → bulkMu → saveMu → replMu → stripe locks",
 				name, rank, heldName, h.rank)
 		}
 	}

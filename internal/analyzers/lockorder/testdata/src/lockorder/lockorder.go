@@ -14,7 +14,6 @@ import (
 
 type server struct {
 	cmdMu    sync.Mutex
-	execMus  []sync.Mutex
 	saveMu   sync.Mutex
 	replMu   sync.RWMutex
 	stripes  []sync.Mutex
@@ -156,37 +155,6 @@ func suppressedPark(s *server) {
 	s.cmdMu.Lock()
 	s.wal.Commit(7) //ctvet:ignore fixture: deliberate park proving the escape hatch suppresses it
 	s.cmdMu.Unlock()
-}
-
-// --- executor-lock (execMus) facts ---
-
-// execBarrier is the striped-exec barrier shape: every executor lock
-// ascending, then down the order. Clean.
-func execBarrier(s *server) {
-	for i := range s.execMus {
-		s.execMus[i].Lock()
-	}
-	s.saveMu.Lock()
-	s.saveMu.Unlock()
-	for i := range s.execMus {
-		s.execMus[i].Unlock()
-	}
-}
-
-// execUnderSaveMu inverts the order: execMus rank between cmdMu and bulkMu.
-func execUnderSaveMu(s *server) {
-	s.saveMu.Lock()
-	s.execMus[0].Lock() // want `acquires execMus \(rank 15\) while holding saveMu \(rank 30\)`
-	s.execMus[0].Unlock()
-	s.saveMu.Unlock()
-}
-
-// parkUnderExecMu is the striped-exec lane deadlock shape: a lane parked on
-// the group syncer starves every writer routed to its stripe.
-func parkUnderExecMu(s *server) {
-	s.execMus[1].Lock()
-	s.wal.Commit(7) // want `parks on \(persist\.WAL\)\.Commit while holding execMus`
-	s.execMus[1].Unlock()
 }
 
 // --- one-level call-graph propagation ---

@@ -221,7 +221,7 @@ func measureWorkload(e Engine, w ycsb.Workload, keys [][]byte, loaded, ops, thre
 		smp = startCVSampler(tr.TotalOps)
 	}
 	perThread := ops / threads
-	extraPer := (len(keys) - loaded) / maxInt(threads, 1)
+	extraPer := (len(keys) - loaded) / max(threads, 1)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for t := 0; t < threads; t++ {
@@ -288,13 +288,6 @@ func runLoad(e Engine, keys [][]byte, threads int, seed int64, track bool) (floa
 		lat.CVPct = smp.CVPct()
 	}
 	return m, lat
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // datasetKeys generates a dataset, memoized: the experiment grids request

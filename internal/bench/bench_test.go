@@ -330,23 +330,6 @@ func TestJSONReports(t *testing.T) {
 				}
 			}
 		}},
-		"exec": {FigExecJSON, func(t *testing.T, rep Report) {
-			t.Helper()
-			seen := map[string]bool{}
-			for _, r := range rep.Rows {
-				if r.Engine != "CuckooTrie" || r.Workload == "" || r.Mops <= 0 {
-					t.Fatalf("exec row %+v: want CuckooTrie rows with a workload axis and throughput", r)
-				}
-				seen[r.Mode+"/"+r.Workload] = true
-			}
-			for _, mode := range execModesSweep {
-				for _, wl := range execWorkloads {
-					if !seen[string(mode)+"/"+wl] {
-						t.Fatalf("no row for mode %s workload %s (saw %v)", mode, wl, seen)
-					}
-				}
-			}
-		}},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

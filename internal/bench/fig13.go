@@ -20,8 +20,8 @@ import (
 // for point lookups, matching Redis's dual structure).
 func Fig13(w io.Writer, o Options) {
 	o.Fill()
-	keys := minInt(o.Keys, 50_000) // RESP round trips dominate; keep it snappy
-	ops := minInt(o.Ops, keys)
+	keys := min(o.Keys, 50_000) // RESP round trips dominate; keep it snappy
+	ops := min(o.Ops, keys)
 	header(w, "Figure 13: mini-Redis sorted-set throughput (Mops/s)",
 		"CuckooTrie best on A-D except az; YCSB-E overlap hides leaf-list latency (§6.8)")
 

@@ -74,7 +74,7 @@ func Fig2(w io.Writer, o Options) {
 	fmt.Fprintf(w, "%-12s %9s %9s %9s %8s %14s\n",
 		"index", "cycles", "exec", "stall", "DRAM/op", "eff.lat (cyc)")
 	rng := rand.New(rand.NewSource(o.Seed + 7))
-	probes := minInt(o.Ops, 20000)
+	probes := min(o.Ops, 20000)
 	for _, src := range sources {
 		sim := memsim.New(simConfig(o.Keys))
 		var agg memsim.Aggregate
@@ -308,18 +308,11 @@ func Fig9(w io.Writer, o Options) {
 	for _, e := range Engines() {
 		fmt.Fprintf(w, "%-12s", e.Name)
 		for _, s := range sizes {
-			th := runWorkload(e, ycsb.C, all[:s], s, minInt(o.Ops, s), 1, o.Seed)
+			th := runWorkload(e, ycsb.C, all[:s], s, min(o.Ops, s), 1, o.Seed)
 			fmt.Fprintf(w, "%10.3f", th)
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // fig10Report measures the scan-heavy YCSB-E grid at 1 and o.Threads
@@ -338,7 +331,7 @@ func fig10Report(o Options) Report {
 			}
 			for _, ds := range dataset.All {
 				keys := datasetKeys(ds, o.Keys, o.Seed)
-				m, lat := runWorkloadLat(e, ycsb.E, keys, loadedFor(ycsb.E, len(keys)), minInt(o.Ops, 50_000), threads, o.Seed)
+				m, lat := runWorkloadLat(e, ycsb.E, keys, loadedFor(ycsb.E, len(keys)), min(o.Ops, 50_000), threads, o.Seed)
 				row := Row{
 					Engine:   e.Name,
 					Dataset:  string(ds),
@@ -492,7 +485,7 @@ func Table3(w io.Writer, o Options) {
 	sim := memsim.New(simConfig(o.Keys))
 	var agg memsim.Aggregate
 	rng := rand.New(rand.NewSource(o.Seed))
-	for i := 0; i < minInt(o.Ops, 20000); i++ {
+	for i := 0; i < min(o.Ops, 20000); i++ {
 		k := keys[rng.Intn(len(keys))]
 		agg.Add(sim.Run(memsim.PrefetchedLevels(t.LookupLevels(k), 5, 8)))
 	}
@@ -545,7 +538,7 @@ func Ablation(w io.Writer, o Options) {
 	for _, d := range []int{1, 2, 3, 5, 8, 12} {
 		sim := memsim.New(simConfig(o.Keys))
 		var agg memsim.Aggregate
-		for i := 0; i < minInt(o.Ops, 10000); i++ {
+		for i := 0; i < min(o.Ops, 10000); i++ {
 			k := keys[rng.Intn(len(keys))]
 			agg.Add(sim.Run(memsim.PrefetchedLevels(t.LookupLevels(k), d, 8)))
 		}

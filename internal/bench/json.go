@@ -53,7 +53,7 @@ type Row struct {
 	LagMS    float64 `json:"lag_ms,omitempty"`
 
 	// Latency axes (µs), measured per op for the YCSB/persist set paths
-	// and per pipeline for the RESP figures (exec/repl) — see each
+	// and per pipeline for the RESP figure (repl) — see each
 	// figure's footer for the unit it measured. P99CIus is the half-width
 	// of a bootstrap-resampled 95% confidence interval around p99; CVPct
 	// is the coefficient of variation of per-timeslice throughput (the

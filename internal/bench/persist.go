@@ -59,7 +59,7 @@ func persistReport(o Options) Report {
 
 	ks := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
 	vals := valsFor(ks)
-	nops := minInt(o.Ops, len(ks))
+	nops := min(o.Ops, len(ks))
 
 	for _, e := range persistEngines() {
 		dir, err := os.MkdirTemp("", "ctbench-persist-*")
@@ -163,7 +163,7 @@ func persistReport(o Options) Report {
 						hi = n
 					}
 					for i := lo; i < hi; {
-						end := minInt(i+walGroupPipeline, hi)
+						end := min(i+walGroupPipeline, hi)
 						var last uint64
 						pipeStart := time.Now()
 						setMu.Lock()
@@ -197,7 +197,7 @@ func persistReport(o Options) Report {
 		for _, pol := range []persist.FsyncPolicy{persist.FsyncNo, persist.FsyncEverySec, persist.FsyncAlways} {
 			n := nops
 			if pol == persist.FsyncAlways {
-				n = minInt(n, walAlwaysOpsCap)
+				n = min(n, walAlwaysOpsCap)
 			}
 			walDir, err := os.MkdirTemp("", "ctbench-wal-*")
 			if err != nil {

@@ -40,8 +40,8 @@ func replReport(o Options) Report {
 	rep := newReport("repl", o)
 	rep.MaxShards = 1 // replication fans out whole keyspaces, not shards
 
-	keys := minInt(o.Keys, 50_000) // RESP round trips dominate; keep it snappy
-	ops := minInt(o.Ops, 4*keys)
+	keys := min(o.Keys, 50_000) // RESP round trips dominate; keep it snappy
+	ops := min(o.Ops, 4*keys)
 	e, _ := engineByName("CuckooTrie")
 	ks := datasetKeys(dataset.Rand8, keys, o.Seed)
 	vals := valsFor(ks)

@@ -2,10 +2,10 @@ package miniredis
 
 // Per-command handlers — the execute stage's leaf. dispatchOne runs one
 // command on the calling goroutine under whatever discipline the executor
-// chose (cmdMu, a stripe's execMu, the all-stripe barrier, or nothing);
-// the handlers themselves only add the per-stripe write mutexes that pin
-// WAL order to apply order. WAIT is deliberately absent: dispatch splits
-// it out of every batch in every mode, because its handler parks.
+// chose (cmdMu or nothing); the handlers themselves only add the
+// per-stripe write mutexes that pin WAL order to apply order. WAIT is
+// deliberately absent: dispatch splits it out of every batch in every
+// mode, because its handler parks.
 
 import (
 	"fmt"
@@ -21,8 +21,7 @@ import (
 // observability state (stats.go): one clock pair around the handler, the
 // family's call/error counters, and — for commands over the slowlog
 // threshold — a slowlog entry. quiesced says the caller holds this
-// server's quiesce lock (serial mode's cmdMu, or striped-exec's
-// all-stripe barrier), so SAVE must not retake it.
+// server's quiesce lock (serial mode's cmdMu), so SAVE must not retake it.
 func (s *Server) dispatchOne(w *resp.Writer, cmd [][]byte, cs *connState, quiesced bool) {
 	st := s.stats.statFor(cmd)
 	errsBefore := w.ErrorsWritten()
@@ -175,8 +174,7 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		w.WriteSimple("OK")
 	case "SAVE":
 		// Foreground snapshot; the executor may already hold the quiesce
-		// lock (serial's cmdMu, striped-exec's barrier), so save must not
-		// retake it.
+		// lock (serial's cmdMu), so save must not retake it.
 		if err := s.save(quiesced); err != nil {
 			w.WriteError(err.Error())
 			return
@@ -185,12 +183,6 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 	case "BGSAVE":
 		if !s.Persistent() {
 			w.WriteError(ErrNoPersistence.Error())
-			return
-		}
-		if s.unsafeSnapshots {
-			// BGSave() below would just report false (as if a save were in
-			// flight); the client deserves the real reason.
-			w.WriteError(ErrUnsafeSnapshot.Error())
 			return
 		}
 		if s.BGSave() {
@@ -218,14 +210,10 @@ func isZScore(cmd [][]byte) bool {
 	return len(cmd) == 3 && strings.EqualFold(string(cmd[0]), "ZSCORE")
 }
 
-// zscoreMulti answers a run of same-set ZSCOREs with one MultiGet,
-// returning the scores for the caller to write (the striped executor
-// interleaves reply-boundary marks between them; see runLane). The run is
-// observed here — n zscore calls, one latency sample covering the batch —
-// so both collapse paths (execSeq and runLane) stay instrumented without
-// each duplicating the accounting. Reply encoding is outside the sample;
-// the MultiGet dominates.
-func (s *Server) zscoreMulti(cmds [][][]byte) ([]uint64, []bool) {
+// zscoreBatch answers a run of same-set ZSCOREs with one MultiGet. The run
+// is observed as n zscore calls and one latency sample covering the batch;
+// reply encoding is outside the sample, the MultiGet dominates.
+func (s *Server) zscoreBatch(w *resp.Writer, cmds [][][]byte) {
 	start := time.Now()
 	members := make([][]byte, len(cmds))
 	for i, c := range cmds {
@@ -235,13 +223,6 @@ func (s *Server) zscoreMulti(cmds [][][]byte) ([]uint64, []bool) {
 	found := make([]bool, len(members))
 	s.set(string(cmds[0][1])).MultiGet(members, vals, found)
 	s.observeZScoreRun(cmds, start)
-	return vals, found
-}
-
-// zscoreBatch is zscoreMulti plus the replies, for the sequential
-// executors where no boundary marking is needed.
-func (s *Server) zscoreBatch(w *resp.Writer, cmds [][][]byte) {
-	vals, found := s.zscoreMulti(cmds)
 	for i := range cmds {
 		writeScore(w, vals[i], found[i])
 	}

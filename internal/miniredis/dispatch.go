@@ -65,10 +65,10 @@ func (s *Server) serve(conn net.Conn) {
 		prevWrite := cs.lastWrite
 		s.dispatch(w, batch, cs)
 		// Group commit's ack barrier: the batch's replies are still only
-		// buffered in w, so parking here — after dispatch released cmdMu, the
-		// execMus and the stripe write mutexes, before the flush that
-		// acknowledges — delays nothing but this connection while one fsync
-		// covers the whole pipeline. Async mode skips the wait: replies flush
+		// buffered in w, so parking here — after dispatch released cmdMu and
+		// the stripe write mutexes, before the flush that acknowledges —
+		// delays nothing but this connection while one fsync covers the
+		// whole pipeline. Async mode skips the wait: replies flush
 		// immediately and DurableLSN reports how far durability lags.
 		if s.fsyncPol == persist.FsyncGroup && cs.lastWrite > prevWrite {
 			if cerr := s.wal.Commit(cs.lastWrite); cerr != nil {
@@ -91,12 +91,12 @@ func (s *Server) serve(conn net.Conn) {
 // dispatch routes one drained batch: WAIT commands split it, everything
 // between them goes to the executor as one segment. WAIT runs bare on the
 // connection goroutine in every mode — it parks, on the local-durability
-// gate (WAL.Commit) and then on replica acks, so it must never hold cmdMu,
-// an execMu, or anything else another connection's writes need. (Before
-// the executor layer, only a LONE wait on a serial server got this
-// treatment; a pipelined WAIT ran under cmdMu with the durability gate
-// skipped. Now the gate and the replica-ack accounting are identical
-// across serial, striped-conn and striped-exec, pipelined or not.)
+// gate (WAL.Commit) and then on replica acks, so it must never hold cmdMu
+// or anything else another connection's writes need. (Before the executor
+// layer, only a LONE wait on a serial server got this treatment; a
+// pipelined WAIT ran under cmdMu with the durability gate skipped. Now the
+// gate and the replica-ack accounting are identical across serial and
+// striped-conn, pipelined or not.)
 func (s *Server) dispatch(w *resp.Writer, batch [][][]byte, cs *connState) {
 	for i := 0; i < len(batch); {
 		j := i

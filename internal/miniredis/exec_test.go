@@ -1,24 +1,24 @@
 package miniredis
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/persist"
-	"repro/internal/skiplist"
 )
 
-var allExecModes = []ExecMode{ExecSerial, ExecStripedConn, ExecStripedExec}
+var allExecModes = []ExecMode{ExecSerial, ExecStripedConn}
 
-func newExecServer(t *testing.T, mode ExecMode) (*Server, *Client) {
+// newExecServer starts a memory-only server. Tests that sweep allExecModes
+// pass trieFactory: striped-conn is honored only over a concurrent-safe
+// engine.
+func newExecServer(t *testing.T, factory EngineFactory, mode ExecMode) (*Server, *Client) {
 	t.Helper()
-	srv := NewServerExec(skiplistFactory, 64, mode)
+	srv := NewServerExec(factory, 64, mode)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,26 +32,71 @@ func newExecServer(t *testing.T, mode ExecMode) (*Server, *Client) {
 }
 
 func TestParseExecMode(t *testing.T) {
-	for _, s := range []string{"serial", "striped-conn", "striped-exec"} {
+	for _, s := range []string{"serial", "striped-conn"} {
 		m, err := ParseExecMode(s)
 		if err != nil || string(m) != s {
 			t.Fatalf("ParseExecMode(%q) = %v, %v", s, m, err)
 		}
 	}
-	if _, err := ParseExecMode("threaded"); err == nil {
-		t.Fatal("ParseExecMode accepted an unknown mode")
+	for _, s := range []string{"threaded", "striped-exec"} {
+		_, err := ParseExecMode(s)
+		if err == nil || !strings.Contains(err.Error(), "want serial or striped-conn") {
+			t.Fatalf("ParseExecMode(%q) error = %v, want the two-value message", s, err)
+		}
+	}
+}
+
+// TestStripedConnFallsBackToSerial: striped-conn runs commands with no
+// execution lock, so over a non-concurrent engine (skiplist) the server
+// must run serial instead — memory-only included, where no write mutex
+// exists either. Two connections pipeline ZADDs into ONE set; -race catches
+// unlocked skiplist.Set calls if the fallback is missing.
+func TestStripedConnFallsBackToSerial(t *testing.T) {
+	srv, cl := newExecServer(t, skiplistFactory, ExecStripedConn)
+	if srv.Mode() != ExecSerial {
+		t.Fatalf("Mode() = %v over a non-concurrent engine, want %v", srv.Mode(), ExecSerial)
+	}
+	addr := srv.ln.Addr().String()
+	const conns, perConn = 2, 200
+	var wg sync.WaitGroup
+	errs := make([]error, conns)
+	for g := 0; g < conns; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := Dial(addr)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			defer c.Close()
+			cmds := make([][][]byte, perConn)
+			for i := range cmds {
+				cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("c%dm%03d", g, i)), []byte("1")}
+			}
+			_, errs[g] = c.Pipeline(cmds)
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("conn %d: %v", g, err)
+		}
+	}
+	if r, err := cl.Do([]byte("DBSIZE")); err != nil || r != int64(conns*perConn) {
+		t.Fatalf("DBSIZE = %v, %v, want %d", r, err, conns*perConn)
 	}
 }
 
 // TestExecModeMatrix runs the same pipeline — writes interleaved with the
-// cross-stripe barrier commands DBSIZE and FLUSHALL — under every
+// keyspace-wide commands DBSIZE and FLUSHALL — under every
 // execution mode and checks each reply positionally: whatever the
 // executor does internally, replies must come back in submission order
 // with serial-equivalent values.
 func TestExecModeMatrix(t *testing.T) {
 	for _, mode := range allExecModes {
 		t.Run(string(mode), func(t *testing.T) {
-			srv, cl := newExecServer(t, mode)
+			srv, cl := newExecServer(t, trieFactory, mode)
 			if srv.Mode() != mode {
 				t.Fatalf("Mode() = %v, want %v", srv.Mode(), mode)
 			}
@@ -106,97 +151,13 @@ func TestExecModeMatrix(t *testing.T) {
 	}
 }
 
-// gateIndex gates Set by member-key prefix: a "wait*" member blocks until
-// the gate opens, a "sig*" member opens it. Two such writes in one
-// pipeline can only both complete if the executor really runs their
-// stripes concurrently — a serial or per-connection executor hits the
-// timeout and surfaces the error instead of deadlocking the test.
-type gateIndex struct {
-	index.Index
-	gate chan struct{}
-	once *sync.Once
-}
-
-func (g *gateIndex) Set(key []byte, v uint64) (bool, error) {
-	switch {
-	case bytes.HasPrefix(key, []byte("wait")):
-		select {
-		case <-g.gate:
-		case <-time.After(5 * time.Second):
-			return false, errors.New("gate timeout: stripes did not execute concurrently")
-		}
-	case bytes.HasPrefix(key, []byte("sig")):
-		g.once.Do(func() { close(g.gate) })
-	}
-	return g.Index.Set(key, v)
-}
-
-// twoStripeSets returns two set names that route to different keyspace
-// stripes (the stripe count is ≥ 8, so a handful of candidates suffice).
-func twoStripeSets(t *testing.T, srv *Server) (string, string) {
-	t.Helper()
-	first := "s0"
-	for i := 1; i < 256; i++ {
-		name := fmt.Sprintf("s%d", i)
-		if srv.ks.stripeIdx(name) != srv.ks.stripeIdx(first) {
-			return first, name
-		}
-	}
-	t.Fatal("could not find two sets on distinct stripes")
-	return "", ""
-}
-
-// TestStripedExecConcurrentLanes proves the tentpole's core claim: under
-// striped-exec, one pipeline's commands on different stripes execute
-// CONCURRENTLY (the gated write completes only because the other lane
-// runs while it blocks), and the out-of-order completion is invisible in
-// the reply stream — replies arrive in submission order.
-func TestStripedExecConcurrentLanes(t *testing.T) {
-	gate := make(chan struct{})
-	once := &sync.Once{}
-	srv := NewServerExec(func(c int) index.Index {
-		return &gateIndex{Index: skiplist.New(1), gate: gate, once: once}
-	}, 64, ExecStripedExec)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	a, b := twoStripeSets(t, srv)
-	out, err := cl.Pipeline([][][]byte{
-		{[]byte("ZADD"), []byte(a), []byte("wait1"), []byte("1")}, // lane A blocks...
-		{[]byte("ZADD"), []byte(b), []byte("sig1"), []byte("2")},  // ...until lane B runs
-		{[]byte("ZSCORE"), []byte(a), []byte("wait1")},
-		{[]byte("ZSCORE"), []byte(b), []byte("sig1")},
-		{[]byte("DBSIZE")}, // and the all-stripe barrier still works after a gated span
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != int64(1) || out[1] != int64(1) {
-		t.Fatalf("gated ZADDs = %v, %v (lanes did not run concurrently?)", out[0], out[1])
-	}
-	if string(out[2].([]byte)) != "1" || string(out[3].([]byte)) != "2" {
-		t.Fatalf("reply order broken: ZSCOREs = %v, %v", out[2], out[3])
-	}
-	if out[4] != int64(2) {
-		t.Fatalf("DBSIZE after gated span = %v", out[4])
-	}
-}
-
-// TestStripedExecOrderingRace hammers a striped-exec server over several
-// connections with pipelines that each touch a private set AND a shared
-// set, on a non-concurrent engine (skiplist): execMus must serialize the
-// shared lane across connections (the race detector proves it), and
-// read-your-write must hold within each pipeline.
-func TestStripedExecOrderingRace(t *testing.T) {
-	srv, _ := newExecServer(t, ExecStripedExec)
+// TestSerialOrderingRace hammers a serial server over several connections
+// with pipelines that each touch a private set AND a shared set, on a
+// non-concurrent engine (skiplist): cmdMu must serialize the shared set
+// across connections (the race detector proves it), and read-your-write
+// must hold within each pipeline.
+func TestSerialOrderingRace(t *testing.T) {
+	srv, _ := newExecServer(t, skiplistFactory, ExecSerial)
 	const workers, iters = 8, 50
 	addr := srv.ln.Addr().String()
 	var wg sync.WaitGroup
@@ -267,7 +228,7 @@ func mustDial(t *testing.T, addr string) *Client {
 func TestWaitAllModes(t *testing.T) {
 	for _, mode := range allExecModes {
 		t.Run(string(mode), func(t *testing.T) {
-			srv := NewServerExec(skiplistFactory, 64, mode)
+			srv := NewServerExec(trieFactory, 64, mode)
 			if _, err := srv.EnablePersistenceWithOptions(t.TempDir(), PersistOptions{Policy: persist.FsyncGroup}); err != nil {
 				t.Fatal(err)
 			}
@@ -310,18 +271,18 @@ func TestWaitAllModes(t *testing.T) {
 	}
 }
 
-// TestStripedExecBGSaveNonConcurrent is the quiesce regression test: a
-// NON-concurrent engine (skiplist) under striped-exec may only be
-// snapshotted while every executor lane is stopped at the all-stripe
-// barrier. Background saves race pipelined writers here; -race catches
-// any snapshot iteration overlapping a Set if the barrier is broken.
-func TestStripedExecBGSaveNonConcurrent(t *testing.T) {
-	srv := NewServerExec(skiplistFactory, 256, ExecStripedExec)
+// TestSerialBGSaveNonConcurrent is the quiesce regression test: a
+// NON-concurrent engine (skiplist) may only be snapshotted while command
+// execution is stopped on cmdMu. Background saves race pipelined writers
+// here; -race catches any snapshot iteration overlapping a Set if the
+// quiesce is broken.
+func TestSerialBGSaveNonConcurrent(t *testing.T) {
+	srv := NewServerExec(skiplistFactory, 256, ExecSerial)
 	if _, err := srv.EnablePersistenceWithOptions(t.TempDir(), PersistOptions{Policy: persist.FsyncNo}); err != nil {
 		t.Fatal(err)
 	}
 	if !srv.quiesceSaves {
-		t.Fatal("striped-exec + skiplist must quiesce saves")
+		t.Fatal("a non-concurrent engine must quiesce saves")
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -356,7 +317,7 @@ func TestStripedExecBGSaveNonConcurrent(t *testing.T) {
 		}(g)
 	}
 	// Snapshot continuously under load: the background path (BGSave) and
-	// the command path (SAVE through the barrier).
+	// the command path (SAVE dispatched under cmdMu).
 	cl := mustDial(t, addr)
 	defer cl.Close()
 	for k := 0; k < 10; k++ {
@@ -372,70 +333,75 @@ func TestStripedExecBGSaveNonConcurrent(t *testing.T) {
 	}
 	srv.bgWg.Wait()
 	if err := srv.LastBGSaveError(); err != nil {
-		t.Fatalf("BGSave under striped-exec load: %v", err)
+		t.Fatalf("BGSave under load: %v", err)
 	}
 	if r, err := cl.Do([]byte("DBSIZE")); err != nil || r != int64(workers*iters*8) {
 		t.Fatalf("DBSIZE = %v, %v, want %d", r, err, workers*iters*8)
 	}
 }
 
-// TestStripedExecManyConnections soaks a striped-exec server with 1000
-// concurrent connections (the per-connection buffers were sized down to
-// make exactly this cheap) and then verifies every serve goroutine exits:
-// no goroutine leak, no reply corruption.
-func TestStripedExecManyConnections(t *testing.T) {
+// TestManyConnectionsSoak soaks a server with 1000 concurrent connections
+// in each execution mode (the per-connection buffers were sized down to
+// make exactly this cheap): every connection's mixed pipeline replies in
+// submission order, and afterwards every serve goroutine exits — no
+// goroutine leak, no reply corruption.
+func TestManyConnectionsSoak(t *testing.T) {
 	if testing.Short() {
-		t.Skip("opens ~1000 connections")
+		t.Skip("opens ~1000 connections per mode")
 	}
-	srv, _ := newExecServer(t, ExecStripedExec)
-	addr := srv.ln.Addr().String()
-	baseline := runtime.NumGoroutine()
+	for _, mode := range allExecModes {
+		t.Run(string(mode), func(t *testing.T) {
+			srv, _ := newExecServer(t, trieFactory, mode)
+			addr := srv.ln.Addr().String()
+			baseline := runtime.NumGoroutine()
 
-	const conns = 1000
-	clients := make([]*Client, conns)
-	for i := range clients {
-		clients[i] = mustDial(t, addr)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, conns)
-	for i, cl := range clients {
-		wg.Add(1)
-		go func(i int, cl *Client) {
-			defer wg.Done()
-			set := []byte(fmt.Sprintf("soak%d", i%37))
-			member := []byte(fmt.Sprintf("c%d", i))
-			out, err := cl.Pipeline([][][]byte{
-				{[]byte("PING")},
-				{[]byte("ZADD"), set, member, []byte("1")},
-				{[]byte("ZSCORE"), set, member},
-			})
-			if err != nil {
-				errCh <- err
-				return
+			const conns = 1000
+			clients := make([]*Client, conns)
+			for i := range clients {
+				clients[i] = mustDial(t, addr)
 			}
-			if out[0] != "PONG" || out[1] != int64(1) || string(out[2].([]byte)) != "1" {
-				errCh <- fmt.Errorf("conn %d replies = %v", i, out)
+			var wg sync.WaitGroup
+			errCh := make(chan error, conns)
+			for i, cl := range clients {
+				wg.Add(1)
+				go func(i int, cl *Client) {
+					defer wg.Done()
+					set := []byte(fmt.Sprintf("soak%d", i%37))
+					member := []byte(fmt.Sprintf("c%d", i))
+					out, err := cl.Pipeline([][][]byte{
+						{[]byte("PING")},
+						{[]byte("ZADD"), set, member, []byte("1")},
+						{[]byte("ZSCORE"), set, member},
+					})
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if out[0] != "PONG" || out[1] != int64(1) || string(out[2].([]byte)) != "1" {
+						errCh <- fmt.Errorf("conn %d replies = %v", i, out)
+					}
+				}(i, cl)
 			}
-		}(i, cl)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	for _, cl := range clients {
-		cl.Close()
-	}
-	// Every per-connection serve goroutine must wind down once its client
-	// hangs up. Allow slack for runtime/test goroutines.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, baseline %d: serve goroutines leaked", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(20 * time.Millisecond)
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
+			}
+			for _, cl := range clients {
+				cl.Close()
+			}
+			// Every per-connection serve goroutine must wind down once its
+			// client hangs up. Allow slack for runtime/test goroutines.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if n := runtime.NumGoroutine(); n <= baseline+20 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines = %d, baseline %d: serve goroutines leaked", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }

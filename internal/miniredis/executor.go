@@ -3,37 +3,20 @@ package miniredis
 // The execute stage of the command path (see dispatch.go for the parse →
 // route stages): an executor turns one WAIT-free, PSYNC-free pipeline
 // segment into engine calls and writes every reply, in submission order,
-// to the connection writer. Three strategies exist:
+// to the connection writer. Two strategies exist:
 //
 //   - serialExecutor: Redis's model — every segment from every connection
-//     runs under one cmdMu.
+//     runs under one cmdMu. Safe for any engine.
 //   - connExecutor: each connection executes its own pipeline sequentially
 //     with no execution lock at all; concurrency comes from connections.
-//     Safe only over concurrent-safe engines.
-//   - stripedExecutor: a segment is partitioned into per-stripe lanes (set
-//     name → keyspace stripe, the same maphash route the keyspace uses)
-//     that run concurrently, each under its stripe's execMu; buffered
-//     replies are reassembled in submission order. Per-SET order is exactly
-//     serial mode's — two commands on one set share a lane, and two
-//     connections writing one set serialize on its stripe's execMu — while
-//     disjoint-set pipelines never contend. Cross-stripe commands (DBSIZE,
-//     FLUSHALL, SAVE/BGSAVE, REPLICAOF) take the ordered all-stripe
-//     barrier.
+//     Only ever runs over concurrent-safe engines: NewServerExec probes the
+//     factory and falls back to serial otherwise.
 //
-// Lock order: the execMus array ranks between cmdMu and bulkMu (rank 15 in
-// internal/analyzers/lockorder), ascending index within the array, so a
-// barrier handler that goes on to take bulkMu/saveMu/replMu/writeMus/
-// stripes keeps the global order. A lane holds exactly one execMu, so lanes
-// cannot deadlock each other; the barrier takes all of them ascending, so
-// it cannot deadlock against another barrier. No executor path ever parks
-// on WAL.Commit — the group-commit ack barrier stays in serve, after the
-// executor returned and every execMu is released (the PR 8 invariant).
+// No executor path ever parks on WAL.Commit — the group-commit ack barrier
+// stays in serve, after the executor returned and cmdMu is released.
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/resp"
 )
@@ -47,23 +30,18 @@ const (
 	// serializes every segment from every connection. Safe for any engine.
 	ExecSerial ExecMode = "serial"
 	// ExecStripedConn executes each connection's pipeline on its own
-	// goroutine with no execution lock (the pre-executor serial=false
-	// behavior). Safe only for concurrent-safe engines.
+	// goroutine with no execution lock. Requires a concurrent-safe engine;
+	// NewServerExec runs ExecSerial instead when the engine is not.
 	ExecStripedConn ExecMode = "striped-conn"
-	// ExecStripedExec partitions each pipeline segment into per-stripe
-	// lanes that execute concurrently under per-stripe executor locks,
-	// with replies reassembled in submission order. Per-set semantics are
-	// serial mode's; safe for any engine.
-	ExecStripedExec ExecMode = "striped-exec"
 )
 
 // ParseExecMode parses a -exec flag value.
 func ParseExecMode(s string) (ExecMode, error) {
 	switch m := ExecMode(s); m {
-	case ExecSerial, ExecStripedConn, ExecStripedExec:
+	case ExecSerial, ExecStripedConn:
 		return m, nil
 	}
-	return "", fmt.Errorf("miniredis: unknown exec mode %q (want serial, striped-conn or striped-exec)", s)
+	return "", fmt.Errorf("miniredis: unknown exec mode %q (want serial or striped-conn)", s)
 }
 
 // executor runs one WAIT-free, PSYNC-free pipeline segment (dispatch
@@ -108,271 +86,15 @@ func (s *Server) execSeq(w *resp.Writer, seg [][][]byte, cs *connState, quiesced
 	}
 }
 
-type stripedExecutor struct{ s *Server }
-
-// run splits the segment at cross-stripe barrier commands, fanning each
-// barrier-free span out across per-stripe lanes and executing each barrier
-// command under the all-stripe barrier. Replies land on w in submission
-// order either way: spans reassemble, barriers execute in place.
-func (e stripedExecutor) run(w *resp.Writer, seg [][][]byte, cs *connState) {
-	s := e.s
-	for i := 0; i < len(seg); {
-		j := i
-		for j < len(seg) && !isBarrierCmd(seg[j]) {
-			j++
-		}
-		if j > i {
-			s.execStriped(w, seg[i:j], cs)
-		}
-		if j < len(seg) {
-			s.runBarrier(w, seg[j], cs)
-			j++
-		}
-		i = j
-	}
-}
-
-// isBarrierCmd reports whether cmd needs the ordered all-stripe barrier
-// under striped-exec: it reads or mutates the whole keyspace (DBSIZE,
-// FLUSHALL, SAVE/BGSAVE) or rewires replication (REPLICAOF/SLAVEOF), so no
-// per-stripe lane may run concurrently with it. WAIT never reaches an
-// executor (dispatch splits it out in every mode) and PSYNC never leaves
-// serve.
-func isBarrierCmd(cmd [][]byte) bool {
-	if len(cmd) == 0 {
-		return false
-	}
-	switch strings.ToUpper(string(cmd[0])) {
-	case "DBSIZE", "FLUSHALL", "SAVE", "BGSAVE", "REPLICAOF", "SLAVEOF":
-		return true
-	}
-	return false
-}
-
-// runBarrier executes one cross-stripe command with every execMu held, in
-// ascending index order (the same discipline as keyspace.lockAll): no lane
-// from any connection runs concurrently, which is exactly the quiesce a
-// SAVE over a non-concurrent engine or a keyspace-wide FLUSHALL needs. The
-// acquisitions are direct loops, not a helper, so ctvet's lockorder pass
-// sees the protocol and checks dispatchOne's summary against it.
-func (s *Server) runBarrier(w *resp.Writer, cmd [][]byte, cs *connState) {
-	for i := range s.execMus {
-		s.execMus[i].Lock()
-	}
-	s.dispatchOne(w, cmd, cs, true)
-	for i := range s.execMus {
-		s.execMus[i].Unlock()
-	}
-}
-
 // quiesce blocks every executor until the returned release is called — the
 // window in which a snapshot of a non-concurrent engine may iterate, or
 // the replication applier may mutate, without racing dispatch. Serial
-// mode's quiesce lock IS cmdMu; striped-exec quiesces via the all-stripe
-// barrier; striped-conn has no execution lock to take (its callers gate on
-// quiesceSaves / engine concurrency instead).
+// mode's quiesce lock IS cmdMu; striped-conn has none and needs none, since
+// it only runs over engines that tolerate concurrent access.
 func (s *Server) quiesce() func() {
-	switch s.mode {
-	case ExecSerial:
+	if s.mode == ExecSerial {
 		s.cmdMu.Lock()
 		return s.cmdMu.Unlock
-	case ExecStripedExec:
-		for i := range s.execMus {
-			s.execMus[i].Lock()
-		}
-		return s.releaseExecMus
 	}
 	return func() {}
-}
-
-func (s *Server) releaseExecMus() {
-	for i := range s.execMus {
-		s.execMus[i].Unlock()
-	}
-}
-
-// laneRun is one lane of a barrier-free span: the submission-order indexes
-// of the span's commands that route to one keyspace stripe. lane -1
-// collects stripe-less commands (PING, INFO, REPLCONF, malformed input)
-// that touch no set and need no lock. cs is the lane's private connection
-// state — lanes run concurrently, so they must not write the shared one —
-// merged back after the join.
-type laneRun struct {
-	lane int
-	idxs []int
-	sink *replySink
-	cs   connState
-}
-
-// laneOf routes one command to its keyspace stripe, -1 for commands that
-// touch no set. Barrier commands never reach here (run splits them out).
-func (s *Server) laneOf(cmd [][]byte) int {
-	if len(cmd) >= 2 {
-		switch strings.ToUpper(string(cmd[0])) {
-		case "ZADD", "ZSCORE", "ZMSCORE", "ZREM", "ZRANGEBYLEX":
-			return s.ks.stripeIdx(string(cmd[1]))
-		}
-	}
-	return -1
-}
-
-// execStriped executes one barrier-free span: partition into lanes, run
-// the lanes concurrently (the connection goroutine doubles as the first
-// lane's worker), then stitch the buffered replies back into w in
-// submission order. A single-lane span — the common case for a pipeline
-// hammering one set — skips the buffering entirely and runs straight into
-// the connection writer.
-func (s *Server) execStriped(w *resp.Writer, span [][][]byte, cs *connState) {
-	var lanes []*laneRun
-	byLane := map[int]*laneRun{} // spans hold ≤ maxPipelineBatch commands
-	for i, cmd := range span {
-		l := s.laneOf(cmd)
-		r := byLane[l]
-		if r == nil {
-			r = &laneRun{lane: l}
-			byLane[l] = r
-			lanes = append(lanes, r)
-		}
-		r.idxs = append(r.idxs, i)
-	}
-	if len(lanes) == 1 {
-		s.runLane(w, lanes[0], span, cs)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, r := range lanes[1:] {
-		r.sink = getSink()
-		r.cs = *cs
-		wg.Add(1)
-		go func(r *laneRun) {
-			defer wg.Done()
-			s.runLane(r.sink.w, r, span, &r.cs)
-		}(r)
-	}
-	first := lanes[0]
-	first.sink = getSink()
-	first.cs = *cs
-	s.runLane(first.sink.w, first, span, &first.cs)
-	wg.Wait()
-	// Reassembly: owner[i] is the lane holding span[i]'s reply, ordinal[i]
-	// its position within that lane's sink.
-	owner := make([]*laneRun, len(span))
-	ordinal := make([]int, len(span))
-	for _, r := range lanes {
-		for k, i := range r.idxs {
-			owner[i], ordinal[i] = r, k
-		}
-	}
-	for i := range span {
-		w.WriteRaw(owner[i].sink.reply(ordinal[i])) //ctvet:ignore sticky bufio error; surfaced by serve's checked Flush
-	}
-	for _, r := range lanes {
-		mergeLane(cs, r)
-		putSink(r.sink)
-	}
-}
-
-// mergeLane folds a lane's private connection state back into the real one
-// after the join. WAIT targets the connection's last write anywhere in the
-// pipeline, so the merged lastWrite is the max across lanes; only the
-// stripe-less lane can set listenPort (REPLCONF), so the copy is race-free.
-func mergeLane(cs *connState, r *laneRun) {
-	if r.cs.lastWrite > cs.lastWrite {
-		cs.lastWrite = r.cs.lastWrite
-	}
-	if r.cs.listenPort != "" {
-		cs.listenPort = r.cs.listenPort
-	}
-}
-
-// runLane executes one lane's commands, in lane order, into w. A stripe
-// lane holds its stripe's execMu for the duration — per-set order across
-// connections, and exclusive engine access for non-concurrent engines; the
-// stripe-less lane takes nothing. Adjacent same-set ZSCOREs within the
-// lane collapse into one MultiGet: any command between them in the span is
-// on another lane by construction (same set ⇒ same lane), so no same-set
-// write can sit inside a collapsed run.
-func (s *Server) runLane(w *resp.Writer, r *laneRun, span [][][]byte, cs *connState) {
-	if r.lane >= 0 {
-		mu := &s.execMus[r.lane]
-		mu.Lock()
-		defer mu.Unlock()
-	}
-	for k := 0; k < len(r.idxs); {
-		j := k
-		for j < len(r.idxs) && isZScore(span[r.idxs[j]]) &&
-			(j == k || string(span[r.idxs[j]][1]) == string(span[r.idxs[k]][1])) {
-			j++
-		}
-		if j-k >= 2 {
-			cmds := make([][][]byte, 0, j-k)
-			for _, i := range r.idxs[k:j] {
-				cmds = append(cmds, span[i])
-			}
-			vals, found := s.zscoreMulti(cmds)
-			for x := range cmds {
-				writeScore(w, vals[x], found[x])
-				r.mark()
-			}
-			k = j
-			continue
-		}
-		s.dispatchOne(w, span[r.idxs[k]], cs, false)
-		r.mark()
-		k++
-	}
-}
-
-// mark records a reply boundary in the lane's sink; a no-op for the
-// inline single-lane path, which writes straight to the connection.
-func (r *laneRun) mark() {
-	if r.sink != nil {
-		r.sink.mark()
-	}
-}
-
-// replySink buffers one lane's replies with per-command boundaries, so
-// reassembly can copy reply i without re-parsing RESP. Sinks are pooled —
-// a busy striped-exec server would otherwise allocate one writer per lane
-// per span.
-type replySink struct {
-	buf  bytes.Buffer
-	w    *resp.Writer
-	ends []int
-}
-
-// sinkBufSize sizes a sink's RESP writer buffer: most lane replies are a
-// few bytes (`:1`, a score bulk), so a small buffer avoids paying the
-// connection-sized 16 KiB per concurrent lane.
-const sinkBufSize = 4 << 10
-
-var sinkPool = sync.Pool{New: func() any {
-	sk := &replySink{}
-	sk.w = resp.NewWriterSize(&sk.buf, sinkBufSize)
-	return sk
-}}
-
-func getSink() *replySink {
-	sk := sinkPool.Get().(*replySink)
-	sk.buf.Reset()
-	sk.ends = sk.ends[:0]
-	return sk
-}
-
-func putSink(sk *replySink) { sinkPool.Put(sk) }
-
-// mark flushes the writer through to the buffer and records the end of
-// one command's reply.
-func (sk *replySink) mark() {
-	sk.w.Flush() //ctvet:ignore writes to a bytes.Buffer cannot fail; this flush only moves bytes so the boundary below is exact
-	sk.ends = append(sk.ends, sk.buf.Len())
-}
-
-// reply returns the bytes of the i-th command's reply.
-func (sk *replySink) reply(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = sk.ends[i-1]
-	}
-	return sk.buf.Bytes()[start:sk.ends[i]]
 }

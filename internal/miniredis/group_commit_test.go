@@ -15,7 +15,11 @@ import (
 // control, for the group-commit and auto-rewrite tests.
 func newServerWithPersist(t *testing.T, dir string, serial bool, opts PersistOptions) (*Server, *Client) {
 	t.Helper()
-	srv := NewServer(skiplistFactory, 256, serial)
+	factory := skiplistFactory
+	if !serial {
+		factory = trieFactory // striped-conn is honored only over a concurrent-safe engine
+	}
+	srv := NewServer(factory, 256, serial)
 	if _, err := srv.EnablePersistenceWithOptions(dir, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,8 @@
 //
 // Command execution is an explicit layer: serve parses (dispatch.go),
 // dispatch routes, and an executor (executor.go) runs each segment under
-// one of three modes — serial (Redis's one-lock loop), striped-conn
-// (per-connection, lockless), or striped-exec (per-stripe lanes that run
-// disjoint-set pipelines concurrently with replies reassembled in order).
+// one of two modes — serial (Redis's one-lock loop, any engine) or
+// striped-conn (per-connection, lockless, concurrent-safe engines only).
 // See ExecMode.
 package miniredis
 
@@ -246,12 +245,6 @@ type Server struct {
 	maxConns int
 	conns    atomic.Int64
 	rejected atomic.Int64
-	// execMus (ExecStripedExec only): one executor lock per keyspace
-	// stripe. A per-stripe lane holds exactly its own; the cross-stripe
-	// barrier takes all of them in ascending index order. Rank 15 in the
-	// global lock order — after cmdMu, before bulkMu (see
-	// internal/analyzers/lockorder).
-	execMus []sync.Mutex
 
 	// Persistence (nil/zero when the server is memory-only).
 	wal        *persist.WAL
@@ -263,18 +256,12 @@ type Server struct {
 	savedBytes atomic.Int64 // WAL AppendedBytes watermark at the last snapshot cut
 	saving     atomic.Bool  // one BGSAVE at a time
 	saveMu     sync.Mutex   // serializes snapshot cuts (SAVE vs BGSAVE)
-	// quiesceSaves: the engine is not concurrent-safe, so snapshot cursors
-	// cannot run against live writers — saves must hold the execution
-	// mode's quiesce lock (serial's cmdMu or striped-exec's all-stripe
-	// barrier, always taken BEFORE saveMu; dispatch already holds it when
-	// a SAVE command calls save, so the order is fixed everywhere).
+	// quiesceSaves: the engine is not concurrent-safe (so the server runs
+	// ExecSerial), and snapshot cursors cannot run against live writers —
+	// saves must hold cmdMu, always taken BEFORE saveMu; dispatch already
+	// holds it when a SAVE command calls save, so the order is fixed
+	// everywhere.
 	quiesceSaves bool
-	// unsafeSnapshots: striped-conn execution over a non-concurrent engine
-	// has NO safe snapshot path — there is no execution lock to quiesce
-	// with, so a snapshot cursor would race live writers. SAVE, BGSAVE and
-	// replica full syncs all refuse with ErrUnsafeSnapshot instead of
-	// corrupting the snapshot (or crashing the engine) silently.
-	unsafeSnapshots bool
 	// writeMus (persistent concurrent servers only) order apply+log per
 	// keyspace stripe; see lockWrite.
 	writeMus  []sync.Mutex
@@ -297,12 +284,10 @@ type Server struct {
 
 // NewServer creates a server whose sorted sets use the given engine.
 // serial=true mimics Redis's single-threaded command loop (ExecSerial);
-// serial=false executes each connection's commands concurrently with no
-// execution lock (ExecStripedConn — safe only for concurrent-safe
-// engines). See NewServerExec for the full mode set, including
-// striped-exec's per-stripe concurrent execution. The keyspace is striped
-// in every mode, so set resolution never serializes connections on a
-// single lock.
+// serial=false asks for ExecStripedConn, each connection executing its
+// commands concurrently with no execution lock (see NewServerExec for
+// when that request is honored). The keyspace is striped in both modes, so
+// set resolution never serializes connections on a single lock.
 func NewServer(factory EngineFactory, capacityHint int, serial bool) *Server {
 	mode := ExecStripedConn
 	if serial {
@@ -312,31 +297,31 @@ func NewServer(factory EngineFactory, capacityHint int, serial bool) *Server {
 }
 
 // NewServerExec creates a server with an explicit execution mode (see
-// ExecMode in executor.go). An unknown mode falls back to ExecSerial, the
-// one strategy that is safe for every engine.
+// ExecMode in executor.go). ExecStripedConn runs commands with no execution
+// lock, so it is honored only when the engine is concurrent-safe — every
+// set comes from the same factory, so one throwaway instance answers that.
+// Otherwise, and for an unknown mode, the server runs ExecSerial, the one
+// strategy that is safe for every engine; Mode reports the outcome.
 func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Server {
 	s := &Server{
 		create:   func() index.Index { return factory(capacityHint) },
 		factory:  factory,
 		capacity: capacityHint,
 		ks:       newKeyspace(max(8, runtime.GOMAXPROCS(0))),
-		mode:     mode,
+		mode:     ExecSerial,
 		stats:    newServerStats(),
 	}
-	switch mode {
-	case ExecStripedConn:
+	s.exec = serialExecutor{s}
+	if mode == ExecStripedConn && index.IsConcurrent(factory(1)) {
+		s.mode = ExecStripedConn
 		s.exec = connExecutor{s}
-	case ExecStripedExec:
-		s.execMus = make([]sync.Mutex, len(s.ks.stripes))
-		s.exec = stripedExecutor{s}
-	default:
-		s.mode = ExecSerial
-		s.exec = serialExecutor{s}
 	}
 	return s
 }
 
-// Mode reports the server's execution mode.
+// Mode reports the execution mode the server actually runs, which is
+// ExecSerial when ExecStripedConn was requested over a non-concurrent
+// engine.
 func (s *Server) Mode() ExecMode { return s.mode }
 
 // Stripes reports the power-of-two keyspace stripe count.
@@ -344,13 +329,6 @@ func (s *Server) Stripes() int { return len(s.ks.stripes) }
 
 // ErrNoPersistence reports a SAVE/BGSAVE against a memory-only server.
 var ErrNoPersistence = errors.New("miniredis: persistence not enabled")
-
-// ErrUnsafeSnapshot reports a snapshot request (SAVE, BGSAVE, a replica's
-// full sync) on a server with no safe snapshot path: striped-conn
-// execution has no quiesce lock, so over a non-concurrent engine the
-// snapshot cursors would race live writers. Pick -exec serial or
-// striped-exec, or a concurrent-safe engine.
-var ErrUnsafeSnapshot = errors.New("miniredis: no safe snapshot path under striped-conn execution with a non-concurrent engine (use -exec serial or striped-exec)")
 
 // EnablePersistence makes the server durable: it recovers dir's newest
 // valid snapshot plus WAL tail into the keyspace (each set bulk-loaded, so
@@ -436,22 +414,15 @@ func (s *Server) EnablePersistenceWithOptions(dir string, opts PersistOptions) (
 	wal.SetOnAppend(s.repl.Publish)
 	// Probe the engine once: every set comes from the same factory, so one
 	// throwaway instance says whether snapshots may run against live
-	// writers or must quiesce execution first. Serial and striped-exec
-	// both have a quiesce lock to take (cmdMu, the all-stripe barrier);
-	// striped-conn has none — over a concurrent-safe engine its saves run
-	// live, and over a non-concurrent engine there is no safe snapshot
-	// path at all (unsafeSnapshots: SAVE/BGSAVE/full syncs refuse).
-	concurrent := index.IsConcurrent(s.factory(1))
-	s.quiesceSaves = s.mode != ExecStripedConn && !concurrent
-	s.unsafeSnapshots = s.mode == ExecStripedConn && !concurrent
+	// writers or must quiesce execution first (which implies serial mode —
+	// see NewServerExec — whose quiesce lock is cmdMu).
+	s.quiesceSaves = !index.IsConcurrent(s.factory(1))
 	if s.mode != ExecSerial {
 		// Concurrent command execution needs explicit write ordering: the
 		// WAL replays in LSN order, so two racing writes to the same set
 		// must log in the order they applied or recovery rebuilds a state
 		// the live server never exposed. Serial mode gets this from cmdMu;
-		// both striped modes pin it per stripe (striped-exec's lanes hold
-		// execMus across apply+log too, but the replication applier and
-		// FLUSHALL order against writers through writeMus).
+		// striped-conn pins it per stripe.
 		s.writeMus = make([]sync.Mutex, len(s.ks.stripes))
 	}
 	return res, nil
@@ -529,20 +500,16 @@ func (s *Server) Save() error { return s.save(false) }
 
 // save implements Save; quiesced says the calling goroutine already holds
 // this server's quiesce lock (a SAVE command dispatched under serial
-// mode's cmdMu or striped-exec's all-stripe barrier).
+// mode's cmdMu).
 func (s *Server) save(quiesced bool) error {
 	if s.wal == nil {
 		return ErrNoPersistence
 	}
-	if s.unsafeSnapshots {
-		return ErrUnsafeSnapshot
-	}
 	if s.quiesceSaves && !quiesced {
 		// A non-concurrent-safe engine cannot be iterated while writers
 		// mutate it: quiesce execution for the duration (Redis without
-		// fork(2) semantics) — cmdMu on a serial server, the all-stripe
-		// executor barrier under striped-exec. Concurrent-safe engines
-		// skip this. The quiesce lock is always taken before saveMu.
+		// fork(2) semantics). Concurrent-safe engines skip this. The
+		// quiesce lock is always taken before saveMu.
 		release := s.quiesce()
 		defer release()
 	}
@@ -578,11 +545,6 @@ func (s *Server) cutSnapshot() (uint64, string, error) {
 // file: bulk preloads bypass the WAL, so only a snapshot cut now is
 // guaranteed to contain them.
 func (s *Server) snapshotForSync() (uint64, string, error) {
-	if s.unsafeSnapshots {
-		// The manager turns this into a clean "-ERR full sync snapshot: ..."
-		// on the PSYNC connection instead of shipping a corrupt stream.
-		return 0, "", ErrUnsafeSnapshot
-	}
 	if s.quiesceSaves {
 		release := s.quiesce()
 		defer release()
@@ -594,7 +556,7 @@ func (s *Server) snapshotForSync() (uint64, string, error) {
 // It reports whether a new save was started; a failure is retrievable via
 // LastBGSaveError. Close waits for an in-flight background save.
 func (s *Server) BGSave() bool {
-	if s.wal == nil || s.unsafeSnapshots || !s.saving.CompareAndSwap(false, true) {
+	if s.wal == nil || !s.saving.CompareAndSwap(false, true) {
 		return false
 	}
 	s.bgWg.Add(1)

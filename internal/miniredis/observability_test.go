@@ -2,13 +2,11 @@ package miniredis
 
 // Observability drills: the LATENCY / SLOWLOG / INFO surface is exercised
 // over raw RESP (net.Dial + the resp package, no Client conveniences) in
-// all three execution modes, against a persistent fsync=group server so
-// the WAL histograms (fsync duration, commit park, group batch size) have
-// real samples. Plus the -maxconns cap and the striped-conn
-// unsafe-snapshot refusal.
+// both execution modes, against a persistent fsync=group server so the WAL
+// histograms (fsync duration, commit park, group batch size) have real
+// samples. Plus the -maxconns cap.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -63,7 +61,7 @@ func (rc *rawConn) do(args ...string) interface{} {
 }
 
 func TestObservabilityDrill(t *testing.T) {
-	for _, mode := range []ExecMode{ExecSerial, ExecStripedConn, ExecStripedExec} {
+	for _, mode := range allExecModes {
 		t.Run(string(mode), func(t *testing.T) {
 			dir, err := os.MkdirTemp("", "ct-obs-*")
 			if err != nil {
@@ -290,55 +288,5 @@ func TestMaxConns(t *testing.T) {
 			t.Fatal("slot never freed after closing a connection")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestStripedConnUnsafeSnapshots(t *testing.T) {
-	dir, err := os.MkdirTemp("", "ct-unsafe-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	// skiplist is not concurrent-safe, and striped-conn has no execution
-	// lock to quiesce it with: the server must serve writes but refuse
-	// every snapshot path with a clean error.
-	srv := NewServerExec(func(c int) index.Index { return skiplist.New(1) }, 64, ExecStripedConn)
-	if _, err := srv.EnablePersistence(dir, persist.FsyncNo, 0); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	rc := dialRaw(t, addr)
-
-	if v := rc.do("ZADD", "s", "a", "1"); v != int64(1) {
-		t.Fatalf("ZADD = %v", v)
-	}
-	for _, cmd := range []string{"SAVE", "BGSAVE"} {
-		v, ok := rc.do(cmd).(error)
-		if !ok || !strings.Contains(v.Error(), "no safe snapshot path") {
-			t.Fatalf("%s = %v, want unsafe-snapshot error", cmd, v)
-		}
-	}
-	// Writes keep working after the refusals.
-	if v := rc.do("ZADD", "s", "b", "2"); v != int64(1) {
-		t.Fatalf("ZADD after refusal = %v", v)
-	}
-	if !errors.Is(srv.Save(), ErrUnsafeSnapshot) {
-		t.Fatalf("Save() = %v, want ErrUnsafeSnapshot", srv.Save())
-	}
-	if srv.BGSave() {
-		t.Fatal("BGSave() started on an unsafe-snapshot server")
-	}
-	// The replication full-sync hook takes the same gate: a PSYNC would
-	// get a clean -ERR instead of a corrupt stream.
-	if _, _, err := srv.snapshotForSync(); !errors.Is(err, ErrUnsafeSnapshot) {
-		t.Fatalf("snapshotForSync() = %v, want ErrUnsafeSnapshot", err)
 	}
 }

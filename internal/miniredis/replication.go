@@ -362,8 +362,8 @@ func (s *Server) servePSync(conn net.Conn, r *resp.Reader, w *resp.Writer, cs *c
 // replTarget adapts the server to repl.Target: the replica session's
 // single applier goroutine funnels all keyspace mutation through these
 // three methods. Each takes the server's quiesce lock — cmdMu on a serial
-// server, the all-stripe executor barrier under striped-exec, nothing
-// under striped-conn — because the engine may not be concurrent-safe:
+// server, nothing under striped-conn, which only runs over concurrent-safe
+// engines — because a serial server's engine may not be concurrent-safe:
 // replicated writes must quiesce client reads exactly as local writes
 // quiesce each other. Replicas are memory-only (no WAL), so holding the
 // quiesce lock across a batch can never park on a group commit.

@@ -5,10 +5,10 @@ package miniredis
 // plus a Redis-style slowlog ring (SLOWLOG GET/RESET/LEN). The counters
 // and histograms are lock-free (internal/metrics + atomics), so the
 // instrumentation rides every execution mode's hot path — including
-// striped-exec lanes running the same family concurrently — without
-// adding a shared lock the executor layer worked to remove. Only the
-// slowlog takes a mutex, and only for commands already slower than the
-// threshold (default 10ms), where one lock acquisition is noise.
+// striped-conn connections running the same family concurrently — without
+// adding a shared lock. Only the slowlog takes a mutex, and only for
+// commands already slower than the threshold (default 10ms), where one lock
+// acquisition is noise.
 
 import (
 	"fmt"
@@ -82,8 +82,7 @@ func (st *serverStats) statFor(cmd [][]byte) *cmdStat { return st.cmds[st.family
 // when it ran slower than the slowlog threshold, the slowlog ring. The
 // error delta comes from the reply writer: WriteError/WriteErrorCode
 // bumped its counter iff the handler replied with an error, so handlers
-// need no second reporting channel. w may be a lane's pooled sink writer —
-// the delta comparison is what makes reuse safe.
+// need no second reporting channel.
 func (s *Server) observeCmd(st *cmdStat, w *resp.Writer, cmd [][]byte, errsBefore uint64, start time.Time) {
 	d := time.Since(start)
 	st.calls.Add(1)
@@ -92,7 +91,7 @@ func (s *Server) observeCmd(st *cmdStat, w *resp.Writer, cmd [][]byte, errsBefor
 	}
 	st.hist.RecordDuration(int64(d))
 	if s.stats.slow.eligible(d) {
-		s.stats.slow.add(cmd, d, s.mode, s.laneOf(cmd))
+		s.stats.slow.add(cmd, d, s.mode, s.stripeOf(cmd))
 	}
 }
 
@@ -107,11 +106,23 @@ func (s *Server) observeZScoreRun(cmds [][][]byte, start time.Time) {
 	st.calls.Add(uint64(len(cmds)))
 	st.hist.RecordDuration(int64(d))
 	if s.stats.slow.eligible(d) {
-		s.stats.slow.add(cmds[0], d, s.mode, s.laneOf(cmds[0]))
+		s.stats.slow.add(cmds[0], d, s.mode, s.stripeOf(cmds[0]))
 	}
 }
 
 // --- slowlog ---
+
+// stripeOf reports the keyspace stripe a command's set routes to, -1 for
+// commands that touch no set (the slowlog's Stripe field).
+func (s *Server) stripeOf(cmd [][]byte) int {
+	if len(cmd) >= 2 {
+		switch strings.ToUpper(string(cmd[0])) {
+		case "ZADD", "ZSCORE", "ZMSCORE", "ZREM", "ZRANGEBYLEX":
+			return s.ks.stripeIdx(string(cmd[1]))
+		}
+	}
+	return -1
+}
 
 const (
 	// slowlogCap bounds the ring: Redis's default is 128 entries.
@@ -128,8 +139,8 @@ const (
 )
 
 // slowEntry is one captured slow command. Mode and Stripe replace Redis's
-// client-addr/client-name fields: under striped execution the interesting
-// question is which lane ran the command (-1 = the stripe-less lane).
+// client-addr/client-name fields: which executor ran the command and which
+// keyspace stripe its set routes to (-1 = the command touches no set).
 type slowEntry struct {
 	ID     int64
 	Unix   int64
@@ -158,7 +169,7 @@ func (sl *slowlog) eligible(d time.Duration) bool {
 }
 
 func (sl *slowlog) add(cmd [][]byte, d time.Duration, mode ExecMode, stripe int) {
-	args := make([][]byte, 0, minIntStats(len(cmd), slowlogMaxArgs+1))
+	args := make([][]byte, 0, min(len(cmd), slowlogMaxArgs+1))
 	for i, a := range cmd {
 		if i == slowlogMaxArgs && len(cmd) > slowlogMaxArgs+1 {
 			args = append(args, []byte(fmt.Sprintf("... (%d more arguments)", len(cmd)-slowlogMaxArgs)))
@@ -184,7 +195,7 @@ func (sl *slowlog) add(cmd [][]byte, d time.Duration, mode ExecMode, stripe int)
 func (sl *slowlog) entries(max int) []slowEntry {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	n := int(minInt64Stats(sl.total, slowlogCap))
+	n := int(min(sl.total, slowlogCap))
 	if max >= 0 && max < n {
 		n = max
 	}
@@ -198,7 +209,7 @@ func (sl *slowlog) entries(max int) []slowEntry {
 func (sl *slowlog) size() int {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return int(minInt64Stats(sl.total, slowlogCap))
+	return int(min(sl.total, slowlogCap))
 }
 
 func (sl *slowlog) reset() {
@@ -295,8 +306,7 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 // cmdSlowlog handles SLOWLOG GET [count] | RESET | LEN. GET replies with
 // the newest entries first; each entry is [id, unixtime, duration_us,
 // args..., exec-mode, stripe] — mode and stripe stand where Redis puts
-// the client address and name, because under striped execution "which
-// lane was that on" is the question a slow entry needs to answer.
+// the client address and name (see slowEntry).
 func (s *Server) cmdSlowlog(w *resp.Writer, cmd [][]byte) {
 	if len(cmd) < 2 {
 		w.WriteError("wrong number of arguments for SLOWLOG")
@@ -412,18 +422,4 @@ func (s *Server) appendWALMetricsInfo(b *strings.Builder) {
 		fmt.Fprintf(b, "aof_group_batch_p50:%d\r\naof_group_batch_max:%d\r\n",
 			bs.Quantile(0.5), bs.Max())
 	}
-}
-
-func minIntStats(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt64Stats(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
