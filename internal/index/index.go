@@ -13,6 +13,11 @@
 package index
 
 // Index is an ordered dictionary from byte-string keys to uint64 values.
+//
+// Engines copy keys; callers may reuse buffers. Set, MultiSet and bulk
+// loads retain no caller slice past their return, and lookups retain none
+// at all, so a server can pass arguments that alias its read buffer
+// straight through (indextest's KeyNotRetained case pins this).
 type Index interface {
 	// Set inserts or updates a key. added reports whether the key was newly
 	// inserted (true) rather than an existing key updated (false) — the

@@ -40,6 +40,7 @@ func Run(t *testing.T, mk func(capacity int) index.Index, opts Options) {
 	t.Run("MultiGet", func(t *testing.T) { testMultiGet(t, mk, opts) })
 	t.Run("MultiSet", func(t *testing.T) { testMultiSet(t, mk, opts) })
 	t.Run("BulkLoad", func(t *testing.T) { testBulkLoad(t, mk, opts) })
+	t.Run("KeyNotRetained", func(t *testing.T) { testKeyNotRetained(t, mk, opts) })
 	t.Run("RandomModel", func(t *testing.T) { testRandomModel(t, mk, opts) })
 	t.Run("Cursor", func(t *testing.T) { testCursor(t, mk, opts) })
 	if !opts.NoScan {
@@ -413,6 +414,105 @@ func testBulkLoad(t *testing.T, mk func(int) index.Index, opts Options) {
 	}
 	if short.Len() != 0 {
 		t.Fatalf("short-vals BulkLoad inserted %d keys before failing", short.Len())
+	}
+}
+
+// testKeyNotRetained pins the contract that lets a server pass keys
+// borrowed from its read buffer straight to an engine: Set, MultiSet and
+// BulkLoad copy their keys, so a caller may overwrite its buffers as soon
+// as the call returns. Every key is written from one shared buffer that is
+// then inverted; Get of the original bytes must still find each value, and
+// ordered iteration must still yield the original keys.
+func testKeyNotRetained(t *testing.T, mk func(int) index.Index, opts Options) {
+	rng := rand.New(rand.NewSource(52))
+	model := map[string]uint64{}
+	var want [][]byte // the original keys, in the order written
+	// write hands ix n fresh keys carved from one buffer, then inverts the
+	// buffer.
+	write := func(ix index.Index, n int, how string) {
+		var buf []byte
+		var ends []int
+		for len(ends) < n {
+			k := opts.key(rng)
+			if _, dup := model[string(k)]; dup {
+				continue
+			}
+			model[string(k)] = uint64(len(want))
+			want = append(want, k)
+			buf = append(buf, k...)
+			ends = append(ends, len(buf))
+		}
+		ks := make([][]byte, n)
+		vs := make([]uint64, n)
+		from := 0
+		for i, end := range ends {
+			ks[i] = buf[from:end:end]
+			vs[i] = model[string(ks[i])]
+			from = end
+		}
+		switch how {
+		case "Set":
+			for i := range ks {
+				mustSet(t, ix, ks[i], vs[i])
+			}
+		case "MultiSet":
+			if added := ix.MultiSet(ks, vs, nil); added != n {
+				t.Fatalf("MultiSet added %d of %d fresh keys", added, n)
+			}
+		case "BulkLoad":
+			if _, err := index.BulkLoad(ix, ks, vs); err != nil {
+				t.Fatalf("BulkLoad: %v", err)
+			}
+		}
+		for i := range buf {
+			buf[i] ^= 0xff
+		}
+	}
+	bulk := mk(1 << 12)
+	write(bulk, 1000, "BulkLoad")
+	ix := mk(1 << 12)
+	write(ix, 1000, "Set")
+	write(ix, 1000, "MultiSet")
+	// Both indexes are checked against the keys each was given.
+	for _, c := range []struct {
+		ix   index.Index
+		keys [][]byte
+	}{{bulk, want[:1000]}, {ix, want[1000:]}} {
+		if c.ix.Len() != len(c.keys) {
+			t.Fatalf("Len = %d, want %d", c.ix.Len(), len(c.keys))
+		}
+		for _, k := range c.keys {
+			if v, ok := c.ix.Get(k); !ok || v != model[string(k)] {
+				t.Fatalf("Get(%x) = %d,%v after the caller's buffer was overwritten, want %d",
+					k, v, ok, model[string(k)])
+			}
+		}
+		if opts.NoScan {
+			continue
+		}
+		sorted := append([][]byte(nil), c.keys...)
+		sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
+		i := 0
+		c.ix.Scan(nil, 1<<30, func(k []byte, v uint64) bool {
+			if i >= len(sorted) || !bytes.Equal(k, sorted[i]) || v != model[string(k)] {
+				t.Fatalf("Scan[%d] = %x=%d, want an original key", i, k, v)
+			}
+			i++
+			return true
+		})
+		cur := c.ix.NewCursor()
+		i = 0
+		for ok := cur.Seek(nil); ok; ok = cur.Next() {
+			if i >= len(sorted) || !bytes.Equal(cur.Key(), sorted[i]) {
+				cur.Close()
+				t.Fatalf("cursor[%d] = %x, want an original key", i, cur.Key())
+			}
+			i++
+		}
+		cur.Close()
+		if i != len(sorted) {
+			t.Fatalf("cursor visited %d keys, want %d", i, len(sorted))
+		}
 	}
 }
 

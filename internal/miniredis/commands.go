@@ -10,7 +10,6 @@ package miniredis
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/persist"
@@ -23,25 +22,25 @@ import (
 // threshold — a slowlog entry. quiesced says the caller holds this
 // server's quiesce lock (serial mode's cmdMu), so SAVE must not retake it.
 func (s *Server) dispatchOne(w *resp.Writer, cmd [][]byte, cs *connState, quiesced bool) {
-	st := s.stats.statFor(cmd)
+	id := cmdOf(cmd)
 	errsBefore := w.ErrorsWritten()
 	start := time.Now()
-	s.runCommand(w, cmd, cs, quiesced)
-	s.observeCmd(st, w, cmd, errsBefore, start)
+	s.runCommand(w, id, cmd, cs, quiesced)
+	s.observeCmd(id, w, cmd, errsBefore, start)
 }
 
 // runCommand executes a single command's handler (see dispatchOne for the
-// locking contract).
-func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesced bool) {
+// locking contract). The arguments are borrowed from the connection's read
+// buffer: a handler that retains one past its return must copy it.
+func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connState, quiesced bool) {
 	if len(cmd) == 0 {
 		w.WriteError("empty command")
 		return
 	}
-	var sink uint64
-	switch strings.ToUpper(string(cmd[0])) {
-	case "PING":
+	switch id {
+	case cmdPing:
 		w.WriteSimple("PONG")
-	case "ZADD":
+	case cmdZAdd:
 		if len(cmd) != 4 {
 			w.WriteError("wrong number of arguments for ZADD")
 			return
@@ -54,10 +53,10 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 			w.WriteError("value is not an integer")
 			return
 		}
-		if unlock := s.lockWrite(string(cmd[1])); unlock != nil {
+		if unlock := s.lockWrite(cmd[1]); unlock != nil {
 			defer unlock()
 		}
-		added, err := s.set(string(cmd[1])).Set(cmd[2], v)
+		added, err := s.set(cmd[1]).Set(cmd[2], v)
 		if err != nil {
 			w.WriteError(err.Error())
 			return
@@ -65,7 +64,7 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		// The write is logged after it applied (AOF-style); a WAL failure
 		// is reported instead of acknowledging a write that cannot become
 		// durable.
-		lsn, err := s.logWrite(persist.OpSet, string(cmd[1]), cmd[2], v)
+		lsn, err := s.logWrite(persist.OpSet, cmd[1], cmd[2], v)
 		if err != nil {
 			w.WriteError("persistence: " + err.Error())
 			return
@@ -78,36 +77,27 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		} else {
 			w.WriteInt(0)
 		}
-	case "ZSCORE":
+	case cmdZScore:
 		if len(cmd) != 3 {
 			w.WriteError("wrong number of arguments for ZSCORE")
 			return
 		}
-		v, ok := s.set(string(cmd[1])).Get(cmd[2])
-		if !ok {
-			w.WriteBulk(nil)
-			return
-		}
-		w.WriteBulk([]byte(strconv.FormatUint(v, 10)))
-	case "ZMSCORE":
+		v, ok := s.set(cmd[1]).Get(cmd[2])
+		writeScore(w, v, ok)
+	case cmdZMScore:
 		// ZMSCORE key member [member ...] — batched scores via MultiGet.
 		if len(cmd) < 3 {
 			w.WriteError("wrong number of arguments for ZMSCORE")
 			return
 		}
 		members := cmd[2:]
-		vals := make([]uint64, len(members))
-		found := make([]bool, len(members))
-		s.set(string(cmd[1])).MultiGet(members, vals, found)
+		vals, found := cs.results(len(members))
+		s.set(cmd[1]).MultiGet(members, vals, found)
 		w.WriteArrayHeader(len(members))
 		for i := range members {
-			if found[i] {
-				w.WriteBulk([]byte(strconv.FormatUint(vals[i], 10)))
-			} else {
-				w.WriteBulk(nil)
-			}
+			writeScore(w, vals[i], found[i])
 		}
-	case "ZREM":
+	case cmdZRem:
 		if len(cmd) != 3 {
 			w.WriteError("wrong number of arguments for ZREM")
 			return
@@ -115,14 +105,14 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		if s.rejectReadonly(w) {
 			return
 		}
-		if unlock := s.lockWrite(string(cmd[1])); unlock != nil {
+		if unlock := s.lockWrite(cmd[1]); unlock != nil {
 			defer unlock()
 		}
-		if s.set(string(cmd[1])).Delete(cmd[2]) {
+		if s.set(cmd[1]).Delete(cmd[2]) {
 			// Only a removal that happened is logged: replaying a delete of
 			// a key that was never there is harmless, but not logging one
 			// that was would resurrect the key on recovery.
-			lsn, err := s.logWrite(persist.OpDelete, string(cmd[1]), cmd[2], 0)
+			lsn, err := s.logWrite(persist.OpDelete, cmd[1], cmd[2], 0)
 			if err != nil {
 				w.WriteError("persistence: " + err.Error())
 				return
@@ -132,7 +122,7 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		} else {
 			w.WriteInt(0)
 		}
-	case "ZRANGEBYLEX":
+	case cmdZRangeByLex:
 		// ZRANGEBYLEX key start count — scan `count` members ≥ start.
 		if len(cmd) != 4 {
 			w.WriteError("wrong number of arguments for ZRANGEBYLEX")
@@ -143,21 +133,21 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 			w.WriteError("count is not an integer")
 			return
 		}
-		var members [][]byte
-		s.set(string(cmd[1])).Scan(cmd[2], count, func(k []byte, v uint64) bool {
-			// Per-element system work: copy the member for the reply (the
-			// work that §4.4's next-leaf prefetch overlaps with).
-			members = append(members, append([]byte(nil), k...))
-			sink += v
-			return true
-		})
-		w.WriteArrayHeader(len(members))
-		for _, m := range members {
-			w.WriteBulk(m)
+		// Per-element system work: each member is copied out for the reply
+		// (the work that §4.4's next-leaf prefetch overlaps with), since
+		// the array header needs the count before the first member.
+		cs.members, cs.ends = cs.members[:0], cs.ends[:0]
+		s.set(cmd[1]).Scan(cmd[2], count, cs.collect)
+		w.WriteArrayHeader(len(cs.ends))
+		from := 0
+		for _, end := range cs.ends {
+			w.WriteBulk(cs.members[from:end])
+			from = end
 		}
-	case "DBSIZE":
+		cs.trimScan()
+	case cmdDBSize:
 		w.WriteInt(int64(s.ks.totalLen()))
-	case "FLUSHALL":
+	case cmdFlushAll:
 		if s.rejectReadonly(w) {
 			return
 		}
@@ -165,14 +155,14 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 			defer unlock()
 		}
 		s.ks.flush()
-		lsn, err := s.logWrite(persist.OpFlushAll, "", nil, 0)
+		lsn, err := s.logWrite(persist.OpFlushAll, nil, nil, 0)
 		if err != nil {
 			w.WriteError("persistence: " + err.Error())
 			return
 		}
 		cs.lastWrite = lsn
 		w.WriteSimple("OK")
-	case "SAVE":
+	case cmdSave:
 		// Foreground snapshot; the executor may already hold the quiesce
 		// lock (serial's cmdMu), so save must not retake it.
 		if err := s.save(quiesced); err != nil {
@@ -180,7 +170,7 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 			return
 		}
 		w.WriteSimple("OK")
-	case "BGSAVE":
+	case cmdBGSave:
 		if !s.Persistent() {
 			w.WriteError(ErrNoPersistence.Error())
 			return
@@ -190,38 +180,35 @@ func (s *Server) runCommand(w *resp.Writer, cmd [][]byte, cs *connState, quiesce
 		} else {
 			w.WriteSimple("Background save already in progress")
 		}
-	case "REPLICAOF", "SLAVEOF":
+	case cmdReplicaOf:
 		s.cmdReplicaOf(w, cmd)
-	case "REPLCONF":
+	case cmdReplconf:
 		s.cmdReplconf(w, cs, cmd)
-	case "INFO":
+	case cmdInfo:
 		s.cmdInfo(w, cmd)
-	case "LATENCY":
+	case cmdLatency:
 		s.cmdLatency(w, cmd)
-	case "SLOWLOG":
+	case cmdSlowlog:
 		s.cmdSlowlog(w, cmd)
 	default:
 		w.WriteError(fmt.Sprintf("unknown command '%s'", cmd[0]))
 	}
-	_ = sink
 }
 
-func isZScore(cmd [][]byte) bool {
-	return len(cmd) == 3 && strings.EqualFold(string(cmd[0]), "ZSCORE")
-}
+func isZScore(cmd [][]byte) bool { return len(cmd) == 3 && cmdOf(cmd) == cmdZScore }
 
 // zscoreBatch answers a run of same-set ZSCOREs with one MultiGet. The run
 // is observed as n zscore calls and one latency sample covering the batch;
 // reply encoding is outside the sample, the MultiGet dominates.
-func (s *Server) zscoreBatch(w *resp.Writer, cmds [][][]byte) {
+func (s *Server) zscoreBatch(w *resp.Writer, cs *connState, cmds [][][]byte) {
 	start := time.Now()
-	members := make([][]byte, len(cmds))
-	for i, c := range cmds {
-		members[i] = c[2]
+	cs.keys = cs.keys[:0]
+	for _, c := range cmds {
+		cs.keys = append(cs.keys, c[2])
 	}
-	vals := make([]uint64, len(members))
-	found := make([]bool, len(members))
-	s.set(string(cmds[0][1])).MultiGet(members, vals, found)
+	vals, found := cs.results(len(cmds))
+	s.set(cmds[0][1]).MultiGet(cs.keys, vals, found)
+	clear(cs.keys) // borrowed arguments: the scratch must not pin the read buffer
 	s.observeZScoreRun(cmds, start)
 	for i := range cmds {
 		writeScore(w, vals[i], found[i])
@@ -232,7 +219,7 @@ func (s *Server) zscoreBatch(w *resp.Writer, cmds [][][]byte) {
 // null bulk for a missing member.
 func writeScore(w *resp.Writer, v uint64, ok bool) {
 	if ok {
-		w.WriteBulk([]byte(strconv.FormatUint(v, 10)))
+		w.WriteBulkUint(v)
 	} else {
 		w.WriteBulk(nil)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"repro/internal/persist"
@@ -34,25 +33,13 @@ func (s *Server) serve(conn net.Conn) {
 	defer s.conns.Add(-1)
 	r := resp.NewReaderSize(conn, connBufSize)
 	w := resp.NewWriterSize(conn, connBufSize)
-	cs := &connState{}
+	cs := newConnState()
 	batch := make([][][]byte, 0, maxPipelineBatch)
 	for {
-		cmd, err := r.ReadCommand()
-		if err != nil {
+		var err error
+		if batch, err = readBatch(r, batch[:0]); len(batch) == 0 {
 			s.dropWithError(w, err)
 			return
-		}
-		// Drain any further pipelined commands already buffered: the batch is
-		// dispatched as a unit so independent lookups can share one MultiGet.
-		// CommandBuffered (not Buffered) gates the drain so a half-received
-		// command never blocks the reads while replies are withheld.
-		batch = append(batch[:0], cmd)
-		for r.CommandBuffered() && len(batch) < maxPipelineBatch {
-			cmd, err = r.ReadCommand()
-			if err != nil {
-				break
-			}
-			batch = append(batch, cmd)
 		}
 		// PSYNC turns the connection into a replication feed: dispatch
 		// whatever preceded it, then hand the connection to the manager for
@@ -88,6 +75,25 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
+// readBatch blocks for one command, then drains every further command
+// already buffered, up to maxPipelineBatch: the batch is dispatched as a
+// unit so independent lookups can share one MultiGet. The drain reads with
+// ReadBufferedCommand, so a half-received command never blocks the read
+// while replies are withheld — and no read of the drain refills the buffer,
+// so every argument of the batch, borrowed from it, stays valid until the
+// next readBatch (see resp.Reader.ReadCommand). A non-nil error ended the
+// batch early; an empty batch means nothing was read.
+func readBatch(r *resp.Reader, batch [][][]byte) ([][][]byte, error) {
+	cmd, err := r.ReadCommand()
+	for ok := err == nil; ok; cmd, ok, err = r.ReadBufferedCommand() {
+		batch = append(batch, cmd)
+		if len(batch) == maxPipelineBatch {
+			break
+		}
+	}
+	return batch, err
+}
+
 // dispatch routes one drained batch: WAIT commands split it, everything
 // between them goes to the executor as one segment. WAIT runs bare on the
 // connection goroutine in every mode — it parks, on the local-durability
@@ -111,20 +117,17 @@ func (s *Server) dispatch(w *resp.Writer, batch [][][]byte, cs *connState) {
 			// bare here), so it is observed at its own dispatch site. Its
 			// latency sample deliberately includes the parks — the wait IS
 			// the command.
-			st := s.stats.cmds["wait"]
 			errsBefore := w.ErrorsWritten()
 			start := time.Now()
 			s.cmdWait(w, cs, batch[j])
-			s.observeCmd(st, w, batch[j], errsBefore, start)
+			s.observeCmd(cmdWait, w, batch[j], errsBefore, start)
 			j++
 		}
 		i = j
 	}
 }
 
-func isWaitCmd(cmd [][]byte) bool {
-	return len(cmd) > 0 && strings.EqualFold(string(cmd[0]), "WAIT")
-}
+func isWaitCmd(cmd [][]byte) bool { return cmdOf(cmd) == cmdWait }
 
 // psyncIndex finds a PSYNC command in a drained batch (-1 when absent). A
 // replica never pipelines past its PSYNC, so anything after one would be
@@ -132,11 +135,84 @@ func isWaitCmd(cmd [][]byte) bool {
 // there.
 func psyncIndex(batch [][][]byte) int {
 	for i, cmd := range batch {
-		if len(cmd) > 0 && strings.EqualFold(string(cmd[0]), "PSYNC") {
+		if cmdOf(cmd) == cmdPSync {
 			return i
 		}
 	}
 	return -1
+}
+
+// cmdID identifies a command by name. The IDs below numFamilies double as
+// stat family indexes (stats.go), in INFO presentation order.
+type cmdID uint8
+
+const (
+	cmdPing cmdID = iota
+	cmdZAdd
+	cmdZScore
+	cmdZMScore
+	cmdZRem
+	cmdZRangeByLex
+	cmdDBSize
+	cmdFlushAll
+	cmdSave
+	cmdBGSave
+	cmdReplicaOf // and its legacy spelling, SLAVEOF
+	cmdReplconf
+	cmdWait
+	cmdInfo
+	cmdLatency
+	cmdSlowlog
+	cmdUnknown // unrecognized or empty commands; the last stat family
+	cmdPSync   // no stat family: PSYNC leaves the command path (servePSync)
+)
+
+const numFamilies = cmdUnknown + 1
+
+// cmdNames is every command's lower-case name, indexed by ID: what
+// classify matches and, below numFamilies, the stat family names.
+var cmdNames = [...]string{
+	cmdPing: "ping", cmdZAdd: "zadd", cmdZScore: "zscore", cmdZMScore: "zmscore",
+	cmdZRem: "zrem", cmdZRangeByLex: "zrangebylex", cmdDBSize: "dbsize",
+	cmdFlushAll: "flushall", cmdSave: "save", cmdBGSave: "bgsave",
+	cmdReplicaOf: "replicaof", cmdReplconf: "replconf", cmdWait: "wait",
+	cmdInfo: "info", cmdLatency: "latency", cmdSlowlog: "slowlog",
+	cmdUnknown: "unknown", cmdPSync: "psync",
+}
+
+// cmdOf classifies a command by its first argument.
+func cmdOf(cmd [][]byte) cmdID {
+	if len(cmd) == 0 {
+		return cmdUnknown
+	}
+	return classify(cmd[0])
+}
+
+// classify maps a command name to its ID, ASCII case-insensitively as
+// Redis matches names. It allocates nothing: the name is lower-cased into
+// a stack array as long as the longest name, and a longer name is unknown
+// without a look.
+func classify(name []byte) cmdID {
+	var low [len("zrangebylex")]byte
+	if len(name) > len(low) {
+		return cmdUnknown
+	}
+	for i, c := range name {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low[i] = c
+	}
+	s := low[:len(name)]
+	for id, n := range cmdNames {
+		if n == string(s) {
+			return cmdID(id)
+		}
+	}
+	if string(s) == "slaveof" {
+		return cmdReplicaOf
+	}
+	return cmdUnknown
 }
 
 // dropWithError ends a connection the way Redis does: a clean hangup (EOF

@@ -77,7 +77,7 @@ func (s *Server) execSeq(w *resp.Writer, seg [][][]byte, cs *connState, quiesced
 			j++
 		}
 		if j-i >= 2 {
-			s.zscoreBatch(w, seg[i:j])
+			s.zscoreBatch(w, cs, seg[i:j])
 			i = j
 			continue
 		}

@@ -111,42 +111,49 @@ func newKeyspace(n int) *keyspace {
 	return ks
 }
 
-func (ks *keyspace) stripeIdx(name string) int {
-	return int(maphash.String(ks.seed, name) & ks.mask)
+func (ks *keyspace) stripeIdx(name []byte) int {
+	return int(maphash.Bytes(ks.seed, name) & ks.mask)
 }
 
-func (ks *keyspace) stripeFor(name string) *stripe {
-	return &ks.stripes[ks.stripeIdx(name)]
-}
-
-// get returns the named set, creating it with mk on first use.
-func (ks *keyspace) get(name string, mk func() index.Index) index.Index {
-	st := ks.stripeFor(name)
+// get returns the named set, creating it with mk on first use. Names come
+// straight from borrowed command arguments: indexing the map with
+// string(name) does not allocate, and only creation copies the name.
+func (ks *keyspace) get(name []byte, mk func() index.Index) index.Index {
+	st := &ks.stripes[ks.stripeIdx(name)]
 	st.mu.RLock()
-	ix, ok := st.sets[name]
+	ix, ok := st.sets[string(name)]
 	st.mu.RUnlock()
 	if ok {
 		return ix
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if ix, ok := st.sets[name]; ok {
+	if ix, ok := st.sets[string(name)]; ok {
 		return ix // lost the creation race: use the winner's index
 	}
 	ix = mk()
-	st.sets[name] = ix
+	st.sets[string(name)] = ix
 	return ix
 }
 
 // lookup returns the named set without creating it. The replication applier
 // uses it for OpDelete: deleting from a set that does not exist must not
 // conjure an empty index.
-func (ks *keyspace) lookup(name string) (index.Index, bool) {
-	st := ks.stripeFor(name)
+func (ks *keyspace) lookup(name []byte) (index.Index, bool) {
+	st := &ks.stripes[ks.stripeIdx(name)]
 	st.mu.RLock()
-	ix, ok := st.sets[name]
+	ix, ok := st.sets[string(name)]
 	st.mu.RUnlock()
 	return ix, ok
+}
+
+// put installs ix as the named set, replacing any set of that name — how
+// recovery and a replicated full sync land their bulk-loaded indexes.
+func (ks *keyspace) put(name string, ix index.Index) {
+	st := &ks.stripes[ks.stripeIdx([]byte(name))]
+	st.mu.Lock()
+	st.sets[name] = ix
+	st.mu.Unlock()
 }
 
 // lockAll / rlockAll acquire every stripe in index order — one global
@@ -383,10 +390,7 @@ func (s *Server) EnablePersistenceWithOptions(dir string, opts PersistOptions) (
 		return nil, err
 	}
 	for name, ix := range res.Sets {
-		st := s.ks.stripeFor(name)
-		st.mu.Lock()
-		st.sets[name] = ix
-		st.mu.Unlock()
+		s.ks.put(name, ix)
 	}
 	// FloorLSN: a durable snapshot can be ahead of an unsynced WAL tail
 	// after a crash; new LSNs must start past everything recovery used, or
@@ -432,7 +436,7 @@ func (s *Server) EnablePersistenceWithOptions(dir string, opts PersistOptions) (
 // concurrent server (no-op otherwise — serial servers order writes via
 // cmdMu, memory-only servers have no log to keep in order). It returns the
 // unlock, or nil when no locking is needed.
-func (s *Server) lockWrite(set string) func() {
+func (s *Server) lockWrite(set []byte) func() {
 	if s.writeMus == nil {
 		return nil
 	}
@@ -465,12 +469,13 @@ func (s *Server) Persistent() bool { return s.wal != nil }
 // logWrite appends one record for an applied write and drives the
 // automatic snapshot cadence, returning the record's LSN — the offset a
 // later WAIT on the same connection targets. A nil WAL (memory-only
-// server) is a no-op returning 0.
-func (s *Server) logWrite(op persist.Op, set string, key []byte, val uint64) (uint64, error) {
+// server) is a no-op returning 0; the set name is converted only when
+// there is a record to write.
+func (s *Server) logWrite(op persist.Op, set []byte, key []byte, val uint64) (uint64, error) {
 	if s.wal == nil {
 		return 0, nil
 	}
-	lsn, err := s.wal.Append(op, set, key, val)
+	lsn, err := s.wal.Append(op, string(set), key, val)
 	if err != nil {
 		return 0, err
 	}
@@ -593,7 +598,7 @@ func (s *Server) Preload(set string, keys [][]byte, vals []uint64) (int, error) 
 	// half-loaded keyspace.
 	s.bulkMu.RLock()
 	defer s.bulkMu.RUnlock()
-	n, err := index.BulkLoad(s.set(set), keys, vals)
+	n, err := index.BulkLoad(s.set([]byte(set)), keys, vals)
 	if err == nil && s.repl != nil {
 		// Preloaded keys bypass the WAL, so no replica state from before
 		// this point can catch up through the log alone: fence partial
@@ -668,8 +673,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) set(key string) index.Index {
-	return s.ks.get(key, s.create)
+func (s *Server) set(name []byte) index.Index {
+	return s.ks.get(name, s.create)
 }
 
 // Client is a minimal pipelining RESP client for the benchmarks.

@@ -161,7 +161,7 @@ func TestReplicationShardedSampled(t *testing.T) {
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 	waitUntil(t, 5*time.Second, "snapshot load", func() bool { return rep.ks.totalLen() == 400 })
 
-	ix, ok := rep.ks.lookup("s")
+	ix, ok := rep.ks.lookup([]byte("s"))
 	if !ok {
 		t.Fatal("replica missing set s")
 	}

@@ -494,7 +494,7 @@ func TestConcurrentSetCreationSameName(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ix := srv.set("shared")
+			ix := srv.set([]byte("shared"))
 			first[g] = ix
 			if _, err := ix.Set([]byte(fmt.Sprintf("member-%02d", g)), uint64(g)); err != nil {
 				t.Errorf("writer %d: %v", g, err)
@@ -507,7 +507,7 @@ func TestConcurrentSetCreationSameName(t *testing.T) {
 			t.Fatalf("writer %d got a different index instance than writer 0", g)
 		}
 	}
-	ix := srv.set("shared")
+	ix := srv.set([]byte("shared"))
 	if ix.Len() != writers {
 		t.Fatalf("shared set has %d members, want %d — a creation race dropped an index",
 			ix.Len(), writers)
@@ -533,7 +533,7 @@ func TestConcurrentSetCreationAcrossStripes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := fmt.Sprintf("set-%03d", g)
-			ix := srv.set(name)
+			ix := srv.set([]byte(name))
 			if _, err := ix.Set([]byte("m"), uint64(g)); err != nil {
 				t.Errorf("set %s: %v", name, err)
 			}
@@ -541,7 +541,7 @@ func TestConcurrentSetCreationAcrossStripes(t *testing.T) {
 	}
 	wg.Wait()
 	for g := 0; g < sets; g++ {
-		ix := srv.set(fmt.Sprintf("set-%03d", g))
+		ix := srv.set([]byte(fmt.Sprintf("set-%03d", g)))
 		if v, ok := ix.Get([]byte("m")); !ok || v != uint64(g) {
 			t.Fatalf("set-%03d member = %d,%v want %d", g, v, ok, g)
 		}
@@ -639,7 +639,7 @@ func TestSampledRoutedPreload(t *testing.T) {
 	if err != nil || added != len(keys) {
 		t.Fatalf("Preload = %d, %v", added, err)
 	}
-	sx, ok := srv.set("warm").(*sharded.Index)
+	sx, ok := srv.set([]byte("warm")).(*sharded.Index)
 	if !ok {
 		t.Fatal("sampled factory did not build a sharded index")
 	}
@@ -727,6 +727,35 @@ func TestErrors(t *testing.T) {
 	// Connection still usable after errors.
 	if r, err := cl.Do([]byte("PING")); err != nil || r != "PONG" {
 		t.Fatalf("PING after errors = %v, %v", r, err)
+	}
+}
+
+// TestErrorRepliesCannotForgeReplies: error replies echo client bytes — an
+// unknown command's name, an unknown LATENCY/SLOWLOG subcommand. A CRLF in
+// those bytes used to split the reply, so the pipeline
+// ["X\r\n:1\r\n+OK", PING] answered [error, 1] and the connection's next
+// PING read "OK'": every later reply belonged to an earlier command.
+func TestErrorRepliesCannotForgeReplies(t *testing.T) {
+	_, cl := newTestServer(t)
+	rs, err := cl.Pipeline([][][]byte{
+		{[]byte("X\r\n:1\r\n+OK")},
+		{[]byte("LATENCY"), []byte("X\r\n:2")},
+		{[]byte("SLOWLOG"), []byte("X\n+OK")},
+		{[]byte("PING")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := rs[i].(error); !ok {
+			t.Fatalf("reply %d = %#v, want an error reply", i, rs[i])
+		}
+	}
+	if rs[3] != "PONG" {
+		t.Fatalf("PING in the pipeline read %#v, want PONG", rs[3])
+	}
+	if r, err := cl.Do([]byte("PING")); err != nil || r != "PONG" {
+		t.Fatalf("next PING = %#v, %v; want PONG", r, err)
 	}
 }
 

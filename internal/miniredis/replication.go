@@ -26,11 +26,61 @@ import (
 
 // connState is per-connection command context: the LSN of the connection's
 // last logged write (the offset WAIT targets — Redis semantics: WAIT covers
-// the writes THIS client issued) and the listening port a replica announced
-// before PSYNC.
+// the writes THIS client issued), the listening port a replica announced
+// before PSYNC, and scratch every command on the connection reuses, so
+// batched reads allocate nothing once warm.
 type connState struct {
 	lastWrite  uint64
 	listenPort string
+
+	// MultiGet keys and results for collapsed ZSCORE runs and ZMSCORE.
+	keys  [][]byte
+	vals  []uint64
+	found []bool
+	// ZRANGEBYLEX's copied members: one arena, each member ending at the
+	// matching offset in ends. collect is appendMember bound once, so a
+	// scan passes the engine no fresh closure.
+	members []byte
+	ends    []int
+	collect func(k []byte, v uint64) bool
+}
+
+// maxScanScratch bounds the ZRANGEBYLEX arena a connection keeps between
+// commands, so one large scan does not pin its memory until the client
+// disconnects.
+const maxScanScratch = 64 << 10
+
+func newConnState() *connState {
+	cs := &connState{}
+	cs.collect = cs.appendMember
+	cs.resetScan()
+	return cs
+}
+
+// resetScan starts the ZRANGEBYLEX scratch afresh. The arena is non-nil, so
+// an empty member still replies as "$0", not null.
+func (cs *connState) resetScan() { cs.members, cs.ends = make([]byte, 0, 64), nil }
+
+// trimScan drops ZRANGEBYLEX scratch grown past maxScanScratch once its
+// reply is written.
+func (cs *connState) trimScan() {
+	if cap(cs.members) > maxScanScratch || cap(cs.ends) > maxScanScratch/8 {
+		cs.resetScan()
+	}
+}
+
+// results returns n-long MultiGet result slices from the scratch.
+func (cs *connState) results(n int) ([]uint64, []bool) {
+	if cap(cs.vals) < n {
+		cs.vals, cs.found = make([]uint64, n), make([]bool, n)
+	}
+	return cs.vals[:n], cs.found[:n]
+}
+
+func (cs *connState) appendMember(k []byte, _ uint64) bool {
+	cs.members = append(cs.members, k...)
+	cs.ends = append(cs.ends, len(cs.members))
+	return true
 }
 
 // rejectReadonly answers a write command with -READONLY when this server is
@@ -390,10 +440,7 @@ func (t replTarget) LoadSnapshot(sets []persist.SnapshotSet) error {
 		if _, err := index.BulkLoad(ix, set.Keys, set.Vals); err != nil {
 			return fmt.Errorf("miniredis: bulk-loading replicated set %q: %w", set.Set, err)
 		}
-		st := t.s.ks.stripeFor(set.Set)
-		st.mu.Lock()
-		st.sets[set.Set] = ix
-		st.mu.Unlock()
+		t.s.ks.put(set.Set, ix)
 	}
 	return nil
 }
@@ -405,14 +452,14 @@ func (t replTarget) ApplyBatch(recs []persist.Record) error {
 		rec := &recs[i]
 		switch rec.Op {
 		case persist.OpSet:
-			if _, err := t.s.set(rec.Set).Set(rec.Key, rec.Val); err != nil {
+			if _, err := t.s.set([]byte(rec.Set)).Set(rec.Key, rec.Val); err != nil {
 				return err
 			}
 		case persist.OpDelete:
 			// lookup, not set: deleting from an absent set must not create
 			// it (the primary only logs deletes that removed something, but
 			// a full sync may have landed us past that set's creation).
-			if ix, ok := t.s.ks.lookup(rec.Set); ok {
+			if ix, ok := t.s.ks.lookup([]byte(rec.Set)); ok {
 				ix.Delete(rec.Key)
 			}
 		case persist.OpFlushAll:

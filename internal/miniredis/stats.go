@@ -22,16 +22,10 @@ import (
 	"repro/internal/resp"
 )
 
-// statFamilies is the fixed command-family set, in INFO presentation
-// order. The stats map is built from it once and never mutated, so
-// lookups need no lock. "unknown" absorbs unrecognized commands and
+// familyNames names the fixed command families, indexed by cmdID in INFO
+// presentation order. "unknown" absorbs unrecognized commands and
 // malformed (empty) input.
-var statFamilies = []string{
-	"ping", "zadd", "zscore", "zmscore", "zrem", "zrangebylex",
-	"dbsize", "flushall", "save", "bgsave",
-	"replicaof", "replconf", "wait", "info", "latency", "slowlog",
-	"unknown",
-}
+var familyNames = cmdNames[:numFamilies]
 
 // cmdStat is one family's counters: calls, commands that replied with an
 // error, and the latency distribution of the handler (measured around
@@ -46,45 +40,31 @@ type cmdStat struct {
 
 // serverStats aggregates a server's command observability state.
 type serverStats struct {
-	cmds map[string]*cmdStat // family → stat; read-only after construction
+	cmds [numFamilies]cmdStat // indexed by cmdID
 	slow slowlog
 }
 
 func newServerStats() *serverStats {
-	st := &serverStats{cmds: make(map[string]*cmdStat, len(statFamilies))}
-	for _, f := range statFamilies {
-		st.cmds[f] = &cmdStat{hist: metrics.New()}
+	st := &serverStats{}
+	for i := range st.cmds {
+		st.cmds[i].hist = metrics.New()
 	}
 	st.slow.threshold.Store(int64(defaultSlowlogThreshold))
 	return st
 }
 
-// family maps a command's first word to its stat family. SLAVEOF is
-// REPLICAOF's legacy spelling, so the two share one family, matching the
-// dispatch switch.
-func (st *serverStats) family(cmd [][]byte) string {
-	if len(cmd) == 0 {
-		return "unknown"
-	}
-	name := strings.ToLower(string(cmd[0]))
-	if name == "slaveof" {
-		return "replicaof"
-	}
-	if _, ok := st.cmds[name]; ok {
-		return name
-	}
-	return "unknown"
-}
-
-func (st *serverStats) statFor(cmd [][]byte) *cmdStat { return st.cmds[st.family(cmd)] }
+// family maps a command ID to its stat family: itself, or "unknown" for
+// commands that have none (PSYNC).
+func family(id cmdID) cmdID { return min(id, cmdUnknown) }
 
 // observeCmd folds one executed command into its family's counters and,
 // when it ran slower than the slowlog threshold, the slowlog ring. The
 // error delta comes from the reply writer: WriteError/WriteErrorCode
 // bumped its counter iff the handler replied with an error, so handlers
 // need no second reporting channel.
-func (s *Server) observeCmd(st *cmdStat, w *resp.Writer, cmd [][]byte, errsBefore uint64, start time.Time) {
+func (s *Server) observeCmd(id cmdID, w *resp.Writer, cmd [][]byte, errsBefore uint64, start time.Time) {
 	d := time.Since(start)
+	st := &s.stats.cmds[family(id)]
 	st.calls.Add(1)
 	if w.ErrorsWritten() != errsBefore {
 		st.errs.Add(1)
@@ -102,7 +82,7 @@ func (s *Server) observeCmd(st *cmdStat, w *resp.Writer, cmd [][]byte, errsBefor
 // slow batch lands in the slowlog as one entry under its first command.
 func (s *Server) observeZScoreRun(cmds [][][]byte, start time.Time) {
 	d := time.Since(start)
-	st := s.stats.cmds["zscore"]
+	st := &s.stats.cmds[cmdZScore]
 	st.calls.Add(uint64(len(cmds)))
 	st.hist.RecordDuration(int64(d))
 	if s.stats.slow.eligible(d) {
@@ -116,9 +96,9 @@ func (s *Server) observeZScoreRun(cmds [][][]byte, start time.Time) {
 // commands that touch no set (the slowlog's Stripe field).
 func (s *Server) stripeOf(cmd [][]byte) int {
 	if len(cmd) >= 2 {
-		switch strings.ToUpper(string(cmd[0])) {
-		case "ZADD", "ZSCORE", "ZMSCORE", "ZREM", "ZRANGEBYLEX":
-			return s.ks.stripeIdx(string(cmd[1]))
+		switch cmdOf(cmd) {
+		case cmdZAdd, cmdZScore, cmdZMScore, cmdZRem, cmdZRangeByLex:
+			return s.ks.stripeIdx(cmd[1])
 		}
 	}
 	return -1
@@ -239,15 +219,23 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 		w.WriteError("wrong number of arguments for LATENCY")
 		return
 	}
-	families := func() []string {
-		if len(cmd) > 2 {
-			var out []string
-			for _, c := range cmd[2:] {
-				out = append(out, s.stats.family([][]byte{c}))
+	// The named families in request order, each once; default all.
+	families := func() []cmdID {
+		var ids []cmdID
+		if len(cmd) == 2 {
+			for f := cmdID(0); f < numFamilies; f++ {
+				ids = append(ids, f)
 			}
-			return out
+			return ids
 		}
-		return statFamilies
+		var seen [numFamilies]bool
+		for _, c := range cmd[2:] {
+			if f := family(classify(c)); !seen[f] {
+				seen[f] = true
+				ids = append(ids, f)
+			}
+		}
+		return ids
 	}
 	switch strings.ToUpper(string(cmd[1])) {
 	case "HISTOGRAM":
@@ -256,17 +244,12 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 			sn   metrics.Snapshot
 		}
 		var hists []famHist
-		seen := map[string]bool{}
 		for _, f := range families() {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
 			sn := s.stats.cmds[f].hist.Snapshot()
 			if sn.Count() == 0 && len(cmd) == 2 {
 				continue // default listing: only families that ran
 			}
-			hists = append(hists, famHist{f, sn})
+			hists = append(hists, famHist{familyNames[f], sn})
 		}
 		w.WriteArrayHeader(2 * len(hists))
 		for _, fh := range hists {
@@ -287,17 +270,11 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 			}
 		}
 	case "RESET":
-		n := 0
-		seen := map[string]bool{}
-		for _, f := range families() {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
+		fs := families()
+		for _, f := range fs {
 			s.stats.cmds[f].hist.Reset()
-			n++
 		}
-		w.WriteInt(int64(n))
+		w.WriteInt(int64(len(fs)))
 	default:
 		w.WriteError(fmt.Sprintf("unknown LATENCY subcommand '%s' (want HISTOGRAM or RESET)", cmd[1]))
 	}
@@ -363,8 +340,8 @@ func (s *Server) appendClientsInfo(b *strings.Builder) {
 // (calls/errors/usec_per_call) so existing tooling parses it.
 func (s *Server) appendCommandStats(b *strings.Builder) {
 	b.WriteString("# Commandstats\r\n")
-	for _, f := range statFamilies {
-		st := s.stats.cmds[f]
+	for i, f := range familyNames {
+		st := &s.stats.cmds[i]
 		calls := st.calls.Load()
 		if calls == 0 {
 			continue
@@ -387,8 +364,8 @@ func (s *Server) appendCommandStats(b *strings.Builder) {
 // from the family's log-bucketed histogram.
 func (s *Server) appendLatencyStats(b *strings.Builder) {
 	b.WriteString("# Latencystats\r\n")
-	for _, f := range statFamilies {
-		sn := s.stats.cmds[f].hist.Snapshot()
+	for i, f := range familyNames {
+		sn := s.stats.cmds[i].hist.Snapshot()
 		if sn.Count() == 0 {
 			continue
 		}

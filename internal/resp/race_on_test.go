@@ -1,0 +1,7 @@
+//go:build race
+
+package resp
+
+// raceDetectorEnabled reports whether the race detector is on; allocation
+// pins are skipped under it, like the root package's TestReadPathsZeroAlloc.
+const raceDetectorEnabled = true

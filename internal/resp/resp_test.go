@@ -77,6 +77,9 @@ func TestMalformedInput(t *testing.T) {
 	}
 }
 
+// TestCommandBuffered: ReadBufferedCommand returns a command only when the
+// whole of it is buffered, reports malformed buffered input without
+// blocking, and consumes nothing otherwise.
 func TestCommandBuffered(t *testing.T) {
 	mk := func(in string) *Reader {
 		r := NewReader(bytes.NewBufferString(in))
@@ -84,17 +87,21 @@ func TestCommandBuffered(t *testing.T) {
 		r.br.Peek(1)
 		return r
 	}
-	complete := []string{
-		"*1\r\n$4\r\nPING\r\n",
-		"*3\r\n$6\r\nZSCORE\r\n$1\r\ns\r\n$1\r\nm\r\n",
-		"PING\r\n",                 // inline
-		"*x\r\n",                   // malformed: errors without blocking
-		"*2\r\nnope\r\n",           // malformed bulk header
-		"*1\r\n$4\r\nPING\r\nrest", // complete + trailing partial
+	complete := map[string]int{
+		"*1\r\n$4\r\nPING\r\n":                         1,
+		"*3\r\n$6\r\nZSCORE\r\n$1\r\ns\r\n$1\r\nm\r\n": 3,
+		"PING\r\n":                 1, // inline
+		"*1\r\n$4\r\nPING\r\nrest": 1, // complete + trailing partial
 	}
-	for _, in := range complete {
-		if !mk(in).CommandBuffered() {
-			t.Errorf("CommandBuffered(%q) = false, want true", in)
+	for in, argc := range complete {
+		cmd, ok, err := mk(in).ReadBufferedCommand()
+		if !ok || err != nil || len(cmd) != argc {
+			t.Errorf("ReadBufferedCommand(%q) = %q, %v, %v; want %d args", in, cmd, ok, err, argc)
+		}
+	}
+	for _, in := range []string{"*x\r\n", "*2\r\nnope\r\n"} { // malformed
+		if _, ok, err := mk(in).ReadBufferedCommand(); ok || !errors.Is(err, ErrProtocol) {
+			t.Errorf("ReadBufferedCommand(%q) = %v, %v; want ErrProtocol", in, ok, err)
 		}
 	}
 	partial := []string{
@@ -105,12 +112,14 @@ func TestCommandBuffered(t *testing.T) {
 		"PING", // inline without newline
 	}
 	for _, in := range partial {
-		if mk(in).CommandBuffered() {
-			t.Errorf("CommandBuffered(%q) = true, want false", in)
+		r := mk(in)
+		if _, ok, err := r.ReadBufferedCommand(); ok || err != nil || r.Buffered() != len(in) {
+			t.Errorf("ReadBufferedCommand(%q) = %v, %v with %d bytes left; want nothing read",
+				in, ok, err, r.Buffered())
 		}
 	}
-	if NewReader(bytes.NewBufferString("")).CommandBuffered() {
-		t.Error("CommandBuffered on empty reader")
+	if _, ok, err := NewReader(bytes.NewBufferString("")).ReadBufferedCommand(); ok || err != nil {
+		t.Error("ReadBufferedCommand on an unprimed empty reader returned a command or an error")
 	}
 }
 
