@@ -26,74 +26,56 @@ func benchOpts() bench.Options {
 	return bench.Options{Keys: 30_000, Ops: 30_000, Threads: 2, Seed: 1}
 }
 
-func runFigure(b *testing.B, fn func(o bench.Options)) {
+// runFigure regenerates the named figure of the bench table b.N times.
+func runFigure(b *testing.B, name string, o bench.Options) {
+	var fig bench.Figure
+	for _, f := range bench.Figures {
+		if f.Name == name {
+			fig = f
+		}
+	}
+	if fig.Name == "" {
+		b.Fatalf("no figure %q", name)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fn(benchOpts())
+		if err := fig.Run(os.Stdout, o, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkTable1Datasets(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Table1(os.Stdout, o) })
-}
-
-func BenchmarkFig2LatencyBreakdown(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig2(os.Stdout, o) })
-}
-
-func BenchmarkFig6Scalability(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig6(os.Stdout, o) })
-}
-
-func BenchmarkFig7SingleThread(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig7(os.Stdout, o) })
-}
-
-func BenchmarkFig8MultiThread(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig8(os.Stdout, o) })
-}
-
-func BenchmarkFig9SizeScaling(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig9(os.Stdout, o) })
-}
+func BenchmarkTable1Datasets(b *testing.B)       { runFigure(b, "table1", benchOpts()) }
+func BenchmarkFig2LatencyBreakdown(b *testing.B) { runFigure(b, "fig2", benchOpts()) }
+func BenchmarkFig6Scalability(b *testing.B)      { runFigure(b, "fig6", benchOpts()) }
+func BenchmarkFig7SingleThread(b *testing.B)     { runFigure(b, "fig7", benchOpts()) }
+func BenchmarkFig8MultiThread(b *testing.B)      { runFigure(b, "fig8", benchOpts()) }
+func BenchmarkFig9SizeScaling(b *testing.B)      { runFigure(b, "fig9", benchOpts()) }
 
 func BenchmarkFig10Scans(b *testing.B) {
 	o := benchOpts()
 	o.Ops = 10_000
-	runFigure(b, func(bench.Options) { bench.Fig10(os.Stdout, o) })
+	runFigure(b, "fig10", o)
 }
 
-func BenchmarkFig11Memory(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig11(os.Stdout, o) })
-}
-
-func BenchmarkFig12MlpIndex(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Fig12(os.Stdout, o) })
-}
+func BenchmarkFig11Memory(b *testing.B)   { runFigure(b, "fig11", benchOpts()) }
+func BenchmarkFig12MlpIndex(b *testing.B) { runFigure(b, "fig12", benchOpts()) }
 
 func BenchmarkFig13Redis(b *testing.B) {
 	o := benchOpts()
 	o.Keys = 10_000
 	o.Ops = 10_000
-	runFigure(b, func(bench.Options) { bench.Fig13(os.Stdout, o) })
+	runFigure(b, "fig13", o)
 }
 
-func BenchmarkTable3Bandwidth(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Table3(os.Stdout, o) })
-}
-
-func BenchmarkAblations(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.Ablation(os.Stdout, o) })
-}
-
-func BenchmarkMultiGetFigure(b *testing.B) {
-	runFigure(b, func(o bench.Options) { bench.MultiGetBench(os.Stdout, o) })
-}
+func BenchmarkTable3Bandwidth(b *testing.B) { runFigure(b, "table3", benchOpts()) }
+func BenchmarkAblations(b *testing.B)       { runFigure(b, "ablation", benchOpts()) }
+func BenchmarkMultiGetFigure(b *testing.B)  { runFigure(b, "multiget", benchOpts()) }
 
 func BenchmarkShardedFigure(b *testing.B) {
 	o := benchOpts()
 	o.Shards = 4
-	runFigure(b, func(bench.Options) { bench.FigSharded(os.Stdout, o) })
+	runFigure(b, "sharded", o)
 }
 
 // --- micro-benchmarks on the Cuckoo Trie hot paths ---

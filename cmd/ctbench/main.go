@@ -7,9 +7,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 )
@@ -20,10 +22,14 @@ func main() {
 	threads := flag.Int("threads", 0, "threads for multithreaded figures (default: GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "max shard count for the sharded figure (default: GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "dataset/workload seed")
-	jsonOut := flag.Bool("json", false, "emit the figure as one JSON report (banner fields + rows) instead of text; supported: sharded, load, persist, repl, fig7, fig8, fig10")
+	jsonOut := flag.Bool("json", false, "emit the figure as one JSON report (banner fields + rows) instead of text; supported: "+strings.Join(jsonNames(), ", "))
 	flag.Usage = func() {
+		var names []string
+		for _, f := range bench.Figures {
+			names = append(names, f.Name)
+		}
 		fmt.Fprintf(os.Stderr, "usage: ctbench [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table3 ablation multiget sharded load persist repl all\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s all\n", strings.Join(names, " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -31,59 +37,55 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	o := bench.Options{Keys: *keys, Ops: *ops, Threads: *threads, Shards: *shards, Seed: *seed}
-	if *jsonOut {
-		jsonRunners := map[string]func() error{
-			"sharded": func() error { return bench.FigShardedJSON(os.Stdout, o) },
-			"load":    func() error { return bench.FigLoadJSON(os.Stdout, o) },
-			"persist": func() error { return bench.FigPersistJSON(os.Stdout, o) },
-			"repl":    func() error { return bench.FigReplJSON(os.Stdout, o) },
-			"fig7":    func() error { return bench.Fig7JSON(os.Stdout, o) },
-			"fig8":    func() error { return bench.Fig8JSON(os.Stdout, o) },
-			"fig10":   func() error { return bench.Fig10JSON(os.Stdout, o) },
-		}
-		run, ok := jsonRunners[flag.Arg(0)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ctbench: -json supports only: sharded, load, persist, repl, fig7, fig8, fig10 (got %q)\n", flag.Arg(0))
-			os.Exit(2)
-		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "ctbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	runners := map[string]func(){
-		"table1":   func() { bench.Table1(os.Stdout, o) },
-		"fig2":     func() { bench.Fig2(os.Stdout, o) },
-		"fig6":     func() { bench.Fig6(os.Stdout, o) },
-		"fig7":     func() { bench.Fig7(os.Stdout, o) },
-		"fig8":     func() { bench.Fig8(os.Stdout, o) },
-		"fig9":     func() { bench.Fig9(os.Stdout, o) },
-		"fig10":    func() { bench.Fig10(os.Stdout, o) },
-		"fig11":    func() { bench.Fig11(os.Stdout, o) },
-		"fig12":    func() { bench.Fig12(os.Stdout, o) },
-		"fig13":    func() { bench.Fig13(os.Stdout, o) },
-		"table3":   func() { bench.Table3(os.Stdout, o) },
-		"ablation": func() { bench.Ablation(os.Stdout, o) },
-		"multiget": func() { bench.MultiGetBench(os.Stdout, o) },
-		"sharded":  func() { bench.FigSharded(os.Stdout, o) },
-		"load":     func() { bench.FigLoad(os.Stdout, o) },
-		"persist":  func() { bench.FigPersist(os.Stdout, o) },
-		"repl":     func() { bench.FigRepl(os.Stdout, o) },
-	}
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, k := range []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-			"fig10", "fig11", "fig12", "fig13", "table3", "ablation", "multiget", "sharded", "load", "persist", "repl"} {
-			runners[k]()
-		}
-		return
-	}
-	run, ok := runners[name]
-	if !ok {
+	figures, err := selectFigures(flag.Arg(0), *jsonOut)
+	if errors.Is(err, errUnknown) {
 		flag.Usage()
 		os.Exit(2)
 	}
-	run()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ctbench: %v\n", err)
+		os.Exit(2)
+	}
+	o := bench.Options{Keys: *keys, Ops: *ops, Threads: *threads, Shards: *shards, Seed: *seed}
+	for _, f := range figures {
+		if err := f.Run(os.Stdout, o, *jsonOut); err != nil {
+			fmt.Fprintf(os.Stderr, "ctbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
+var errUnknown = errors.New("unknown experiment")
+
+// jsonNames lists the figures -json accepts: those that build a Report.
+func jsonNames() []string {
+	var names []string
+	for _, f := range bench.Figures {
+		if f.Report != nil {
+			names = append(names, f.Name)
+		}
+	}
+	return names
+}
+
+// selectFigures resolves an experiment name to the figures it runs: the
+// named one, or every figure for "all". With asJSON only a single figure
+// that builds a Report qualifies.
+func selectFigures(name string, asJSON bool) ([]bench.Figure, error) {
+	figures := bench.Figures
+	if name != "all" {
+		figures = nil
+		for _, f := range bench.Figures {
+			if f.Name == name {
+				figures = []bench.Figure{f}
+			}
+		}
+		if figures == nil {
+			return nil, errUnknown
+		}
+	}
+	if asJSON && (len(figures) != 1 || figures[0].Report == nil) {
+		return nil, fmt.Errorf("-json supports only: %s (got %q)", strings.Join(jsonNames(), ", "), name)
+	}
+	return figures, nil
 }

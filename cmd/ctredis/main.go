@@ -104,7 +104,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		res, err := srv.EnablePersistenceWithOptions(*dataDir, miniredis.PersistOptions{
+		res, err := srv.EnablePersistence(*dataDir, miniredis.PersistOptions{
 			Policy:           policy,
 			SnapshotEvery:    *snapEvery,
 			AutoRewriteBytes: *autoRewrite,

@@ -13,9 +13,9 @@ import (
 )
 
 func main() {
-	srv := miniredis.NewServer(func(c int) index.Index {
+	srv := miniredis.NewServerExec(func(c int) index.Index {
 		return cuckootrie.New(cuckootrie.Config{CapacityHint: c, AutoResize: true})
-	}, 1024, true)
+	}, 1024, miniredis.ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -59,6 +59,56 @@ func (o *Options) Fill() {
 	}
 }
 
+// Figure is one experiment: a table or figure of the paper, or one of its
+// ablations. A text-only figure sets Text. A figure that measures into a
+// Report sets Report and Render instead, and exactly those figures can be
+// emitted as JSON.
+type Figure struct {
+	Name   string
+	Text   func(w io.Writer, o Options)
+	Report func(o Options) Report
+	Render func(w io.Writer, o Options, rep Report)
+}
+
+// Figures lists every experiment once, in `ctbench all` order.
+var Figures = []Figure{
+	{Name: "table1", Text: table1},
+	{Name: "fig2", Text: fig2},
+	{Name: "fig6", Text: fig6},
+	{Name: "fig7", Report: fig7Report, Render: renderFig7},
+	{Name: "fig8", Report: fig8Report, Render: renderFig8},
+	{Name: "fig9", Text: fig9},
+	{Name: "fig10", Report: fig10Report, Render: renderFig10},
+	{Name: "fig11", Text: fig11},
+	{Name: "fig12", Text: fig12},
+	{Name: "fig13", Text: fig13},
+	{Name: "table3", Text: table3},
+	{Name: "ablation", Text: ablation},
+	{Name: "multiget", Text: multiGetBench},
+	{Name: "sharded", Report: shardedReport, Render: renderSharded},
+	{Name: "load", Report: loadReport, Render: renderLoad},
+}
+
+// Run measures the figure with o's defaults filled in and writes it to w:
+// as text, or as one JSON Report when asJSON is set, which a text-only
+// figure refuses.
+func (f Figure) Run(w io.Writer, o Options, asJSON bool) error {
+	o.Fill()
+	if f.Report == nil {
+		if asJSON {
+			return fmt.Errorf("bench: %s has no JSON report", f.Name)
+		}
+		f.Text(w, o)
+		return nil
+	}
+	rep := f.Report(o)
+	if asJSON {
+		return rep.WriteJSON(w)
+	}
+	f.Render(w, o, rep)
+	return nil
+}
+
 // Engine describes one benchmarked index.
 type Engine struct {
 	Name       string

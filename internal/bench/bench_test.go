@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"strconv"
 	"strings"
@@ -21,29 +20,28 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		t.Skip("experiment smoke runs are not short")
 	}
 	cases := []struct {
-		name string
-		run  func(o Options, buf *bytes.Buffer)
-		want []string
+		name   string
+		shards int
+		want   []string
 	}{
-		{"table1", func(o Options, b *bytes.Buffer) { Table1(b, o) }, []string{"rand-8", "az", "reddit"}},
-		{"fig2", func(o Options, b *bytes.Buffer) { Fig2(b, o) }, []string{"CuckooTrie", "STX", "eff.lat"}},
-		{"fig9", func(o Options, b *bytes.Buffer) { Fig9(b, o) }, []string{"CuckooTrie", "Wormhole"}},
-		{"fig11", func(o Options, b *bytes.Buffer) { Fig11(b, o) }, []string{"CuckooTrie (resize)", "HOT"}},
-		{"fig12", func(o Options, b *bytes.Buffer) { Fig12(b, o) }, []string{"MlpIndex", "bytes/key"}},
-		{"table3", func(o Options, b *bytes.Buffer) { Table3(b, o) }, []string{"DRAM", "UPI"}},
-		{"ablation", func(o Options, b *bytes.Buffer) { Ablation(b, o) }, []string{"nodes/key", "D=5"}},
-		{"sharded", func(o Options, b *bytes.Buffer) { o.Shards = 4; FigSharded(b, o) },
-			[]string{"CuckooTrie", "x2", "x4", "shard count", "router=hash", "GOMAXPROCS=", "sampled-x4", "az", "reddit", "balance"}},
-		{"load", func(o Options, b *bytes.Buffer) { o.Shards = 4; FigLoad(b, o) },
-			[]string{"CuckooTrie", "hash-x2", "range-x4", "sampled-x2", "router", "GOMAXPROCS=", "az", "reddit", "balance"}},
-		{"persist", func(o Options, b *bytes.Buffer) { o.Keys, o.Ops = 3000, 3000; FigPersist(b, o) },
-			[]string{"CuckooTrie-sampled-x4", "load-mem", "snapshot", "recover", "wal-always", "wal-group", "wal-async", "replay",
-				"recovered balance", "GOMAXPROCS=", "8 concurrent writers"}},
+		{"table1", 0, []string{"rand-8", "az", "reddit"}},
+		{"fig2", 0, []string{"CuckooTrie", "STX", "eff.lat"}},
+		{"fig9", 0, []string{"CuckooTrie", "Wormhole"}},
+		{"fig11", 0, []string{"CuckooTrie (resize)", "HOT"}},
+		{"fig12", 0, []string{"MlpIndex", "bytes/key"}},
+		{"table3", 0, []string{"DRAM", "UPI"}},
+		{"ablation", 0, []string{"nodes/key", "D=5"}},
+		{"sharded", 4, []string{"CuckooTrie", "x2", "x4", "shard count", "router=hash", "GOMAXPROCS=", "sampled-x4", "az", "reddit", "balance"}},
+		{"load", 4, []string{"CuckooTrie", "hash-x2", "range-x4", "sampled-x2", "router", "GOMAXPROCS=", "az", "reddit", "balance"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			o := tiny()
+			o.Shards = c.shards
 			var buf bytes.Buffer
-			c.run(tiny(), &buf)
+			if err := figure(t, c.name).Run(&buf, o, false); err != nil {
+				t.Fatal(err)
+			}
 			out := buf.String()
 			for _, w := range c.want {
 				if !strings.Contains(out, w) {
@@ -54,12 +52,24 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
+// figure returns the named entry of the figure table.
+func figure(t *testing.T, name string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q in the table", name)
+	return Figure{}
+}
+
 func TestFig2Shape(t *testing.T) {
 	// The reproduction target: the Cuckoo Trie's effective DRAM latency must
 	// be well below the serial indexes' (the paper reports ~3x).
 	var buf bytes.Buffer
 	o := Options{Keys: 30000, Ops: 10000, Threads: 1, Seed: 1}
-	Fig2(&buf, o)
+	fig2(&buf, o)
 	var ctEff, artEff float64
 	for _, line := range strings.Split(buf.String(), "\n") {
 		f := strings.Fields(line)
@@ -203,12 +213,12 @@ func TestRoutedEngineRegistry(t *testing.T) {
 	}
 }
 
-// TestJSONReports: every figure with a -json mode emits one parseable
-// report carrying the banner fields (GOMAXPROCS, keys, seed) and per-cell
-// rows — the contract that makes cross-machine runs diffable. Per-figure
-// checks pin the axes that figure sweeps: sampled-router balance for the
-// shard figures, the workload/threads axes for the YCSB grids, the mode
-// axis for persist.
+// TestJSONReports: every figure of the table that builds a Report emits,
+// under -json, one parseable report carrying the banner fields
+// (GOMAXPROCS, keys, seed) and per-cell rows — the contract that makes
+// cross-machine runs diffable. Per-figure checks pin the axes that figure
+// sweeps: sampled-router balance for the shard figures, the
+// workload/threads axes for the YCSB grids, the latency axes for fig7.
 func TestJSONReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs are not short")
@@ -266,85 +276,30 @@ func TestJSONReports(t *testing.T) {
 			}
 		}
 	}
-	cases := map[string]struct {
-		emit  func(io.Writer, Options) error
-		check check
-	}{
-		"load":    {FigLoadJSON, wantSampled},
-		"sharded": {FigShardedJSON, wantSampled},
-		"fig7":    {Fig7JSON, wantLatency(wantWorkloads("LOAD", "A", "C"))},
-		"fig8":    {Fig8JSON, wantWorkloads("LOAD", "A", "C")},
-		"fig10":   {Fig10JSON, wantWorkloads("E")},
-		"persist": {FigPersistJSON, func(t *testing.T, rep Report) {
-			t.Helper()
-			modes := map[string]bool{}
-			balance := 0.0
-			for _, r := range rep.Rows {
-				modes[r.Mode] = true
-				if r.Mode == "recover" && r.Engine == "CuckooTrie-sampled-x4" {
-					balance = r.Balance
-				}
-			}
-			for _, m := range persistModes {
-				if !modes[m] {
-					t.Fatalf("no rows for persist mode %s", m)
-				}
-			}
-			if balance <= 0 {
-				t.Fatal("sampled recovery row carries no balance (router not trained from the snapshot stream?)")
-			}
-			if rep.Writers != walGroupWriters {
-				t.Fatalf("persist report writers banner = %d, want %d", rep.Writers, walGroupWriters)
-			}
-			// The per-op write cells are the ones a server would charge a
-			// command; they must carry the latency axes. Bulk cells
-			// (load/snapshot/recover/replay) measure whole passes and stay bare.
-			for _, r := range rep.Rows {
-				perOp := r.Mode == "set-mem" || strings.HasPrefix(r.Mode, "wal-")
-				if perOp && r.P99us <= 0 {
-					t.Fatalf("persist row %+v carries no latency measurement", r)
-				}
-				if !perOp && r.P99us != 0 {
-					t.Fatalf("persist row %+v: bulk cell should not report per-op latency", r)
-				}
-			}
-		}},
-		"repl": {FigReplJSON, func(t *testing.T, rep Report) {
-			t.Helper()
-			seen := map[int]bool{}
-			for _, r := range rep.Rows {
-				if r.Engine != "CuckooTrie" || r.Mode != "read" {
-					t.Fatalf("repl row %+v: want CuckooTrie read rows", r)
-				}
-				seen[r.Replicas] = true
-				if r.Replicas > 0 && r.LagMS <= 0 {
-					t.Fatalf("repl row %+v carries no lag measurement", r)
-				}
-				if r.Replicas == 0 && r.LagMS != 0 {
-					t.Fatalf("repl row %+v: lag with no replicas", r)
-				}
-			}
-			for _, n := range replCounts {
-				if !seen[n] {
-					t.Fatalf("no row for %d replicas (saw %v)", n, seen)
-				}
-			}
-		}},
+	checks := map[string]check{
+		"load":    wantSampled,
+		"sharded": wantSampled,
+		"fig7":    wantLatency(wantWorkloads("LOAD", "A", "C")),
+		"fig8":    wantWorkloads("LOAD", "A", "C"),
+		"fig10":   wantWorkloads("E"),
 	}
-	for name, c := range cases {
-		t.Run(name, func(t *testing.T) {
+	for _, f := range Figures {
+		if f.Report == nil {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
 			o := tiny()
 			o.Keys, o.Ops, o.Shards = 2000, 2000, 2
 			var buf bytes.Buffer
-			if err := c.emit(&buf, o); err != nil {
+			if err := f.Run(&buf, o, true); err != nil {
 				t.Fatal(err)
 			}
 			var rep Report
 			if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 				t.Fatalf("output is not one JSON document: %v\n%s", err, buf.String())
 			}
-			if rep.Figure != name {
-				t.Fatalf("figure = %q, want %q", rep.Figure, name)
+			if rep.Figure != f.Name {
+				t.Fatalf("figure = %q, want %q", rep.Figure, f.Name)
 			}
 			if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.Keys != 2000 || rep.Seed != 1 {
 				t.Fatalf("banner fields = %+v", rep)
@@ -357,8 +312,14 @@ func TestJSONReports(t *testing.T) {
 					t.Fatalf("row %+v has no throughput", r)
 				}
 			}
-			c.check(t, rep)
+			if c := checks[f.Name]; c != nil {
+				c(t, rep)
+			}
 		})
+		delete(checks, f.Name)
+	}
+	for name := range checks {
+		t.Errorf("check for %q, which is not a Report figure of the table", name)
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 	"repro/internal/ycsb"
 )
 
-// Fig13 regenerates the full-system benchmark: YCSB over the mini-Redis
+// fig13 regenerates the full-system benchmark: YCSB over the mini-Redis
 // sorted set with each index as the engine, over loopback TCP with
 // pipelining clients (§6.8). The "Redis default" engine is the
 // hashtable+skiplist pair Redis uses (our skiplist keeps a Go map alongside
 // for point lookups, matching Redis's dual structure).
-func Fig13(w io.Writer, o Options) {
-	o.Fill()
+func fig13(w io.Writer, o Options) {
 	keys := min(o.Keys, 50_000) // RESP round trips dominate; keep it snappy
 	ops := min(o.Ops, keys)
 	header(w, "Figure 13: mini-Redis sorted-set throughput (Mops/s)",
@@ -54,7 +53,7 @@ func Fig13(w io.Writer, o Options) {
 // runRedisWorkload runs one workload through the RESP server with 4
 // pipelining client connections (the paper's best-performing client count).
 func runRedisWorkload(e Engine, wl ycsb.Workload, keys [][]byte, ops int, seed int64) float64 {
-	srv := miniredis.NewServer(func(c int) index.Index { return e.New(c) }, len(keys), true)
+	srv := miniredis.NewServerExec(e.New, len(keys), miniredis.ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		panic(err)

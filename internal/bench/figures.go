@@ -17,9 +17,8 @@ import (
 	"repro/internal/ycsb"
 )
 
-// Table1 regenerates the dataset-statistics table.
-func Table1(w io.Writer, o Options) {
-	o.Fill()
+// table1 regenerates the dataset-statistics table.
+func table1(w io.Writer, o Options) {
 	header(w, "Table 1: datasets", "avg key bytes / avg unique prefix bits / #keys")
 	fmt.Fprintf(w, "%-10s %14s %22s %10s\n", "dataset", "avg key bytes", "avg uniq prefix bits", "keys")
 	paper := map[dataset.Name][2]float64{
@@ -35,10 +34,9 @@ func Table1(w io.Writer, o Options) {
 	}
 }
 
-// Fig2 regenerates the lookup latency breakdown: cycles (exec vs stall) and
+// fig2 regenerates the lookup latency breakdown: cycles (exec vs stall) and
 // DRAM accesses per lookup on rand-8, via the memory simulator.
-func Fig2(w io.Writer, o Options) {
-	o.Fill()
+func fig2(w io.Writer, o Options) {
 	header(w, "Figure 2: cycles and DRAM accesses per lookup (rand-8)",
 		"CuckooTrie total < serial indexes' stall; effective DRAM latency ≈3x lower")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
@@ -123,9 +121,8 @@ func core(t *cuckootrie.Trie) func(k []byte) [][]uint64 {
 	return t.LookupLevels
 }
 
-// Fig6 regenerates the lookup/insert scalability curves on rand-8.
-func Fig6(w io.Writer, o Options) {
-	o.Fill()
+// fig6 regenerates the lookup/insert scalability curves on rand-8.
+func fig6(w io.Writer, o Options) {
 	header(w, "Figure 6: insert & lookup scalability (rand-8)",
 		"speedup vs single thread; ARTOLC/CuckooTrie near-linear, Wormhole inserts saturate")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
@@ -180,38 +177,26 @@ func threadLadder(max int) []int {
 	return out
 }
 
-// Fig7 regenerates single-threaded YCSB point-operation throughput.
-func Fig7(w io.Writer, o Options) {
-	o.Fill()
+// fig7Report measures single-threaded YCSB point-operation throughput.
+func fig7Report(o Options) Report { return ycsbPointReport("fig7", o, 1) }
+
+func renderFig7(w io.Writer, o Options, rep Report) {
 	header(w, "Figure 7: single-threaded YCSB throughput (Mops/s)",
 		"CuckooTrie leads on most dataset/workload pairs except az")
-	renderYCSB(w, ycsbPointReport("fig7", o, 1))
+	renderYCSB(w, rep)
 }
 
-// Fig7JSON is Fig7's -json mode: the same measurements as one JSON report.
-func Fig7JSON(w io.Writer, o Options) error {
-	o.Fill()
-	return ycsbPointReport("fig7", o, 1).WriteJSON(w)
-}
+// fig8Report measures multithreaded YCSB point-operation throughput.
+func fig8Report(o Options) Report { return ycsbPointReport("fig8", o, o.Threads) }
 
-// Fig8 regenerates multithreaded YCSB point-operation throughput.
-func Fig8(w io.Writer, o Options) {
-	o.Fill()
+func renderFig8(w io.Writer, o Options, rep Report) {
 	header(w, fmt.Sprintf("Figure 8: multithreaded (%d threads) YCSB throughput (Mops/s)", o.Threads),
 		"same shape as Figure 7 for scalable indexes; STX omitted")
-	renderYCSB(w, ycsbPointReport("fig8", o, o.Threads))
-}
-
-// Fig8JSON is Fig8's -json mode.
-func Fig8JSON(w io.Writer, o Options) error {
-	o.Fill()
-	return ycsbPointReport("fig8", o, o.Threads).WriteJSON(w)
+	renderYCSB(w, rep)
 }
 
 // ycsbPointReport measures the point-operation YCSB grid (workload ×
-// dataset × engine at one thread count) into a Report — the one
-// measurement path behind both the text tables and -json, like the shard
-// figures'.
+// dataset × engine at one thread count) into a Report.
 func ycsbPointReport(figure string, o Options, threads int) Report {
 	rep := newReport(figure, o)
 	rep.MaxShards = 0 // no shard axis in the YCSB grids
@@ -249,38 +234,44 @@ func renderYCSB(w io.Writer, rep Report) {
 		break
 	}
 	for _, wl := range ycsb.PointWorkloads {
-		fmt.Fprintf(w, "\nYCSB-%s:\n%-12s", wl, "")
-		for _, ds := range dataset.All {
-			fmt.Fprintf(w, "%10s", ds)
-		}
-		fmt.Fprintln(w)
-		for _, e := range Engines() {
-			if threads > 1 && !e.Concurrent {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s", e.Name)
-			for _, ds := range dataset.All {
-				r := rows[Row{Engine: e.Name, Dataset: string(ds), Workload: string(wl),
-					Threads: threads, Shards: 1}.axes()]
-				fmt.Fprintf(w, "%10.3f", r.Mops)
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "latency µs (p50/p99/p999 ± p99 CI):\n")
-		for _, e := range Engines() {
-			if threads > 1 && !e.Concurrent {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s", e.Name)
-			for _, ds := range dataset.All {
-				r := rows[Row{Engine: e.Name, Dataset: string(ds), Workload: string(wl),
-					Threads: threads, Shards: 1}.axes()]
-				fmt.Fprintf(w, " %21s", latCol(r))
-			}
-			fmt.Fprintln(w)
-		}
+		renderGrid(w, rows, "YCSB-"+string(wl), wl, threads)
 	}
 	stabilityBanner(w, rep)
+}
+
+// renderGrid prints one engines × datasets table of a YCSB report, Mops/s
+// and then the latency cells, for one workload at one thread count.
+func renderGrid(w io.Writer, rows map[string]Row, title string, wl ycsb.Workload, threads int) {
+	fmt.Fprintf(w, "\n%s:\n%-12s", title, "")
+	for _, ds := range dataset.All {
+		fmt.Fprintf(w, "%10s", ds)
+	}
+	fmt.Fprintln(w)
+	var engines []Engine
+	for _, e := range Engines() {
+		if threads <= 1 || e.Concurrent {
+			engines = append(engines, e)
+		}
+	}
+	cell := func(e Engine, ds dataset.Name) Row {
+		return rows[Row{Engine: e.Name, Dataset: string(ds), Workload: string(wl),
+			Threads: threads, Shards: 1}.axes()]
+	}
+	for _, e := range engines {
+		fmt.Fprintf(w, "%-12s", e.Name)
+		for _, ds := range dataset.All {
+			fmt.Fprintf(w, "%10.3f", cell(e, ds).Mops)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "latency µs (p50/p99/p999 ± p99 CI):\n")
+	for _, e := range engines {
+		fmt.Fprintf(w, "%-12s", e.Name)
+		for _, ds := range dataset.All {
+			fmt.Fprintf(w, " %21s", latCol(cell(e, ds)))
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // loadedFor leaves headroom keys for insert-bearing workloads.
@@ -293,9 +284,8 @@ func loadedFor(wl ycsb.Workload, n int) int {
 	}
 }
 
-// Fig9 regenerates lookup throughput as a function of dataset size.
-func Fig9(w io.Writer, o Options) {
-	o.Fill()
+// fig9 regenerates lookup throughput as a function of dataset size.
+func fig9(w io.Writer, o Options) {
 	header(w, "Figure 9: single-threaded lookup throughput vs dataset size (rand-8)",
 		"CuckooTrie degrades ~1.2x over 64x growth; serial trees degrade ~1.7x")
 	sizes := []int{o.Keys / 16, o.Keys / 8, o.Keys / 4, o.Keys / 2, o.Keys}
@@ -315,16 +305,20 @@ func Fig9(w io.Writer, o Options) {
 	}
 }
 
-// fig10Report measures the scan-heavy YCSB-E grid at 1 and o.Threads
-// threads into a Report.
+// fig10Threads is fig10's thread axis: one thread, then o.Threads.
+func fig10Threads(o Options) []int {
+	if o.Threads > 1 {
+		return []int{1, o.Threads}
+	}
+	return []int{1}
+}
+
+// fig10Report measures the scan-heavy YCSB-E throughput (single and
+// multi-threaded).
 func fig10Report(o Options) Report {
 	rep := newReport("fig10", o)
 	rep.MaxShards = 0
-	threadCounts := []int{1}
-	if o.Threads > 1 {
-		threadCounts = append(threadCounts, o.Threads)
-	}
-	for _, threads := range threadCounts {
+	for _, threads := range fig10Threads(o) {
 		for _, e := range Engines() {
 			if threads > 1 && !e.Concurrent {
 				continue
@@ -348,62 +342,19 @@ func fig10Report(o Options) Report {
 	return rep
 }
 
-// Fig10 regenerates the scan-heavy YCSB-E throughput (single and multi).
-func Fig10(w io.Writer, o Options) {
-	o.Fill()
+func renderFig10(w io.Writer, o Options, rep Report) {
 	header(w, "Figure 10: YCSB-E scan throughput (Mops/s)",
 		"CuckooTrie below multi-key-leaf indexes when scan results are unused (§6.4)")
-	rep := fig10Report(o)
 	rows := rowIndex(rep)
-	threadCounts := []int{1}
-	if o.Threads > 1 {
-		threadCounts = append(threadCounts, o.Threads)
-	}
-	for _, threads := range threadCounts {
-		fmt.Fprintf(w, "\n%d thread(s):\n%-12s", threads, "")
-		for _, ds := range dataset.All {
-			fmt.Fprintf(w, "%10s", ds)
-		}
-		fmt.Fprintln(w)
-		for _, e := range Engines() {
-			if threads > 1 && !e.Concurrent {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s", e.Name)
-			for _, ds := range dataset.All {
-				r := rows[Row{Engine: e.Name, Dataset: string(ds), Workload: string(ycsb.E),
-					Threads: threads, Shards: 1}.axes()]
-				fmt.Fprintf(w, "%10.3f", r.Mops)
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "latency µs (p50/p99/p999 ± p99 CI):\n")
-		for _, e := range Engines() {
-			if threads > 1 && !e.Concurrent {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s", e.Name)
-			for _, ds := range dataset.All {
-				r := rows[Row{Engine: e.Name, Dataset: string(ds), Workload: string(ycsb.E),
-					Threads: threads, Shards: 1}.axes()]
-				fmt.Fprintf(w, " %21s", latCol(r))
-			}
-			fmt.Fprintln(w)
-		}
+	for _, threads := range fig10Threads(o) {
+		renderGrid(w, rows, fmt.Sprintf("%d thread(s)", threads), ycsb.E, threads)
 	}
 	stabilityBanner(w, rep)
 }
 
-// Fig10JSON is Fig10's -json mode.
-func Fig10JSON(w io.Writer, o Options) error {
-	o.Fill()
-	return fig10Report(o).WriteJSON(w)
-}
-
-// Fig11 regenerates memory overhead per key, including the paper's resize
+// fig11 regenerates memory overhead per key, including the paper's resize
 // estimate ((1+K)/2 · M for K=2).
-func Fig11(w io.Writer, o Options) {
-	o.Fill()
+func fig11(w io.Writer, o Options) {
 	header(w, "Figure 11: memory overhead (bytes/key)",
 		"CuckooTrie below ARTOLC/Wormhole (≤28%), above HOT/STX; resize est. = 1.5x table")
 	fmt.Fprintf(w, "%-22s", "")
@@ -445,10 +396,9 @@ func Fig11(w io.Writer, o Options) {
 	fmt.Fprintln(w)
 }
 
-// Fig12 regenerates the MlpIndex comparison: insert/lookup throughput and
+// fig12 regenerates the MlpIndex comparison: insert/lookup throughput and
 // memory on the 8-byte-key datasets.
-func Fig12(w io.Writer, o Options) {
-	o.Fill()
+func fig12(w io.Writer, o Options) {
 	header(w, "Figure 12: CuckooTrie vs MlpIndex (rand-8, osm)",
 		"MlpIndex 30-80% faster; ~3x the memory")
 	mlp, _ := engineByName("MlpIndex")
@@ -466,11 +416,10 @@ func Fig12(w io.Writer, o Options) {
 	}
 }
 
-// Table3 regenerates the bandwidth analysis: DRAM and interconnect demand of
+// table3 regenerates the bandwidth analysis: DRAM and interconnect demand of
 // the 28-thread YCSB-C run, versus hardware limits, derived from measured
 // throughput and simulated per-op DRAM access counts.
-func Table3(w io.Writer, o Options) {
-	o.Fill()
+func table3(w io.Writer, o Options) {
 	header(w, "Table 3: memory bandwidth usage (YCSB-C, rand-8, all cores)",
 		"DRAM demand well under limits: 3.6x under spec, 2.15x under random-read max")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
@@ -505,11 +454,10 @@ func Table3(w io.Writer, o Options) {
 	fmt.Fprintln(w, "paper: DRAM 71.24 GB/s = 27.8% of spec, 46.3% of rand-read; UPI 61 GB/s = 65.5%")
 }
 
-// Ablation regenerates the design-choice measurements of §4.6/§6.2:
+// ablation regenerates the design-choice measurements of §4.6/§6.2:
 // nodes/key, the no-leaf-list insert ablation (footnote 10), and a prefetch
 // depth sweep.
-func Ablation(w io.Writer, o Options) {
-	o.Fill()
+func ablation(w io.Writer, o Options) {
 	header(w, "Ablations (§4.6, §6.2 fn10)", "nodes/key ≈1.25; no-list insert ≈ ARTOLC; D=5 best")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
 

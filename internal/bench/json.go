@@ -22,43 +22,32 @@ type Report struct {
 	Ops        int    `json:"ops"`
 	Seed       int64  `json:"seed"`
 	MaxShards  int    `json:"max_shards,omitempty"`
-	// Writers is the concurrent pipelined-writer count behind the persist
-	// figure's group-commit cells (wal-group/wal-async): the coalescing win
-	// only exists relative to how many writers share each fsync.
-	Writers int   `json:"writers,omitempty"`
-	Rows    []Row `json:"rows"`
+	Rows       []Row  `json:"rows"`
 }
 
 // Row is one measured cell: which engine, on which dataset, under which
-// workload, routing mode, shard count, thread count and measurement mode,
-// at what throughput. Balance is the loaded index's max/mean per-shard
-// key-count ratio (1.0 = perfectly even; the shard count = everything on
-// one hot shard); zero when the cell is unsharded or balance was not
-// measured. Workload/Threads are set by the YCSB figures, Mode by the
-// persist figure ("load-mem", "snapshot", "recover", ...); Replicas and
-// LagMS by the repl figure (read-replica count behind the measured
-// throughput, and the WAIT-measured lag of a write burst reaching every
-// replica). Axes a figure does not sweep are omitted.
+// workload, routing mode, shard count and thread count, at what
+// throughput. Balance is the loaded index's max/mean per-shard key-count
+// ratio (1.0 = perfectly even; the shard count = everything on one hot
+// shard); zero when the cell is unsharded or balance was not measured.
+// Workload/Threads are set by the YCSB figures. Axes a figure does not
+// sweep are omitted.
 type Row struct {
 	Engine   string  `json:"engine"`
 	Dataset  string  `json:"dataset,omitempty"`
 	Workload string  `json:"workload,omitempty"`
 	Router   string  `json:"router,omitempty"`
-	Mode     string  `json:"mode,omitempty"`
 	Shards   int     `json:"shards"`
 	Threads  int     `json:"threads,omitempty"`
-	Replicas int     `json:"replicas,omitempty"`
 	Mops     float64 `json:"mops"`
 	Balance  float64 `json:"balance_max_mean,omitempty"`
-	LagMS    float64 `json:"lag_ms,omitempty"`
 
-	// Latency axes (µs), measured per op for the YCSB/persist set paths
-	// and per pipeline for the RESP figure (repl) — see each
-	// figure's footer for the unit it measured. P99CIus is the half-width
-	// of a bootstrap-resampled 95% confidence interval around p99; CVPct
-	// is the coefficient of variation of per-timeslice throughput (the
-	// noisy-run flag). All are measurements, not identity: they stay out
-	// of axes() and are omitted where a cell did not capture latency.
+	// Latency axes (µs), measured per op by the YCSB figures. P99CIus is
+	// the half-width of a bootstrap-resampled 95% confidence interval
+	// around p99; CVPct is the coefficient of variation of per-timeslice
+	// throughput (the noisy-run flag). All are measurements, not identity:
+	// they stay out of axes() and are omitted where a cell did not capture
+	// latency.
 	P50us   float64 `json:"p50_us,omitempty"`
 	P99us   float64 `json:"p99_us,omitempty"`
 	P999us  float64 `json:"p999_us,omitempty"`
@@ -71,8 +60,8 @@ type Row struct {
 // measurements) — the key the text renderers use to pick cells out of a
 // report.
 func (r Row) axes() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s|%d|%d|%d",
-		r.Engine, r.Dataset, r.Workload, r.Router, r.Mode, r.Shards, r.Threads, r.Replicas)
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d",
+		r.Engine, r.Dataset, r.Workload, r.Router, r.Shards, r.Threads)
 }
 
 // newReport stamps the environment fields every figure shares.

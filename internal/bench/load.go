@@ -31,7 +31,7 @@ func rowIndex(rep Report) map[string]Row {
 	return rows
 }
 
-// rowKey is the axes key of the shard figures' cells (no workload, mode or
+// rowKey is the axes key of the shard figures' cells (no workload or
 // thread axis).
 func rowKey(engine, ds, router string, shards int) string {
 	return Row{Engine: engine, Dataset: ds, Router: router, Shards: shards}.axes()
@@ -49,10 +49,8 @@ func valsFor(ks [][]byte) []uint64 {
 // loadReport measures the partitioned bulk-load path into a Report: on
 // rand-8, LOAD throughput across the full shard ladder × router; on the
 // skewed datasets, the router trade-off at the max shard count with the
-// loaded index's per-shard balance. One measurement path feeds both the
-// text table and -json.
+// loaded index's per-shard balance.
 func loadReport(o Options) Report {
-	o.Fill()
 	rep := newReport("load", o)
 	cell := func(e Engine, router string, shards int, ds dataset.Name, ks [][]byte, vals []uint64) Row {
 		var ix index.Index
@@ -113,7 +111,7 @@ func loadReport(o Options) Report {
 	return rep
 }
 
-// FigLoad renders the partitioned bulk-load figure as text: LOAD-phase
+// renderLoad renders the partitioned bulk-load figure as text: LOAD-phase
 // throughput (Mops/s) by shard count and router on rand-8, then the
 // hash/range/sampled trade-off on the skewed datasets with a per-shard
 // balance column (max/mean key count; 1.00 = even, shard count = one hot
@@ -121,9 +119,7 @@ func loadReport(o Options) Report {
 // chunked-MultiSet fallback. On a single-core box the sharded columns only
 // bound the partitioning overhead; the banner's GOMAXPROCS says which
 // regime produced the numbers.
-func FigLoad(w io.Writer, o Options) {
-	o.Fill()
-	rep := loadReport(o)
+func renderLoad(w io.Writer, o Options, rep Report) {
 	header(w, "Load: partitioned bulk-load throughput by dataset, shard count and router (Mops/s)",
 		"ingest-side cross-core MLP; sampled boundaries keep range routing balanced on skew")
 	rows := rowIndex(rep)
@@ -156,12 +152,6 @@ func FigLoad(w io.Writer, o Options) {
 	}
 
 	renderSkewedTables(w, rep, rows)
-}
-
-// FigLoadJSON is FigLoad's -json mode: the same measurements as one JSON
-// report (banner fields + rows) for machine diffing across runs.
-func FigLoadJSON(w io.Writer, o Options) error {
-	return loadReport(o).WriteJSON(w)
 }
 
 // renderSkewedTables renders the skewed-dataset router trade-off tables of

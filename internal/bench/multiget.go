@@ -12,15 +12,14 @@ import (
 // MultiGetBatchSizes are the batch sizes of the batched-lookup experiment.
 var MultiGetBatchSizes = []int{1, 8, 64}
 
-// MultiGetBench measures batched point-lookup throughput (Mops/s) for every
+// multiGetBench measures batched point-lookup throughput (Mops/s) for every
 // engine at batch sizes 1/8/64. This is the paper's MLP argument (§4.4)
 // generalized across keys: the Cuckoo Trie's MultiGet stages the hash
 // ladders and bucket addresses of a whole batch before resolving any key, so
 // its independent DRAM misses overlap, while pointer-chasing engines gain
 // nothing from batching (their fallback is a plain loop). The batch=1 column
 // doubles as a sanity baseline: it must track single-Get throughput.
-func MultiGetBench(w io.Writer, o Options) {
-	o.Fill()
+func multiGetBench(w io.Writer, o Options) {
 	header(w, "MultiGet: batched lookup throughput (Mops/s)",
 		"cross-key MLP; CuckooTrie gains with batch size, serial engines stay flat")
 

@@ -34,7 +34,6 @@ const shardedBatchSize = 512
 // shows up directly as lost MultiGet throughput, and the balance field
 // quantifies it.
 func shardedReport(o Options) Report {
-	o.Fill()
 	rep := newReport("sharded", o)
 	cell := func(e Engine, router string, shards int, ds dataset.Name, ks [][]byte) Row {
 		eng := e
@@ -85,7 +84,7 @@ func shardedReport(o Options) Report {
 	return rep
 }
 
-// FigSharded renders sharded vs. unsharded batched-lookup throughput:
+// renderSharded renders sharded vs. unsharded batched-lookup throughput:
 // the cross-core axis of the paper's MLP argument. The rand-8 table
 // sweeps the shard ladder under hash routing — column x1 is the unsharded
 // engine (no wrapper at all); columns x2..xN scatter each 512-key MultiGet
@@ -96,9 +95,7 @@ func shardedReport(o Options) Report {
 // machine's core count — on a single-core box the sharded columns only
 // measure the scatter overhead; the banner's GOMAXPROCS says which regime
 // produced the numbers.
-func FigSharded(w io.Writer, o Options) {
-	o.Fill()
-	rep := shardedReport(o)
+func renderSharded(w io.Writer, o Options, rep Report) {
 	header(w, fmt.Sprintf("Sharded scatter-gather: MultiGet throughput by shard count and router (Mops/s, batch=%d)", shardedBatchSize),
 		"cross-core MLP; sharded engines scale with shard count up to the core count")
 	rows := rowIndex(rep)
@@ -124,10 +121,4 @@ func FigSharded(w io.Writer, o Options) {
 	}
 
 	renderSkewedTables(w, rep, rows)
-}
-
-// FigShardedJSON is FigSharded's -json mode: the same measurements as one
-// JSON report (banner fields + rows) for machine diffing across runs.
-func FigShardedJSON(w io.Writer, o Options) error {
-	return shardedReport(o).WriteJSON(w)
 }

@@ -50,7 +50,7 @@ type recordStore struct {
 
 func newRecordStore(capHint int) *recordStore {
 	rs := &recordStore{}
-	slots := make([]uint64, 0, recSlotStride*maxInt(capHint, 64))
+	slots := make([]uint64, 0, recSlotStride*max(capHint, 64))
 	rs.slots.Store(&slots)
 	chunks := make([][]byte, 0, 8)
 	rs.chunks.Store(&chunks)
@@ -185,11 +185,4 @@ func (rs *recordStore) memoryBytes() (slotBytes, keyBytes int64) {
 	chunks := *rs.chunks.Load()
 	keyBytes = int64(len(chunks)) * recChunkSize
 	return int64(cap(slots)) * 8, keyBytes
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

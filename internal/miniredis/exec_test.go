@@ -229,7 +229,7 @@ func TestWaitAllModes(t *testing.T) {
 	for _, mode := range allExecModes {
 		t.Run(string(mode), func(t *testing.T) {
 			srv := NewServerExec(trieFactory, 64, mode)
-			if _, err := srv.EnablePersistenceWithOptions(t.TempDir(), PersistOptions{Policy: persist.FsyncGroup}); err != nil {
+			if _, err := srv.EnablePersistence(t.TempDir(), PersistOptions{Policy: persist.FsyncGroup}); err != nil {
 				t.Fatal(err)
 			}
 			addr, err := srv.Listen("127.0.0.1:0")
@@ -278,7 +278,7 @@ func TestWaitAllModes(t *testing.T) {
 // quiesce is broken.
 func TestSerialBGSaveNonConcurrent(t *testing.T) {
 	srv := NewServerExec(skiplistFactory, 256, ExecSerial)
-	if _, err := srv.EnablePersistenceWithOptions(t.TempDir(), PersistOptions{Policy: persist.FsyncNo}); err != nil {
+	if _, err := srv.EnablePersistence(t.TempDir(), PersistOptions{Policy: persist.FsyncNo}); err != nil {
 		t.Fatal(err)
 	}
 	if !srv.quiesceSaves {

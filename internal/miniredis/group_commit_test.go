@@ -13,14 +13,14 @@ import (
 
 // newServerWithPersist is newPersistentServer with full PersistOptions
 // control, for the group-commit and auto-rewrite tests.
-func newServerWithPersist(t *testing.T, dir string, serial bool, opts PersistOptions) (*Server, *Client) {
+func newServerWithPersist(t *testing.T, dir string, mode ExecMode, opts PersistOptions) (*Server, *Client) {
 	t.Helper()
 	factory := skiplistFactory
-	if !serial {
+	if mode == ExecStripedConn {
 		factory = trieFactory // striped-conn is honored only over a concurrent-safe engine
 	}
-	srv := NewServer(factory, 256, serial)
-	if _, err := srv.EnablePersistenceWithOptions(dir, opts); err != nil {
+	srv := NewServerExec(factory, 256, mode)
+	if _, err := srv.EnablePersistence(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -39,10 +39,10 @@ func newServerWithPersist(t *testing.T, dir string, serial bool, opts PersistOpt
 // last LSN — the whole pipeline rides one (or few) fsyncs, and by the time
 // the client sees the replies the records are on stable storage.
 func TestGroupCommitPipelineAck(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
+	for _, mode := range []ExecMode{ExecSerial, ExecStripedConn} {
+		t.Run(fmt.Sprintf("serial=%v", mode == ExecSerial), func(t *testing.T) {
 			dir := t.TempDir()
-			srv, cl := newServerWithPersist(t, dir, serial, PersistOptions{Policy: persist.FsyncGroup})
+			srv, cl := newServerWithPersist(t, dir, mode, PersistOptions{Policy: persist.FsyncGroup})
 			defer srv.Close()
 			defer cl.Close()
 			const n = 64
@@ -68,7 +68,7 @@ func TestGroupCommitPipelineAck(t *testing.T) {
 // contention — and every acknowledged write survives a clean restart.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, true, PersistOptions{Policy: persist.FsyncGroup})
+	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncGroup})
 	cl.Close()
 	addr := srv.ln.Addr().String()
 	const writers, perWriter = 8, 30
@@ -113,7 +113,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // the last LSN within a few group cycles without any explicit sync.
 func TestAsyncAckDurability(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, true, PersistOptions{Policy: persist.FsyncAsync})
+	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncAsync})
 	defer srv.Close()
 	defer cl.Close()
 	for i := 0; i < 50; i++ {
@@ -152,7 +152,7 @@ func TestAsyncAckDurability(t *testing.T) {
 // SnapshotEvery cadence, no explicit SAVE.
 func TestAutoRewrite(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, true, PersistOptions{
+	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{
 		Policy:           persist.FsyncNo,
 		AutoRewriteBytes: 2 << 10,
 	})

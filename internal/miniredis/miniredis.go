@@ -289,26 +289,15 @@ type Server struct {
 	lastApplied uint64 // ...and the LSN applied when that session detached
 }
 
-// NewServer creates a server whose sorted sets use the given engine.
-// serial=true mimics Redis's single-threaded command loop (ExecSerial);
-// serial=false asks for ExecStripedConn, each connection executing its
-// commands concurrently with no execution lock (see NewServerExec for
-// when that request is honored). The keyspace is striped in both modes, so
-// set resolution never serializes connections on a single lock.
-func NewServer(factory EngineFactory, capacityHint int, serial bool) *Server {
-	mode := ExecStripedConn
-	if serial {
-		mode = ExecSerial
-	}
-	return NewServerExec(factory, capacityHint, mode)
-}
-
-// NewServerExec creates a server with an explicit execution mode (see
-// ExecMode in executor.go). ExecStripedConn runs commands with no execution
-// lock, so it is honored only when the engine is concurrent-safe — every
-// set comes from the same factory, so one throwaway instance answers that.
-// Otherwise, and for an unknown mode, the server runs ExecSerial, the one
-// strategy that is safe for every engine; Mode reports the outcome.
+// NewServerExec creates a server whose sorted sets use the given engine,
+// under an execution mode (see ExecMode in executor.go): ExecSerial mimics
+// Redis's single-threaded command loop; ExecStripedConn runs each
+// connection's commands with no execution lock, so it is honored only when
+// the engine is concurrent-safe — every set comes from the same factory, so
+// one throwaway instance answers that. Otherwise, and for an unknown mode,
+// the server runs ExecSerial, the one strategy that is safe for every
+// engine; Mode reports the outcome. The keyspace is striped in both modes,
+// so set resolution never serializes connections on a single lock.
 func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Server {
 	s := &Server{
 		create:   func() index.Index { return factory(capacityHint) },
@@ -337,25 +326,9 @@ func (s *Server) Stripes() int { return len(s.ks.stripes) }
 // ErrNoPersistence reports a SAVE/BGSAVE against a memory-only server.
 var ErrNoPersistence = errors.New("miniredis: persistence not enabled")
 
-// EnablePersistence makes the server durable: it recovers dir's newest
-// valid snapshot plus WAL tail into the keyspace (each set bulk-loaded, so
-// sharded engines ride the partitioned ingest and untrained sampled
-// routers train from the snapshot stream), then opens the WAL for the
-// write path. ZADD/ZREM/FLUSHALL append a record after they apply;
-// snapshotEvery > 0 triggers a background snapshot every that many logged
-// writes. Must be called before Listen. The returned Result reports what
-// was recovered.
-//
-// Preload bypasses the WAL by design (logging a bulk load record-by-record
-// would forfeit the partitioned ingest); call Save after preloading to
-// make the loaded keys durable.
-func (s *Server) EnablePersistence(dir string, policy persist.FsyncPolicy, snapshotEvery int) (*persist.Result, error) {
-	return s.EnablePersistenceWithOptions(dir, PersistOptions{Policy: policy, SnapshotEvery: snapshotEvery})
-}
-
-// PersistOptions tunes persistence beyond EnablePersistence's defaults —
-// exposed mainly so tests can force tiny WAL segments and replication
-// fan-out buffers to exercise retention edges.
+// PersistOptions configures EnablePersistence. Only Policy is needed in
+// the common case; the rest are exposed mainly so tests can force tiny WAL
+// segments and replication fan-out buffers to exercise retention edges.
 type PersistOptions struct {
 	Policy        persist.FsyncPolicy
 	SnapshotEvery int   // logged writes between automatic BGSAVEs; 0 disables
@@ -372,8 +345,19 @@ type PersistOptions struct {
 	AutoRewriteBytes int64
 }
 
-// EnablePersistenceWithOptions is EnablePersistence with explicit tuning.
-func (s *Server) EnablePersistenceWithOptions(dir string, opts PersistOptions) (*persist.Result, error) {
+// EnablePersistence makes the server durable: it recovers dir's newest
+// valid snapshot plus WAL tail into the keyspace (each set bulk-loaded, so
+// sharded engines ride the partitioned ingest and untrained sampled
+// routers train from the snapshot stream), then opens the WAL for the
+// write path. ZADD/ZREM/FLUSHALL append a record after they apply, synced
+// per opts.Policy; opts.SnapshotEvery > 0 triggers a background snapshot
+// every that many logged writes. Must be called before Listen. The
+// returned Result reports what was recovered.
+//
+// Preload bypasses the WAL by design (logging a bulk load record-by-record
+// would forfeit the partitioned ingest); call Save after preloading to
+// make the loaded keys durable.
+func (s *Server) EnablePersistence(dir string, opts PersistOptions) (*persist.Result, error) {
 	if s.ln != nil {
 		return nil, errors.New("miniredis: enable persistence before Listen")
 	}

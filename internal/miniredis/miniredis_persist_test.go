@@ -19,8 +19,8 @@ import (
 // persistence attached to dir.
 func newPersistentServer(t *testing.T, dir string, factory EngineFactory, snapEvery int) (*Server, *Client, *persist.Result) {
 	t.Helper()
-	srv := NewServer(factory, 256, true)
-	res, err := srv.EnablePersistence(dir, persist.FsyncNo, snapEvery)
+	srv := NewServerExec(factory, 256, ExecSerial)
+	res, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo, SnapshotEvery: snapEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestShardedSampledServerRecovery(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameKeyWALOrder: on a persistent concurrent (serial=false)
+// TestConcurrentSameKeyWALOrder: on a persistent striped-conn
 // server, racing writes to the same key must reach the WAL in the order
 // they applied — the per-stripe write ordering lock — so the state replay
 // rebuilds equals the state the live server last served. Without the
@@ -270,8 +270,8 @@ func TestShardedSampledServerRecovery(t *testing.T) {
 // resurrects the overwritten value.
 func TestConcurrentSameKeyWALOrder(t *testing.T) {
 	dir := t.TempDir()
-	srv := NewServer(trieFactory, 256, false)
-	if _, err := srv.EnablePersistence(dir, persist.FsyncNo, 0); err != nil {
+	srv := NewServerExec(trieFactory, 256, ExecStripedConn)
+	if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo}); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -333,11 +333,11 @@ func TestConcurrentSameKeyWALOrder(t *testing.T) {
 // means a half-flushed set list leaked.
 func TestFlushAllDBSizeBGSaveRace(t *testing.T) {
 	dir := t.TempDir()
-	// serial=false: commands run concurrently (the engine is
+	// ExecStripedConn: commands run concurrently (the engine is
 	// concurrent-safe), so nothing but the stripe locks orders FLUSHALL
 	// against DBSIZE and the BGSAVE set-list capture.
-	srv := NewServer(trieFactory, 256, false)
-	if _, err := srv.EnablePersistence(dir, persist.FsyncNo, 0); err != nil {
+	srv := NewServerExec(trieFactory, 256, ExecStripedConn)
+	if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo}); err != nil {
 		t.Fatal(err)
 	}
 	laddr, err := srv.Listen("127.0.0.1:0")

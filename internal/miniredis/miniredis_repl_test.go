@@ -18,9 +18,9 @@ import (
 
 // newReplicaServer starts a memory-only server and attaches it to the
 // primary at addr as a read replica.
-func newReplicaServer(t *testing.T, addr string, factory EngineFactory, serial bool) (*Server, *repl.Replica) {
+func newReplicaServer(t *testing.T, addr string, factory EngineFactory, mode ExecMode) (*Server, *repl.Replica) {
 	t.Helper()
-	srv := NewServer(factory, 256, serial)
+	srv := NewServerExec(factory, 256, mode)
 	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReplicationConvergence(t *testing.T) {
 		mustDo(t, cl, "ZADD", fmt.Sprintf("set%d", i%3), fmt.Sprintf("pre%04d", i), fmt.Sprint(i))
 	}
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 
@@ -126,13 +126,13 @@ func TestReplicationConvergence(t *testing.T) {
 }
 
 // TestReplicationShardedSampled replicates into a 4-shard sampled-router
-// engine on a concurrent (serial=false) pair: the full-sync bulk load must
+// engine on a striped-conn pair: the full-sync bulk load must
 // train the replica's untrained routers exactly like crash recovery does.
 func TestReplicationShardedSampled(t *testing.T) {
 	dir := t.TempDir()
 	factory := ShardedFactoryWithRouter(trieFactory, 4, sharded.NewSampledRouter)
-	prim := NewServer(factory, 256, false)
-	if _, err := prim.EnablePersistence(dir, persist.FsyncNo, 0); err != nil {
+	prim := NewServerExec(factory, 256, ExecStripedConn)
+	if _, err := prim.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo}); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := prim.Listen("127.0.0.1:0")
@@ -156,7 +156,7 @@ func TestReplicationShardedSampled(t *testing.T) {
 		t.Fatalf("Preload = %d, %v", added, err)
 	}
 
-	rep, sess := newReplicaServer(t, addr, factory, false)
+	rep, sess := newReplicaServer(t, addr, factory, ExecStripedConn)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 	waitUntil(t, 5*time.Second, "snapshot load", func() bool { return rep.ks.totalLen() == 400 })
@@ -192,7 +192,7 @@ func TestReplicationResumeNoDup(t *testing.T) {
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 
@@ -231,7 +231,7 @@ func TestReplicationResumeAcrossSessions(t *testing.T) {
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 
@@ -274,8 +274,8 @@ func TestReplicationResumeAcrossSessions(t *testing.T) {
 // converge.
 func TestReplicationFallBehindFullSync(t *testing.T) {
 	dir := t.TempDir()
-	prim := NewServer(skiplistFactory, 256, true)
-	if _, err := prim.EnablePersistenceWithOptions(dir, PersistOptions{
+	prim := NewServerExec(skiplistFactory, 256, ExecSerial)
+	if _, err := prim.EnablePersistence(dir, PersistOptions{
 		Policy:       persist.FsyncNo,
 		SegmentBytes: 256,
 	}); err != nil {
@@ -292,7 +292,7 @@ func TestReplicationFallBehindFullSync(t *testing.T) {
 	}
 	defer cl.Close()
 
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 	for i := 0; i < 50; i++ {
@@ -419,7 +419,7 @@ func TestPreloadGateHoldsPSync(t *testing.T) {
 		}
 	}()
 
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	// The preload is parked on the gate, so the replica's PSYNC must be
 	// parked on the bulk fence: no sync of any kind completes.
@@ -451,7 +451,7 @@ func TestWaitSemantics(t *testing.T) {
 		t.Fatalf("WAIT with no replicas = %v, want 0", got)
 	}
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 	mustDo(t, cl, "ZADD", "s", "m2", "2")
@@ -481,7 +481,7 @@ func TestInfoReplication(t *testing.T) {
 		t.Fatalf("primary INFO before replicas:\n%s", got)
 	}
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 	mustDo(t, cl, "ZADD", "s", "m", "1")
@@ -517,7 +517,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, true)
+	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
 	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
 

@@ -17,7 +17,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv := NewServer(func(c int) index.Index { return skiplist.New(1) }, 64, true)
+	srv := NewServerExec(func(c int) index.Index { return skiplist.New(1) }, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestPipelinedZScoreBatch(t *testing.T) {
 // batch drain must not block on the partial command while withholding the
 // finished one's reply.
 func TestPartialPipelineDoesNotStall(t *testing.T) {
-	srv := NewServer(func(c int) index.Index { return skiplist.New(1) }, 64, true)
+	srv := NewServerExec(func(c int) index.Index { return skiplist.New(1) }, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestPartialPipelineDoesNotStall(t *testing.T) {
 // the old server closed silently, leaving the client nothing to diagnose
 // with. A clean disconnect (EOF between commands) must NOT produce one.
 func TestProtocolErrorReply(t *testing.T) {
-	srv := NewServer(func(c int) index.Index { return skiplist.New(1) }, 64, true)
+	srv := NewServerExec(func(c int) index.Index { return skiplist.New(1) }, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestPipelinePoisonOnTransportFailure(t *testing.T) {
 // ZRANGEBYLEX crosses shard boundaries via the merge cursor.
 func TestShardedFactory(t *testing.T) {
 	factory := ShardedFactory(func(c int) index.Index { return skiplist.New(1) }, 4)
-	srv := NewServer(factory, 64, true)
+	srv := NewServerExec(factory, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -484,9 +484,9 @@ func TestShardedFactory(t *testing.T) {
 // indexes were ever created for one name, some writers' members would land
 // in an orphaned index and the final count would come up short.
 func TestConcurrentSetCreationSameName(t *testing.T) {
-	srv := NewServer(func(c int) index.Index {
+	srv := NewServerExec(func(c int) index.Index {
 		return cuckootrie.New(cuckootrie.Config{CapacityHint: c, AutoResize: true})
-	}, 64, false)
+	}, 64, ExecStripedConn)
 	const writers = 16
 	var wg sync.WaitGroup
 	first := make([]index.Index, writers)
@@ -567,7 +567,7 @@ func TestConcurrentSetCreationAcrossStripes(t *testing.T) {
 func TestRangeRoutedFactory(t *testing.T) {
 	factory := ShardedFactoryWithRouter(
 		func(c int) index.Index { return skiplist.New(1) }, 4, sharded.NewPrefixRouter)
-	srv := NewServer(factory, 64, true)
+	srv := NewServerExec(factory, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +626,7 @@ func TestRangeRoutedFactory(t *testing.T) {
 func TestSampledRoutedPreload(t *testing.T) {
 	factory := ShardedFactoryWithRouter(
 		func(c int) index.Index { return skiplist.New(1) }, 4, sharded.NewSampledRouter)
-	srv := NewServer(factory, 1024, true)
+	srv := NewServerExec(factory, 1024, ExecSerial)
 	// Skewed keys: a shared prefix defeats first-byte (prefix) routing, but
 	// sampled boundaries must still spread them.
 	keys := make([][]byte, 400)
@@ -684,7 +684,7 @@ func TestSampledRoutedPreload(t *testing.T) {
 // the wire.
 func TestPreload(t *testing.T) {
 	factory := ShardedFactory(func(c int) index.Index { return skiplist.New(1) }, 4)
-	srv := NewServer(factory, 1024, true)
+	srv := NewServerExec(factory, 1024, ExecSerial)
 	keys := make([][]byte, 500)
 	vals := make([]uint64, len(keys))
 	for i := range keys {

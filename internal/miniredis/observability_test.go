@@ -71,7 +71,7 @@ func TestObservabilityDrill(t *testing.T) {
 			srv := NewServerExec(func(c int) index.Index {
 				return cuckootrie.New(cuckootrie.Config{CapacityHint: c, AutoResize: true})
 			}, 1024, mode)
-			if _, err := srv.EnablePersistenceWithOptions(dir, PersistOptions{Policy: persist.FsyncGroup}); err != nil {
+			if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncGroup}); err != nil {
 				t.Fatal(err)
 			}
 			srv.SetSlowlogThreshold(0) // log every command: the drill asserts entry shape, not slowness
@@ -223,7 +223,7 @@ func TestObservabilityDrill(t *testing.T) {
 }
 
 func TestMaxConns(t *testing.T) {
-	srv := NewServer(func(c int) index.Index { return skiplist.New(1) }, 64, true)
+	srv := NewServerExec(func(c int) index.Index { return skiplist.New(1) }, 64, ExecSerial)
 	srv.SetMaxConns(2)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
