@@ -60,7 +60,7 @@ func TestCommandPathZeroAlloc(t *testing.T) {
 		r := resp.NewReaderSize(loopConn(pipe.Bytes()), connBufSize)
 		w := resp.NewWriterSize(io.Discard, connBufSize)
 		cs := newConnState()
-		batch := make([][][]byte, 0, maxPipelineBatch)
+		batch := make([]command, 0, maxPipelineBatch)
 		allocs := testing.AllocsPerRun(50, func() {
 			var err error
 			if batch, err = readBatch(r, batch[:0]); err != nil || len(batch) != depth {
@@ -133,6 +133,15 @@ func TestCommandPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// batchOf classifies commands into a batch, as readBatch does.
+func batchOf(cmds ...[][]byte) []command {
+	batch := make([]command, len(cmds))
+	for i, args := range cmds {
+		batch[i] = command{classify(args[0]), args}
+	}
+	return batch
+}
+
 // TestScratchReleased: per-connection scratch does not outlive the command
 // that grew it. A ZRANGEBYLEX reply larger than maxScanScratch drops its
 // member arena once written, and a collapsed ZSCORE run leaves no borrowed
@@ -151,15 +160,15 @@ func TestScratchReleased(t *testing.T) {
 	var out bytes.Buffer
 	w := resp.NewWriter(&out)
 	cs := newConnState()
-	srv.dispatch(w, [][][]byte{{[]byte("ZRANGEBYLEX"), []byte("s"), []byte(""), []byte("2048")}}, cs)
+	srv.dispatch(w, batchOf([][]byte{[]byte("ZRANGEBYLEX"), []byte("s"), []byte(""), []byte("2048")}), cs)
 	if cap(cs.members) > maxScanScratch || cap(cs.ends) > maxScanScratch/8 {
 		t.Errorf("after a %d-byte scan the connection keeps %d + %d scratch entries",
 			len(keys)*len(keys[0]), cap(cs.members), cap(cs.ends))
 	}
-	srv.dispatch(w, [][][]byte{
-		{[]byte("ZSCORE"), []byte("s"), keys[0]},
-		{[]byte("ZSCORE"), []byte("s"), keys[1]},
-	}, cs)
+	srv.dispatch(w, batchOf(
+		[][]byte{[]byte("ZSCORE"), []byte("s"), keys[0]},
+		[][]byte{[]byte("ZSCORE"), []byte("s"), keys[1]},
+	), cs)
 	if len(cs.keys) != 2 {
 		t.Fatalf("collapsed run used %d keys of scratch, want 2", len(cs.keys))
 	}

@@ -1,11 +1,11 @@
 package miniredis
 
 // Per-command handlers — the execute stage's leaf. dispatchOne runs one
-// command on the calling goroutine under whatever discipline the executor
-// chose (cmdMu or nothing); the handlers themselves only add the
-// per-stripe write mutexes that pin WAL order to apply order. WAIT is
-// deliberately absent: dispatch splits it out of every batch in every
-// mode, because its handler parks.
+// command on the calling goroutine under whatever discipline the caller
+// chose (execSeq's cmdMu, or nothing); runCommand adds only what the
+// command's spec (cmdSpecs) asks for, such as the per-stripe write mutexes
+// that pin WAL order to apply order. WAIT reaches its handler only from
+// dispatch, which runs it outside every lock because it parks.
 
 import (
 	"fmt"
@@ -21,40 +21,50 @@ import (
 // family's call/error counters, and — for commands over the slowlog
 // threshold — a slowlog entry. quiesced says the caller holds this
 // server's quiesce lock (serial mode's cmdMu), so SAVE must not retake it.
-func (s *Server) dispatchOne(w *resp.Writer, cmd [][]byte, cs *connState, quiesced bool) {
-	id := cmdOf(cmd)
+func (s *Server) dispatchOne(w *resp.Writer, c command, cs *connState, quiesced bool) {
 	errsBefore := w.ErrorsWritten()
 	start := time.Now()
-	s.runCommand(w, id, cmd, cs, quiesced)
-	s.observeCmd(id, w, cmd, errsBefore, start)
+	s.runCommand(w, c.id, c.args, cs, quiesced)
+	s.observeCmd(c.id, w, c.args, errsBefore, start)
 }
 
-// runCommand executes a single command's handler (see dispatchOne for the
-// locking contract). The arguments are borrowed from the connection's read
-// buffer: a handler that retains one past its return must copy it.
+// runCommand executes a single command (see dispatchOne for the locking
+// contract). Its prologue applies the command's spec: the arity check,
+// then for a write the replica's -READONLY gate and the write lock —
+// lockWrite on the set's stripe, lockAllWrites for a keyspace-wide write —
+// held until the handler returns. The arguments are borrowed from the
+// connection's read buffer: a handler that retains one past its return
+// must copy it.
 func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connState, quiesced bool) {
 	if len(cmd) == 0 {
 		w.WriteError("empty command")
 		return
 	}
+	if !checkArity(w, id, cmd) {
+		return
+	}
+	if sp := &cmdSpecs[id]; sp.write {
+		if s.rejectReadonly(w) {
+			return
+		}
+		var unlock func()
+		if sp.keyed {
+			unlock = s.lockWrite(cmd[1])
+		} else {
+			unlock = s.lockAllWrites()
+		}
+		if unlock != nil {
+			defer unlock()
+		}
+	}
 	switch id {
 	case cmdPing:
 		w.WriteSimple("PONG")
 	case cmdZAdd:
-		if len(cmd) != 4 {
-			w.WriteError("wrong number of arguments for ZADD")
-			return
-		}
-		if s.rejectReadonly(w) {
-			return
-		}
 		v, err := strconv.ParseUint(string(cmd[3]), 10, 64)
 		if err != nil {
 			w.WriteError("value is not an integer")
 			return
-		}
-		if unlock := s.lockWrite(cmd[1]); unlock != nil {
-			defer unlock()
 		}
 		added, err := s.set(cmd[1]).Set(cmd[2], v)
 		if err != nil {
@@ -78,18 +88,10 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 			w.WriteInt(0)
 		}
 	case cmdZScore:
-		if len(cmd) != 3 {
-			w.WriteError("wrong number of arguments for ZSCORE")
-			return
-		}
 		v, ok := s.set(cmd[1]).Get(cmd[2])
 		writeScore(w, v, ok)
 	case cmdZMScore:
 		// ZMSCORE key member [member ...] — batched scores via MultiGet.
-		if len(cmd) < 3 {
-			w.WriteError("wrong number of arguments for ZMSCORE")
-			return
-		}
 		members := cmd[2:]
 		vals, found := cs.results(len(members))
 		s.set(cmd[1]).MultiGet(members, vals, found)
@@ -98,16 +100,6 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 			writeScore(w, vals[i], found[i])
 		}
 	case cmdZRem:
-		if len(cmd) != 3 {
-			w.WriteError("wrong number of arguments for ZREM")
-			return
-		}
-		if s.rejectReadonly(w) {
-			return
-		}
-		if unlock := s.lockWrite(cmd[1]); unlock != nil {
-			defer unlock()
-		}
 		if s.set(cmd[1]).Delete(cmd[2]) {
 			// Only a removal that happened is logged: replaying a delete of
 			// a key that was never there is harmless, but not logging one
@@ -124,10 +116,6 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 		}
 	case cmdZRangeByLex:
 		// ZRANGEBYLEX key start count — scan `count` members ≥ start.
-		if len(cmd) != 4 {
-			w.WriteError("wrong number of arguments for ZRANGEBYLEX")
-			return
-		}
 		count, err := strconv.Atoi(string(cmd[3]))
 		if err != nil || count < 0 {
 			w.WriteError("count is not an integer")
@@ -148,12 +136,6 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 	case cmdDBSize:
 		w.WriteInt(int64(s.ks.totalLen()))
 	case cmdFlushAll:
-		if s.rejectReadonly(w) {
-			return
-		}
-		if unlock := s.lockAllWrites(); unlock != nil {
-			defer unlock()
-		}
 		s.ks.flush()
 		lsn, err := s.logWrite(persist.OpFlushAll, nil, nil, 0)
 		if err != nil {
@@ -163,8 +145,8 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 		cs.lastWrite = lsn
 		w.WriteSimple("OK")
 	case cmdSave:
-		// Foreground snapshot; the executor may already hold the quiesce
-		// lock (serial's cmdMu), so save must not retake it.
+		// Foreground snapshot; execSeq may already hold the quiesce lock
+		// (serial's cmdMu), so save must not retake it.
 		if err := s.save(quiesced); err != nil {
 			w.WriteError(err.Error())
 			return
@@ -184,6 +166,8 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 		s.cmdReplicaOf(w, cmd)
 	case cmdReplconf:
 		s.cmdReplconf(w, cs, cmd)
+	case cmdWait:
+		s.cmdWait(w, cs, cmd)
 	case cmdInfo:
 		s.cmdInfo(w, cmd)
 	case cmdLatency:
@@ -195,21 +179,19 @@ func (s *Server) runCommand(w *resp.Writer, id cmdID, cmd [][]byte, cs *connStat
 	}
 }
 
-func isZScore(cmd [][]byte) bool { return len(cmd) == 3 && cmdOf(cmd) == cmdZScore }
-
 // zscoreBatch answers a run of same-set ZSCOREs with one MultiGet. The run
 // is observed as n zscore calls and one latency sample covering the batch;
 // reply encoding is outside the sample, the MultiGet dominates.
-func (s *Server) zscoreBatch(w *resp.Writer, cs *connState, cmds [][][]byte) {
+func (s *Server) zscoreBatch(w *resp.Writer, cs *connState, cmds []command) {
 	start := time.Now()
 	cs.keys = cs.keys[:0]
 	for _, c := range cmds {
-		cs.keys = append(cs.keys, c[2])
+		cs.keys = append(cs.keys, c.args[2])
 	}
 	vals, found := cs.results(len(cmds))
-	s.set(cmds[0][1]).MultiGet(cs.keys, vals, found)
+	s.set(cmds[0].args[1]).MultiGet(cs.keys, vals, found)
 	clear(cs.keys) // borrowed arguments: the scratch must not pin the read buffer
-	s.observeZScoreRun(cmds, start)
+	s.observeZScoreRun(cmds[0].args, len(cmds), start)
 	for i := range cmds {
 		writeScore(w, vals[i], found[i])
 	}

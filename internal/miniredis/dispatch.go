@@ -1,17 +1,19 @@
 package miniredis
 
-// The parse → route half of the command path. serve parses: it drains
-// pipelined commands off the RESP reader into batches. dispatch routes: a
-// PSYNC hands the connection to replication (handled in serve, since the
-// connection itself changes hands), WAIT splits out of the batch in every
-// execution mode, and the remaining segments go to the server's executor
-// (executor.go). commands.go holds the per-command handlers.
+// The parse → route half of the command path, and the command table. serve
+// parses: it drains pipelined commands off the RESP reader into batches,
+// classifying each command once as it is read. dispatch routes: a PSYNC
+// hands the connection to replication (handled in serve, since the
+// connection itself changes hands), WAIT splits out of the batch, and the
+// remaining segments run through execSeq (executor.go). cmdSpecs declares
+// what each command accepts; commands.go holds the handlers.
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"time"
+	"strings"
 
 	"repro/internal/persist"
 	"repro/internal/resp"
@@ -27,6 +29,13 @@ const maxPipelineBatch = 128
 // TestManyConnectionsSoak).
 const connBufSize = 16 << 10
 
+// command is one drained command: its arguments, borrowed from the read
+// buffer, and its ID, classified once when readBatch read it.
+type command struct {
+	id   cmdID
+	args [][]byte
+}
+
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -34,7 +43,7 @@ func (s *Server) serve(conn net.Conn) {
 	r := resp.NewReaderSize(conn, connBufSize)
 	w := resp.NewWriterSize(conn, connBufSize)
 	cs := newConnState()
-	batch := make([][][]byte, 0, maxPipelineBatch)
+	batch := make([]command, 0, maxPipelineBatch)
 	for {
 		var err error
 		if batch, err = readBatch(r, batch[:0]); len(batch) == 0 {
@@ -46,7 +55,7 @@ func (s *Server) serve(conn net.Conn) {
 		// its remaining lifetime.
 		if i := psyncIndex(batch); i >= 0 {
 			s.dispatch(w, batch[:i], cs)
-			s.servePSync(conn, r, w, cs, batch[i])
+			s.servePSync(conn, r, w, cs, batch[i].args)
 			return
 		}
 		prevWrite := cs.lastWrite
@@ -83,10 +92,14 @@ func (s *Server) serve(conn net.Conn) {
 // so every argument of the batch, borrowed from it, stays valid until the
 // next readBatch (see resp.Reader.ReadCommand). A non-nil error ended the
 // batch early; an empty batch means nothing was read.
-func readBatch(r *resp.Reader, batch [][][]byte) ([][][]byte, error) {
-	cmd, err := r.ReadCommand()
-	for ok := err == nil; ok; cmd, ok, err = r.ReadBufferedCommand() {
-		batch = append(batch, cmd)
+func readBatch(r *resp.Reader, batch []command) ([]command, error) {
+	args, err := r.ReadCommand()
+	for ok := err == nil; ok; args, ok, err = r.ReadBufferedCommand() {
+		id := cmdUnknown
+		if len(args) > 0 {
+			id = classify(args[0])
+		}
+		batch = append(batch, command{id, args})
 		if len(batch) == maxPipelineBatch {
 			break
 		}
@@ -95,55 +108,44 @@ func readBatch(r *resp.Reader, batch [][][]byte) ([][][]byte, error) {
 }
 
 // dispatch routes one drained batch: WAIT commands split it, everything
-// between them goes to the executor as one segment. WAIT runs bare on the
+// between them runs as one segment through execSeq. WAIT runs bare on the
 // connection goroutine in every mode — it parks, on the local-durability
 // gate (WAL.Commit) and then on replica acks, so it must never hold cmdMu
-// or anything else another connection's writes need. (Before the executor
-// layer, only a LONE wait on a serial server got this treatment; a
-// pipelined WAIT ran under cmdMu with the durability gate skipped. Now the
-// gate and the replica-ack accounting are identical across serial and
-// striped-conn, pipelined or not.)
-func (s *Server) dispatch(w *resp.Writer, batch [][][]byte, cs *connState) {
-	for i := 0; i < len(batch); {
-		j := i
-		for j < len(batch) && !isWaitCmd(batch[j]) {
+// or anything else another connection's writes need. Its latency sample
+// includes the parks: the wait is the command.
+func (s *Server) dispatch(w *resp.Writer, batch []command, cs *connState) {
+	for len(batch) > 0 {
+		j := 0
+		for j < len(batch) && batch[j].id != cmdWait {
 			j++
 		}
-		if j > i {
-			s.exec.run(w, batch[i:j], cs)
+		if j > 0 {
+			s.execSeq(w, batch[:j], cs)
 		}
 		if j < len(batch) {
-			// WAIT never flows through dispatchOne (it parks, so it runs
-			// bare here), so it is observed at its own dispatch site. Its
-			// latency sample deliberately includes the parks — the wait IS
-			// the command.
-			errsBefore := w.ErrorsWritten()
-			start := time.Now()
-			s.cmdWait(w, cs, batch[j])
-			s.observeCmd(cmdWait, w, batch[j], errsBefore, start)
+			s.dispatchOne(w, batch[j], cs, false)
 			j++
 		}
-		i = j
+		batch = batch[j:]
 	}
 }
-
-func isWaitCmd(cmd [][]byte) bool { return cmdOf(cmd) == cmdWait }
 
 // psyncIndex finds a PSYNC command in a drained batch (-1 when absent). A
 // replica never pipelines past its PSYNC, so anything after one would be
 // handshake bytes misread as commands — the index lets serve stop exactly
 // there.
-func psyncIndex(batch [][][]byte) int {
-	for i, cmd := range batch {
-		if cmdOf(cmd) == cmdPSync {
+func psyncIndex(batch []command) int {
+	for i := range batch {
+		if batch[i].id == cmdPSync {
 			return i
 		}
 	}
 	return -1
 }
 
-// cmdID identifies a command by name. The IDs below numFamilies double as
-// stat family indexes (stats.go), in INFO presentation order.
+// cmdID identifies a command by name: its index in cmdSpecs. The IDs below
+// numFamilies double as stat family indexes (stats.go), in INFO
+// presentation order.
 type cmdID uint8
 
 const (
@@ -169,31 +171,51 @@ const (
 
 const numFamilies = cmdUnknown + 1
 
-// cmdNames is every command's lower-case name, indexed by ID: what
-// classify matches and, below numFamilies, the stat family names.
-var cmdNames = [...]string{
-	cmdPing: "ping", cmdZAdd: "zadd", cmdZScore: "zscore", cmdZMScore: "zmscore",
-	cmdZRem: "zrem", cmdZRangeByLex: "zrangebylex", cmdDBSize: "dbsize",
-	cmdFlushAll: "flushall", cmdSave: "save", cmdBGSave: "bgsave",
-	cmdReplicaOf: "replicaof", cmdReplconf: "replconf", cmdWait: "wait",
-	cmdInfo: "info", cmdLatency: "latency", cmdSlowlog: "slowlog",
-	cmdUnknown: "unknown", cmdPSync: "psync",
+// cmdSpec is one command's entry in cmdSpecs.
+type cmdSpec struct {
+	name     string // lower case: what classify matches, and the stat family name
+	min, max int    // accepted len(cmd), the name included
+	write    bool   // mutates the keyspace: -READONLY on a replica, runs under the write lock
+	keyed    bool   // cmd[1] names the sorted set the command touches
 }
 
-// cmdOf classifies a command by its first argument.
-func cmdOf(cmd [][]byte) cmdID {
-	if len(cmd) == 0 {
-		return cmdUnknown
-	}
-	return classify(cmd[0])
+// many is an unbounded argument count.
+const many = math.MaxInt
+
+// cmdSpecs is the command table, indexed by cmdID: the one list of the
+// commands the server speaks. runCommand's prologue, classify, stripeOf
+// and the stat families all read it. Commands that take any arguments, or
+// check their own shapes, accept 1..many.
+var cmdSpecs = [...]cmdSpec{
+	cmdPing:        {name: "ping", min: 1, max: many},
+	cmdZAdd:        {name: "zadd", min: 4, max: 4, write: true, keyed: true},
+	cmdZScore:      {name: "zscore", min: 3, max: 3, keyed: true},
+	cmdZMScore:     {name: "zmscore", min: 3, max: many, keyed: true},
+	cmdZRem:        {name: "zrem", min: 3, max: 3, write: true, keyed: true},
+	cmdZRangeByLex: {name: "zrangebylex", min: 4, max: 4, keyed: true},
+	cmdDBSize:      {name: "dbsize", min: 1, max: many},
+	cmdFlushAll:    {name: "flushall", min: 1, max: many, write: true},
+	cmdSave:        {name: "save", min: 1, max: many},
+	cmdBGSave:      {name: "bgsave", min: 1, max: many},
+	cmdReplicaOf:   {name: "replicaof", min: 3, max: 3},
+	cmdReplconf:    {name: "replconf", min: 1, max: many},
+	cmdWait:        {name: "wait", min: 3, max: 3},
+	cmdInfo:        {name: "info", min: 1, max: 2},
+	cmdLatency:     {name: "latency", min: 2, max: many},
+	cmdSlowlog:     {name: "slowlog", min: 2, max: many},
+	cmdUnknown:     {name: "unknown", min: 1, max: many},
+	cmdPSync:       {name: "psync", min: 2, max: 2},
 }
+
+// maxCmdName is the longest name classify can match; TestCommandTable
+// fails for a spec whose name is longer.
+const maxCmdName = 16
 
 // classify maps a command name to its ID, ASCII case-insensitively as
 // Redis matches names. It allocates nothing: the name is lower-cased into
-// a stack array as long as the longest name, and a longer name is unknown
-// without a look.
+// a stack array, and a name longer than maxCmdName is unknown unread.
 func classify(name []byte) cmdID {
-	var low [len("zrangebylex")]byte
+	var low [maxCmdName]byte
 	if len(name) > len(low) {
 		return cmdUnknown
 	}
@@ -204,8 +226,8 @@ func classify(name []byte) cmdID {
 		low[i] = c
 	}
 	s := low[:len(name)]
-	for id, n := range cmdNames {
-		if n == string(s) {
+	for id := range cmdSpecs {
+		if cmdSpecs[id].name == string(s) {
 			return cmdID(id)
 		}
 	}
@@ -213,6 +235,17 @@ func classify(name []byte) cmdID {
 		return cmdReplicaOf
 	}
 	return cmdUnknown
+}
+
+// checkArity answers a command whose argument count its spec rejects with
+// the arity error, reporting whether the count was accepted.
+func checkArity(w *resp.Writer, id cmdID, cmd [][]byte) bool {
+	sp := &cmdSpecs[id]
+	if sp.min <= len(cmd) && len(cmd) <= sp.max {
+		return true
+	}
+	w.WriteError("wrong number of arguments for " + strings.ToUpper(sp.name))
+	return false
 }
 
 // dropWithError ends a connection the way Redis does: a clean hangup (EOF

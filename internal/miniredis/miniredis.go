@@ -6,9 +6,11 @@
 // scans happens in the server loop — which is exactly the setting where the
 // Cuckoo Trie's next-leaf prefetch overlaps with system work (§4.4).
 //
-// Commands: PING, ZADD key member value, ZSCORE key member,
-// ZMSCORE key member [member ...], ZRANGEBYLEX key start count,
-// ZREM key member, DBSIZE, FLUSHALL, SAVE, BGSAVE.
+// The commands it speaks are the ones declared in cmdSpecs (dispatch.go),
+// with their argument counts: the sorted-set commands ZADD, ZSCORE,
+// ZMSCORE, ZRANGEBYLEX and ZREM; PING, DBSIZE and FLUSHALL; SAVE and
+// BGSAVE; REPLICAOF (or SLAVEOF), REPLCONF, PSYNC and WAIT for
+// replication; INFO, LATENCY and SLOWLOG for observability.
 //
 // With EnablePersistence the server is durable (see internal/persist):
 // writes append to a segmented WAL after they apply, SAVE/BGSAVE cut
@@ -25,11 +27,11 @@
 // serialize on a single keyspace mutex just to resolve which set a command
 // targets.
 //
-// Command execution is an explicit layer: serve parses (dispatch.go),
-// dispatch routes, and an executor (executor.go) runs each segment under
-// one of two modes — serial (Redis's one-lock loop, any engine) or
-// striped-conn (per-connection, lockless, concurrent-safe engines only).
-// See ExecMode.
+// Command execution is an explicit layer: serve parses and classifies
+// (dispatch.go), dispatch routes, and execSeq (executor.go) runs each
+// segment under one of two modes — serial (Redis's one-lock loop, any
+// engine) or striped-conn (per-connection, lockless, concurrent-safe
+// engines only). See ExecMode.
 package miniredis
 
 import (
@@ -241,8 +243,7 @@ type Server struct {
 	ks       *keyspace
 	ln       net.Listener
 	wg       sync.WaitGroup
-	mode     ExecMode // command execution strategy; see executor.go
-	exec     executor
+	mode     ExecMode     // command execution strategy; see executor.go
 	stats    *serverStats // command observability (stats.go): counters, histograms, slowlog
 	cmdMu    sync.Mutex   // ExecSerial's one-at-a-time command loop lock
 
@@ -307,10 +308,8 @@ func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Serv
 		mode:     ExecSerial,
 		stats:    newServerStats(),
 	}
-	s.exec = serialExecutor{s}
 	if mode == ExecStripedConn && index.IsConcurrent(factory(1)) {
 		s.mode = ExecStripedConn
-		s.exec = connExecutor{s}
 	}
 	return s
 }

@@ -331,7 +331,7 @@ func TestReplicationFallBehindFullSync(t *testing.T) {
 
 // TestPSyncHandshakeRaw speaks the wire protocol by hand and asserts the
 // primary's reply line for each regime: fresh replica → FULLSYNC, retained
-// LSN → CONTINUE, future LSN → FULLSYNC.
+// LSN → CONTINUE, future LSN → FULLSYNC, no offset → the arity error.
 func TestPSyncHandshakeRaw(t *testing.T) {
 	dir := t.TempDir()
 	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
@@ -342,19 +342,23 @@ func TestPSyncHandshakeRaw(t *testing.T) {
 	}
 	addr := prim.ln.Addr().String()
 
-	handshake := func(offer string) string {
+	send := func(req string) string {
 		t.Helper()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		fmt.Fprintf(conn, "*2\r\n$5\r\nPSYNC\r\n$%d\r\n%s\r\n", len(offer), offer)
+		fmt.Fprint(conn, req)
 		line, err := bufio.NewReader(conn).ReadString('\n')
 		if err != nil {
-			t.Fatalf("PSYNC %s: %v", offer, err)
+			t.Fatalf("%q: %v", req, err)
 		}
 		return strings.TrimRight(line, "\r\n")
+	}
+	handshake := func(offer string) string {
+		t.Helper()
+		return send(fmt.Sprintf("*2\r\n$5\r\nPSYNC\r\n$%d\r\n%s\r\n", len(offer), offer))
 	}
 
 	if got := handshake("0"); !strings.HasPrefix(got, "+FULLSYNC 20 ") {
@@ -367,6 +371,9 @@ func TestPSyncHandshakeRaw(t *testing.T) {
 	// resumable no matter what the WAL holds.
 	if got := handshake("999"); !strings.HasPrefix(got, "+FULLSYNC ") {
 		t.Fatalf("PSYNC 999 → %q, want +FULLSYNC", got)
+	}
+	if got := send("*1\r\n$5\r\npsync\r\n"); got != "-ERR wrong number of arguments for PSYNC" {
+		t.Fatalf("PSYNC without an offset → %q, want the arity error", got)
 	}
 }
 
@@ -509,29 +516,44 @@ func TestInfoReplication(t *testing.T) {
 	}
 }
 
-// TestReplicaRejectsWrites: client writes against a replica answer
-// -READONLY; after REPLICAOF NO ONE the server accepts writes again.
+// TestReplicaRejectsWrites: every write command in the table answers
+// -READONLY on a replica and leaves its keyspace alone; after REPLICAOF NO
+// ONE the server accepts writes again.
 func TestReplicaRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
 	defer prim.Close()
 	defer cl.Close()
+	mustDo(t, cl, "ZADD", "s", "a", "1")
 	addr := prim.ln.Addr().String()
-	rep, sess := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
+	rep, _ := newReplicaServer(t, addr, skiplistFactory, ExecSerial)
 	defer rep.Close()
-	waitUntil(t, 5*time.Second, "replica link", sess.LinkUp)
+	waitUntil(t, 5*time.Second, "replica full sync", func() bool { return rep.ks.totalLen() == 1 })
 
 	rcl, err := Dial(rep.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rcl.Close()
-	r, err := rcl.Do([]byte("ZADD"), []byte("s"), []byte("m"), []byte("1"))
-	if err != nil {
-		t.Fatal(err)
+	writes := 0
+	for _, sp := range cmdSpecs {
+		if !sp.write {
+			continue
+		}
+		writes++
+		// Arguments that would change the keyspace were they applied:
+		// ZREM s a removes the synced member, FLUSHALL everything.
+		cmd := append([]string{strings.ToUpper(sp.name)}, "s", "a", "1")[:sp.min]
+		r := mustDo(t, rcl, cmd...)
+		if e, ok := r.(error); !ok || !strings.HasPrefix(e.Error(), "READONLY ") {
+			t.Errorf("%v on replica = %#v, want a READONLY error", cmd, r)
+		}
+		if r := mustDo(t, rcl, "DBSIZE"); r != int64(1) {
+			t.Fatalf("replica DBSIZE after %v = %v, want 1", cmd, r)
+		}
 	}
-	if e, ok := r.(error); !ok || !strings.Contains(e.Error(), "READONLY") {
-		t.Fatalf("ZADD on replica = %v, want READONLY error", r)
+	if writes < 3 {
+		t.Fatalf("only %d write specs; ZADD, ZREM and FLUSHALL are all writes", writes)
 	}
 	if r := mustDo(t, rcl, "REPLICAOF", "NO", "ONE"); r != "OK" {
 		t.Fatalf("REPLICAOF NO ONE = %v", r)

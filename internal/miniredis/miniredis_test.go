@@ -713,20 +713,106 @@ func TestPreload(t *testing.T) {
 	}
 }
 
+// TestErrors: each rejected command shape draws its exact error reply, and
+// the PING pipelined behind it still reads its own PONG. Every spec with
+// an arity bound has a wrong-arity row, so a bound added to cmdSpecs needs
+// a row here; PSYNC's is in TestPSyncHandshakeRaw, since its connection
+// leaves the command path.
 func TestErrors(t *testing.T) {
 	_, cl := newTestServer(t)
-	if r, _ := cl.Do([]byte("NOPE")); fmt.Sprint(r) == "" {
-		t.Fatal("expected error reply")
+	arity := func(name string) string { return "ERR wrong number of arguments for " + name }
+	cases := []struct{ cmd, want string }{
+		{"NOPE", "ERR unknown command 'NOPE'"},
+		{"ZADD s m notanint", "ERR value is not an integer"},
+		{"ZADD s m", arity("ZADD")},
+		{"zadd s m 1 x", arity("ZADD")},
+		{"ZSCORE s", arity("ZSCORE")},
+		{"ZSCORE s m x", arity("ZSCORE")},
+		{"ZMSCORE s", arity("ZMSCORE")},
+		{"ZREM s", arity("ZREM")},
+		{"ZREM s m x", arity("ZREM")},
+		{"ZRANGEBYLEX s a", arity("ZRANGEBYLEX")},
+		{"ZRANGEBYLEX s a 1 x", arity("ZRANGEBYLEX")},
+		{"REPLICAOF h", arity("REPLICAOF")},
+		{"SlaveOf h 1 x", arity("REPLICAOF")},
+		{"WAIT 0", arity("WAIT")},
+		{"WAIT 0 0 x", arity("WAIT")},
+		{"INFO a b", arity("INFO")},
+		{"LATENCY", arity("LATENCY")},
+		{"SLOWLOG", arity("SLOWLOG")},
 	}
-	if r, _ := cl.Do([]byte("ZADD"), []byte("s")); fmt.Sprint(r) == "" {
-		t.Fatal("expected arity error")
+	covered := map[cmdID]bool{}
+	for _, tc := range cases {
+		var cmd [][]byte
+		for _, a := range strings.Fields(tc.cmd) {
+			cmd = append(cmd, []byte(a))
+		}
+		covered[classify(cmd[0])] = true
+		rs, err := cl.Pipeline([][][]byte{cmd, {[]byte("PING")}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cmd, err)
+		}
+		if e, ok := rs[0].(error); !ok || e.Error() != tc.want {
+			t.Errorf("%s = %#v, want error %q", tc.cmd, rs[0], tc.want)
+		}
+		if rs[1] != "PONG" {
+			t.Fatalf("PING after %s read %#v, want PONG", tc.cmd, rs[1])
+		}
 	}
-	if r, _ := cl.Do([]byte("ZADD"), []byte("s"), []byte("m"), []byte("notanint")); fmt.Sprint(r) == "" {
-		t.Fatal("expected parse error")
+	for id, sp := range cmdSpecs {
+		if (sp.min > 1 || sp.max < many) && cmdID(id) != cmdPSync && !covered[cmdID(id)] {
+			t.Errorf("%s has an arity bound but no wrong-arity case", sp.name)
+		}
 	}
-	// Connection still usable after errors.
-	if r, err := cl.Do([]byte("PING")); err != nil || r != "PONG" {
-		t.Fatalf("PING after errors = %v, %v", r, err)
+	// Commands that never checked their arity still take anything.
+	if r, err := cl.Do([]byte("PING"), []byte("x"), []byte("y")); err != nil || r != "PONG" {
+		t.Errorf("PING x y = %#v, %v; want PONG", r, err)
+	}
+	if r, err := cl.Do([]byte("DBSIZE"), []byte("x")); err != nil || r != int64(0) {
+		t.Errorf("DBSIZE x = %#v, %v; want 0", r, err)
+	}
+}
+
+// TestCommandTable pins the command table's invariants: every name fits
+// classify's stack array and round-trips whatever its case, SLAVEOF is
+// REPLICAOF's alias, a name longer than the array is unknown, and PSYNC —
+// which leaves the command path — has no stat family.
+func TestCommandTable(t *testing.T) {
+	for id, sp := range cmdSpecs {
+		if len(sp.name) == 0 || len(sp.name) > maxCmdName {
+			t.Errorf("cmdSpecs[%d] name %q: want 1..%d bytes", id, sp.name, maxCmdName)
+		}
+		if sp.name != strings.ToLower(sp.name) {
+			t.Errorf("cmdSpecs[%d] name %q is not lower case", id, sp.name)
+		}
+		if sp.min < 1 || sp.min > sp.max {
+			t.Errorf("%s: arity %d..%d", sp.name, sp.min, sp.max)
+		}
+		if sp.keyed && sp.min < 2 {
+			t.Errorf("%s: keyed, but accepts a command without cmd[1]", sp.name)
+		}
+		mixed := []byte(sp.name)
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] -= 'a' - 'A'
+		}
+		for _, name := range []string{sp.name, strings.ToUpper(sp.name), string(mixed)} {
+			if got := classify([]byte(name)); got != cmdID(id) {
+				t.Errorf("classify(%q) = %d, want %d", name, got, id)
+			}
+		}
+	}
+	for _, name := range []string{"SLAVEOF", "slaveof", "SlaveOf"} {
+		if got := classify([]byte(name)); got != cmdReplicaOf {
+			t.Errorf("classify(%q) = %d, want REPLICAOF (%d)", name, got, cmdReplicaOf)
+		}
+	}
+	for _, name := range []string{"", "zscor", "zrangebylexx", strings.Repeat("z", maxCmdName+1)} {
+		if got := classify([]byte(name)); got != cmdUnknown {
+			t.Errorf("classify(%q) = %d, want unknown", name, got)
+		}
+	}
+	if cmdPSync < numFamilies || family(cmdPSync) != cmdUnknown {
+		t.Errorf("PSYNC has stat family %d; it leaves the command path and must count as unknown", family(cmdPSync))
 	}
 }
 

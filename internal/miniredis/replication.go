@@ -199,10 +199,6 @@ func (s *Server) ReplManager() *repl.Manager { return s.repl }
 
 // cmdReplicaOf handles REPLICAOF/SLAVEOF <host> <port> | NO ONE.
 func (s *Server) cmdReplicaOf(w *resp.Writer, cmd [][]byte) {
-	if len(cmd) != 3 {
-		w.WriteError("wrong number of arguments for REPLICAOF")
-		return
-	}
 	host, port := string(cmd[1]), string(cmd[2])
 	if strings.EqualFold(host, "no") && strings.EqualFold(port, "one") {
 		s.detachReplica(false) // async: may hold cmdMu (see ReplicaOf)
@@ -244,10 +240,6 @@ func (s *Server) cmdReplconf(w *resp.Writer, cs *connState, cmd [][]byte) {
 // local-durability gate below, then WaitAcks) can hold a lock another
 // connection's writes or the replication appliers need.
 func (s *Server) cmdWait(w *resp.Writer, cs *connState, cmd [][]byte) {
-	if len(cmd) != 3 {
-		w.WriteError("wrong number of arguments for WAIT")
-		return
-	}
 	n, err1 := strconv.Atoi(string(cmd[1]))
 	ms, err2 := strconv.Atoi(string(cmd[2]))
 	if err1 != nil || err2 != nil || n < 0 || ms < 0 {
@@ -281,10 +273,6 @@ func (s *Server) cmdWait(w *resp.Writer, cs *connState, cmd [][]byte) {
 // the command set. Fields follow Redis's spelling where one exists so
 // existing tooling parses them.
 func (s *Server) cmdInfo(w *resp.Writer, cmd [][]byte) {
-	if len(cmd) > 2 {
-		w.WriteError("wrong number of arguments for INFO")
-		return
-	}
 	section := ""
 	if len(cmd) == 2 {
 		section = strings.ToLower(string(cmd[1]))
@@ -383,8 +371,7 @@ func (s *Server) servePSync(conn net.Conn, r *resp.Reader, w *resp.Writer, cs *c
 		w.Flush() //ctvet:ignore best-effort error reply on a handshake being rejected; the replica retries either way
 		return
 	}
-	if len(cmd) != 2 {
-		w.WriteError("wrong number of arguments for PSYNC")
+	if !checkArity(w, cmdPSync, cmd) {
 		w.Flush() //ctvet:ignore best-effort error reply on a handshake being rejected; the replica retries either way
 		return
 	}

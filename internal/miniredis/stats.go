@@ -22,11 +22,6 @@ import (
 	"repro/internal/resp"
 )
 
-// familyNames names the fixed command families, indexed by cmdID in INFO
-// presentation order. "unknown" absorbs unrecognized commands and
-// malformed (empty) input.
-var familyNames = cmdNames[:numFamilies]
-
 // cmdStat is one family's counters: calls, commands that replied with an
 // error, and the latency distribution of the handler (measured around
 // runCommand, so it includes engine work, WAL appends and reply
@@ -71,7 +66,7 @@ func (s *Server) observeCmd(id cmdID, w *resp.Writer, cmd [][]byte, errsBefore u
 	}
 	st.hist.RecordDuration(int64(d))
 	if s.stats.slow.eligible(d) {
-		s.stats.slow.add(cmd, d, s.mode, s.stripeOf(cmd))
+		s.stats.slow.add(cmd, d, s.mode, s.stripeOf(id, cmd))
 	}
 }
 
@@ -80,13 +75,13 @@ func (s *Server) observeCmd(id cmdID, w *resp.Writer, cmd [][]byte, errsBefore u
 // latency sample — the batch is the unit that ran, and splitting its
 // duration n ways would fabricate per-op latencies nothing measured. A
 // slow batch lands in the slowlog as one entry under its first command.
-func (s *Server) observeZScoreRun(cmds [][][]byte, start time.Time) {
+func (s *Server) observeZScoreRun(first [][]byte, n int, start time.Time) {
 	d := time.Since(start)
 	st := &s.stats.cmds[cmdZScore]
-	st.calls.Add(uint64(len(cmds)))
+	st.calls.Add(uint64(n))
 	st.hist.RecordDuration(int64(d))
 	if s.stats.slow.eligible(d) {
-		s.stats.slow.add(cmds[0], d, s.mode, s.stripeOf(cmds[0]))
+		s.stats.slow.add(first, d, s.mode, s.stripeOf(cmdZScore, first))
 	}
 }
 
@@ -94,12 +89,9 @@ func (s *Server) observeZScoreRun(cmds [][][]byte, start time.Time) {
 
 // stripeOf reports the keyspace stripe a command's set routes to, -1 for
 // commands that touch no set (the slowlog's Stripe field).
-func (s *Server) stripeOf(cmd [][]byte) int {
-	if len(cmd) >= 2 {
-		switch cmdOf(cmd) {
-		case cmdZAdd, cmdZScore, cmdZMScore, cmdZRem, cmdZRangeByLex:
-			return s.ks.stripeIdx(cmd[1])
-		}
+func (s *Server) stripeOf(id cmdID, cmd [][]byte) int {
+	if cmdSpecs[id].keyed && len(cmd) >= 2 {
+		return s.ks.stripeIdx(cmd[1])
 	}
 	return -1
 }
@@ -119,8 +111,8 @@ const (
 )
 
 // slowEntry is one captured slow command. Mode and Stripe replace Redis's
-// client-addr/client-name fields: which executor ran the command and which
-// keyspace stripe its set routes to (-1 = the command touches no set).
+// client-addr/client-name fields: the execution mode that ran the command
+// and the keyspace stripe its set routes to (-1 = it touches no set).
 type slowEntry struct {
 	ID     int64
 	Unix   int64
@@ -215,10 +207,6 @@ func (s *Server) SetSlowlogThreshold(d time.Duration) {
 // sample). RESET zeroes the named families' histograms (default all) and
 // replies with how many were reset.
 func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
-	if len(cmd) < 2 {
-		w.WriteError("wrong number of arguments for LATENCY")
-		return
-	}
 	// The named families in request order, each once; default all.
 	families := func() []cmdID {
 		var ids []cmdID
@@ -249,7 +237,7 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 			if sn.Count() == 0 && len(cmd) == 2 {
 				continue // default listing: only families that ran
 			}
-			hists = append(hists, famHist{familyNames[f], sn})
+			hists = append(hists, famHist{cmdSpecs[f].name, sn})
 		}
 		w.WriteArrayHeader(2 * len(hists))
 		for _, fh := range hists {
@@ -285,10 +273,6 @@ func (s *Server) cmdLatency(w *resp.Writer, cmd [][]byte) {
 // args..., exec-mode, stripe] — mode and stripe stand where Redis puts
 // the client address and name (see slowEntry).
 func (s *Server) cmdSlowlog(w *resp.Writer, cmd [][]byte) {
-	if len(cmd) < 2 {
-		w.WriteError("wrong number of arguments for SLOWLOG")
-		return
-	}
 	switch strings.ToUpper(string(cmd[1])) {
 	case "GET":
 		max := 10
@@ -340,7 +324,7 @@ func (s *Server) appendClientsInfo(b *strings.Builder) {
 // (calls/errors/usec_per_call) so existing tooling parses it.
 func (s *Server) appendCommandStats(b *strings.Builder) {
 	b.WriteString("# Commandstats\r\n")
-	for i, f := range familyNames {
+	for i := range s.stats.cmds {
 		st := &s.stats.cmds[i]
 		calls := st.calls.Load()
 		if calls == 0 {
@@ -355,7 +339,7 @@ func (s *Server) appendCommandStats(b *strings.Builder) {
 			perCall = sn.Mean() / float64(time.Microsecond)
 		}
 		fmt.Fprintf(b, "cmdstat_%s:calls=%d,errors=%d,usec_per_call=%.2f\r\n",
-			f, calls, st.errs.Load(), perCall)
+			cmdSpecs[i].name, calls, st.errs.Load(), perCall)
 	}
 }
 
@@ -364,13 +348,13 @@ func (s *Server) appendCommandStats(b *strings.Builder) {
 // from the family's log-bucketed histogram.
 func (s *Server) appendLatencyStats(b *strings.Builder) {
 	b.WriteString("# Latencystats\r\n")
-	for i, f := range familyNames {
+	for i := range s.stats.cmds {
 		sn := s.stats.cmds[i].hist.Snapshot()
 		if sn.Count() == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "latency_percentiles_usec_%s:p50=%.3f,p99=%.3f,p99.9=%.3f\r\n",
-			f,
+			cmdSpecs[i].name,
 			float64(sn.Quantile(0.5))/float64(time.Microsecond),
 			float64(sn.Quantile(0.99))/float64(time.Microsecond),
 			float64(sn.Quantile(0.999))/float64(time.Microsecond))
