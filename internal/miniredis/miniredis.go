@@ -43,7 +43,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/persist"
@@ -333,9 +332,6 @@ type PersistOptions struct {
 	SnapshotEvery int   // logged writes between automatic BGSAVEs; 0 disables
 	SegmentBytes  int64 // WAL segment rotation threshold; 0 = persist default
 	FanoutBytes   int   // replication fan-out ring bound; 0 = repl default
-	// GroupMaxDelay is the group-commit coalescing window under
-	// FsyncGroup/FsyncAsync; 0 = persist default (2ms), negative = none.
-	GroupMaxDelay time.Duration
 	// AutoRewriteBytes caps the WAL tail's estimated replay cost: once the
 	// record bytes appended since the last snapshot exceed it, a background
 	// snapshot (the BGSAVE + RemoveObsolete path) rewrites the log
@@ -379,10 +375,9 @@ func (s *Server) EnablePersistence(dir string, opts PersistOptions) (*persist.Re
 	// after a crash; new LSNs must start past everything recovery used, or
 	// the next recovery's LSN filter would skip acknowledged writes.
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
-		Policy:        opts.Policy,
-		SegmentBytes:  opts.SegmentBytes,
-		FloorLSN:      res.LastLSN,
-		GroupMaxDelay: opts.GroupMaxDelay,
+		Policy:       opts.Policy,
+		SegmentBytes: opts.SegmentBytes,
+		FloorLSN:     res.LastLSN,
 	})
 	if err != nil {
 		return nil, err

@@ -61,18 +61,20 @@ func TestGroupCommitMultiWriter(t *testing.T) {
 
 // TestGroupCommitStickyErrorFanOut: an injected fsync failure must fail
 // EVERY parked writer — not just the next Append — and poison the WAL for
-// everything after it.
+// everything after it. The first fsync is held hostage on a gate until all
+// writers have appended and parked, then fails.
 func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 	dir := t.TempDir()
 	injected := errors.New("injected fsync failure")
-	var fail atomic.Bool
+	var armed atomic.Bool
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
 		Policy: persist.FsyncGroup,
-		// A long coalescing window so all writers are parked on the same
-		// batch before the poisoned fsync runs.
-		GroupMaxDelay: 100 * time.Millisecond,
 		FsyncFn: func(f *os.File) error {
-			if fail.Load() {
+			if armed.Load() {
+				started <- struct{}{}
+				<-release
 				return injected
 			}
 			return f.Sync()
@@ -81,7 +83,7 @@ func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail.Store(true)
+	armed.Store(true)
 	const writers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -97,6 +99,12 @@ func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 			errs[g] = wal.Commit(lsn)
 		}(g)
 	}
+	<-started // the syncer is inside the gated fsync
+	for wal.LSN() < writers {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the last appenders reach Commit
+	close(release)
 	wg.Wait()
 	for g, err := range errs {
 		if !errors.Is(err, injected) {
@@ -129,8 +137,7 @@ func TestCloseWithParkedWriters(t *testing.T) {
 	started := make(chan struct{}, 16)
 	release := make(chan struct{})
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
-		Policy:        persist.FsyncGroup,
-		GroupMaxDelay: -1, // sync immediately; the gate is the only delay
+		Policy: persist.FsyncGroup,
 		FsyncFn: func(f *os.File) error {
 			if gate.Load() {
 				started <- struct{}{}
@@ -185,6 +192,70 @@ func TestCloseWithParkedWriters(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatchesDuringFsync: with no coalescing timer, the fsync in
+// flight is the batching window. Writers that append and park while fsync
+// #1 is blocked must all be covered by exactly one more fsync.
+func TestGroupCommitBatchesDuringFsync(t *testing.T) {
+	var armed atomic.Bool
+	var fsyncs atomic.Int32
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
+		Policy: persist.FsyncGroup,
+		FsyncFn: func(f *os.File) error {
+			if armed.Load() && fsyncs.Add(1) == 1 {
+				started <- struct{}{}
+				<-release
+			}
+			return f.Sync()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	armed.Store(true)
+	first, err := wal.Append(persist.OpSet, "", []byte("first"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // fsync #1 (covering only the first record) is in flight
+	const writers = 8
+	var appended, done sync.WaitGroup
+	errs := make([]error, writers)
+	for g := 0; g < writers; g++ {
+		appended.Add(1)
+		done.Add(1)
+		go func(g int) {
+			defer done.Done()
+			lsn, err := wal.Append(persist.OpSet, "", u64key(uint64(g)), 1)
+			appended.Done()
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			errs[g] = wal.Commit(lsn)
+		}(g)
+	}
+	appended.Wait()
+	close(release)
+	done.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", g, err)
+		}
+	}
+	if err := wal.Commit(first); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsyncs.Load(); n != 2 {
+		t.Fatalf("%d fsyncs covered %d writers appended during fsync #1, want 2 (the gated one + one batch)", n, writers)
+	}
+	if got := wal.Metrics().BatchSize.Snapshot().Max(); got != writers {
+		t.Fatalf("largest group batch = %d, want %d", got, writers)
+	}
+}
+
 // TestGroupRotation: under group/async the syncer owns segment rotation;
 // with a tiny SegmentBytes the log must still rotate, stay recoverable,
 // and keep LSNs continuous across boundaries.
@@ -193,9 +264,8 @@ func TestGroupRotation(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{
-				Policy:        pol,
-				SegmentBytes:  256,
-				GroupMaxDelay: -1,
+				Policy:       pol,
+				SegmentBytes: 256,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -253,6 +323,60 @@ func TestCommitInlineUnderNonGroupPolicies(t *testing.T) {
 			}
 			if err := wal.Commit(last + 1); err == nil {
 				t.Fatal("Commit past the last assigned LSN must error, not park forever")
+			}
+		})
+	}
+}
+
+// TestFsyncFailureIsStickyUnderEveryPolicy: one failed fsync poisons the
+// WAL whichever path issued it — always's per-append sync, Commit's inline
+// sync (everysec/no), or the group syncer. Once an fsync has failed the
+// kernel may have dropped the dirty pages, so a later fsync that succeeds
+// must not acknowledge anything: Append, Commit of the record whose sync
+// failed, Sync and Close all keep returning the injected error, and the
+// durable watermark never advances past it.
+func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
+	for _, pol := range []persist.FsyncPolicy{
+		persist.FsyncAlways, persist.FsyncEverySec, persist.FsyncNo, persist.FsyncGroup, persist.FsyncAsync,
+	} {
+		t.Run(pol.String(), func(t *testing.T) {
+			injected := errors.New("injected fsync failure")
+			var armed atomic.Bool
+			wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
+				Policy: pol,
+				FsyncFn: func(f *os.File) error {
+					if armed.CompareAndSwap(true, false) {
+						return injected // exactly once
+					}
+					return f.Sync()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true)
+			lsn, err := wal.Append(persist.OpSet, "", []byte("k"), 1)
+			if err == nil {
+				err = wal.Commit(lsn)
+			}
+			if !errors.Is(err, injected) {
+				t.Fatalf("first Append+Commit = %v, want the injected error", err)
+			}
+			last := wal.LSN()
+			if _, err := wal.Append(persist.OpSet, "", []byte("after"), 2); !errors.Is(err, injected) {
+				t.Fatalf("Append after the failed fsync = %v, want the sticky error", err)
+			}
+			if err := wal.Commit(last); !errors.Is(err, injected) {
+				t.Fatalf("Commit(%d) after the failed fsync = %v, want the sticky error", last, err)
+			}
+			if err := wal.Sync(); !errors.Is(err, injected) {
+				t.Fatalf("Sync after the failed fsync = %v, want the sticky error", err)
+			}
+			if err := wal.Close(); !errors.Is(err, injected) {
+				t.Fatalf("Close after the failed fsync = %v, want the sticky error", err)
+			}
+			if d := wal.DurableLSN(); d >= last {
+				t.Fatalf("DurableLSN = %d after Close, want < %d (its sync failed)", d, last)
 			}
 		})
 	}

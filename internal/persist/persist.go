@@ -48,20 +48,22 @@ const (
 	// The Redis AOF default, and the default here.
 	FsyncEverySec FsyncPolicy = iota
 	// FsyncAlways fsyncs after every append: no acknowledged write is ever
-	// lost, at the cost of one fsync per operation (group commit is a noted
-	// follow-up).
+	// lost, at the cost of one fsync per operation (FsyncGroup batches
+	// them).
 	FsyncAlways
 	// FsyncNo leaves flushing to the OS: fastest, loses up to the kernel's
 	// writeback interval on a crash (still nothing on a clean close).
 	FsyncNo
 	// FsyncGroup is group commit: appends only buffer the record, and a
-	// single syncer goroutine coalesces everything buffered since the last
-	// sync into one flush+fsync. Writers that need durability park on their
-	// record's LSN via WAL.Commit and are woken once the durable watermark
-	// passes it — one fsync acknowledges a whole pipeline of writes. An
-	// acknowledged (Commit-returned) write is never lost; the cost per
-	// writer is at most one group cycle (GroupMaxDelay + one fsync), not
-	// one fsync per operation.
+	// single syncer goroutine flushes and fsyncs whenever unsynced records
+	// exist. Records appended while an fsync is in flight wait for the next
+	// one, so that fsync is the only batching window — no timer. Writers
+	// that need durability park on their record's LSN via WAL.Commit and
+	// are woken once the durable watermark passes it — one fsync
+	// acknowledges everything appended during the one before it. An
+	// acknowledged (Commit-returned) write is never lost; a writer waits
+	// out at most the fsync in flight plus the one covering its record,
+	// not one fsync per operation.
 	FsyncGroup
 	// FsyncAsync is group commit without the wait: the same syncer batches
 	// fsyncs continuously, but callers are expected NOT to park on Commit —
@@ -218,10 +220,12 @@ func appendUvarint(b []byte, v uint64) []byte {
 }
 
 // takeUvarint decodes a uvarint from the front of b, returning the value
-// and the remainder, or an error on malformed input.
+// and the remainder, or an error on malformed input. Only the minimal
+// encoding appendUvarint writes is accepted (a padded one ends in a zero
+// byte), so every decoded value has exactly one byte representation.
 func takeUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, nil, errTorn
 	}
 	return v, b[n:], nil

@@ -51,13 +51,6 @@ func parseWalName(name string) (uint64, bool) {
 	return lsn, err == nil
 }
 
-// DefaultGroupMaxDelay is the group syncer's coalescing window: after the
-// first unsynced append is noticed, the syncer waits this long for more
-// writers to join the batch before issuing the flush+fsync. Small enough
-// that a parked writer's latency stays in the low milliseconds, large
-// enough that a pipelined burst lands in one fsync.
-const DefaultGroupMaxDelay = 2 * time.Millisecond
-
 // WALOptions configure OpenWAL. The zero value means FsyncEverySec and
 // DefaultSegmentBytes.
 type WALOptions struct {
@@ -72,11 +65,6 @@ type WALOptions struct {
 	// reuse LSNs the snapshot already covers — acknowledged post-restart
 	// writes would be silently skipped by the next recovery's LSN filter.
 	FloorLSN uint64
-	// GroupMaxDelay bounds how long the FsyncGroup/FsyncAsync syncer waits
-	// to coalesce a batch before fsyncing: 0 means DefaultGroupMaxDelay,
-	// negative means no artificial delay (the fsync duration itself is the
-	// only batching window). Ignored under other policies.
-	GroupMaxDelay time.Duration
 	// FsyncFn overrides how a segment file reaches stable storage (default
 	// (*os.File).Sync). A seam for fault injection in tests and for
 	// platforms preferring fdatasync.
@@ -96,7 +84,7 @@ type WAL struct {
 	next    uint64
 	encBuf  []byte
 	closed  bool
-	syncErr error // sticky background fsync failure, surfaced on Append
+	syncErr error // sticky write/fsync failure (see failLocked)
 
 	durable  uint64 // highest LSN known to be fsynced to stable storage
 	appended int64  // cumulative record bytes this session (auto-rewrite budget input)
@@ -146,9 +134,6 @@ func (w *WAL) fsync(f *os.File) error {
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.GroupMaxDelay == 0 {
-		opts.GroupMaxDelay = DefaultGroupMaxDelay
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -283,7 +268,9 @@ func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) 
 	frame := AppendRecordFrame(w.encBuf[:0], op, lsn, set, key, val)
 	w.encBuf = frame
 	if _, err := w.bw.Write(frame); err != nil {
-		return 0, err
+		// A partial frame may already be in the file: anything appended
+		// behind it would be hidden from replay.
+		return 0, w.failLocked(err)
 	}
 	w.next++
 	w.written += int64(len(frame))
@@ -314,23 +301,34 @@ func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) 
 }
 
 // rotateLocked seals the current segment (flush + fsync, so the boundary
-// is durable under every policy) and starts the next one.
+// is durable under every policy) and starts the next one. Any failure
+// poisons the WAL.
 func (w *WAL) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Close(); err != nil {
-		return err
+		return w.failLocked(err)
 	}
-	return w.createSegment(w.next)
+	if err := w.createSegment(w.next); err != nil {
+		return w.failLocked(err)
+	}
+	return nil
 }
 
+// syncLocked flushes and fsyncs the current segment and advances the
+// durable watermark. A poisoned WAL refuses: after a failed fsync the
+// kernel may have dropped the dirty pages, so a later fsync that succeeds
+// proves nothing about the records the failed one covered.
 func (w *WAL) syncLocked() error {
+	if w.syncErr != nil {
+		return w.syncErr
+	}
 	if err := w.bw.Flush(); err != nil {
-		return err
+		return w.failLocked(err)
 	}
 	if err := w.fsync(w.f); err != nil {
-		return err
+		return w.failLocked(err)
 	}
 	if w.next-1 > w.durable {
 		w.durable = w.next - 1
@@ -458,20 +456,11 @@ func (w *WAL) Close() error {
 		<-w.syncerDone
 	}
 	w.mu.Lock()
-	err := w.bw.Flush()
-	if serr := w.fsync(w.f); err == nil {
-		err = serr
-	}
-	if err == nil && w.next-1 > w.durable {
-		w.durable = w.next - 1
-	}
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = w.syncErr
-	} else if w.syncErr == nil {
-		w.syncErr = err // poison: late Commit callers must not report durability
+	// A poisoned WAL skips the final sync (syncLocked returns the sticky
+	// error) so the watermark never advances past a failed fsync.
+	err := w.syncLocked()
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = w.failLocked(cerr) // late Commit callers must not report durability
 	}
 	w.finished = true
 	w.commitCond.Broadcast()
@@ -491,11 +480,10 @@ func (w *WAL) flushLoop() {
 		case <-t.C:
 			w.mu.Lock()
 			if !w.closed {
-				if err := w.syncLocked(); err != nil && w.syncErr == nil {
-					// Surface the failure on the next Append instead of
-					// silently accepting writes that cannot become durable.
-					w.syncErr = err
-				}
+				// A failure poisons the WAL (failLocked), so the next Append
+				// surfaces it instead of accepting writes that cannot
+				// become durable.
+				w.syncLocked()
 			}
 			w.mu.Unlock()
 		}
@@ -503,16 +491,18 @@ func (w *WAL) flushLoop() {
 }
 
 // groupSyncLoop is the FsyncGroup/FsyncAsync syncer: one goroutine that
-// coalesces everything buffered since the last sync into a single
-// flush+fsync, advances the durable watermark, and wakes every Commit
-// waiter at or below it. The fsync itself runs OUTSIDE the WAL mutex
+// flushes and fsyncs as soon as it sees unsynced records, advances the
+// durable watermark, and wakes every Commit waiter at or below it. There
+// is no artificial delay: the fsync itself runs OUTSIDE the WAL mutex
 // against a captured *os.File, so appends keep buffering (and the fan-out
-// keeps publishing) while the disk works — the fsync duration is itself a
-// batching window. The syncer owns rotation under these policies, which is
-// what makes the captured file safe: nothing else closes w.f while the
-// syncer lives. It must never take locks outside the WAL — in particular
-// no miniredis stripe/write mutexes — since writers park on its progress
-// while holding none (ctvet's lockorder analyzer enforces the protocol).
+// keeps publishing) while the disk works, and everything appended during
+// one fsync forms the next batch — the in-flight fsync is the only
+// batching window, as with PostgreSQL's default commit_delay = 0. The
+// syncer owns rotation under these policies, which is what makes the
+// captured file safe: nothing else closes w.f while the syncer lives. It
+// must never take locks outside the WAL — in particular no miniredis
+// stripe/write mutexes — since writers park on its progress while holding
+// none (ctvet's lockorder analyzer enforces the protocol).
 func (w *WAL) groupSyncLoop() {
 	defer close(w.syncerDone)
 	w.mu.Lock()
@@ -521,27 +511,14 @@ func (w *WAL) groupSyncLoop() {
 		for w.durable == w.next-1 && !w.closed && w.syncErr == nil {
 			w.syncCond.Wait()
 		}
-		if w.syncErr != nil {
-			w.commitCond.Broadcast()
-			return
-		}
-		if w.durable == w.next-1 {
-			return // closed and fully durable: Close finishes up
-		}
-		if w.opts.GroupMaxDelay > 0 && !w.closed {
-			// Coalescing window: let more writers join this batch. Skipped
-			// when closing so shutdown drains at full speed.
-			w.mu.Unlock()
-			time.Sleep(w.opts.GroupMaxDelay)
-			w.mu.Lock()
+		if w.syncErr != nil || w.durable == w.next-1 {
+			return // poisoned, or closed and fully durable: Close finishes up
 		}
 		if err := w.bw.Flush(); err != nil {
 			w.failLocked(err)
 			return
 		}
-		// Capture the batch boundary and the file, then fsync unlocked:
-		// records appended during the fsync buffer behind it and form the
-		// next batch.
+		// Capture the batch boundary and the file, then fsync unlocked.
 		target := w.next - 1
 		f := w.f
 		w.mu.Unlock()
@@ -559,22 +536,24 @@ func (w *WAL) groupSyncLoop() {
 		if w.written >= w.opts.SegmentBytes {
 			// rotateLocked re-syncs inline (records may have landed during
 			// the unlocked fsync), seals the segment and opens the next one.
-			if err := w.rotateLocked(); err != nil {
-				w.failLocked(err)
+			if w.rotateLocked() != nil {
 				return
 			}
 		}
 	}
 }
 
-// failLocked records the sticky sync error and fails every parked writer.
-// Called under w.mu. After it, Append and Commit return the error forever:
-// a WAL that cannot promise durability must not keep acknowledging.
-func (w *WAL) failLocked(err error) {
+// failLocked records the sticky I/O error, fails every parked writer and
+// returns the sticky error. Called under w.mu by every path that writes or
+// syncs, under every policy. After it, Append, Commit, Sync and Close
+// return the error forever: a WAL that cannot promise durability must not
+// keep acknowledging.
+func (w *WAL) failLocked(err error) error {
 	if w.syncErr == nil {
 		w.syncErr = err
 	}
 	w.commitCond.Broadcast()
+	return w.syncErr
 }
 
 type walSegment struct {
@@ -602,7 +581,9 @@ func listSegments(dir string) ([]walSegment, error) {
 }
 
 // decodeRecord parses one WAL frame payload into rec. The key aliases the
-// payload buffer and is valid only until the next frame is read.
+// payload buffer and is valid only until the next frame is read. Only the
+// exact bytes AppendRecordFrame writes decode: trailing bytes or a padded
+// length make the payload undecodable.
 func decodeRecord(payload []byte, rec *Record) error {
 	if len(payload) < 9 {
 		return errTorn
@@ -633,9 +614,12 @@ func decodeRecord(payload []byte, rec *Record) error {
 	}
 	rec.Val = 0
 	if op == OpSet {
-		if rec.Val, _, err = takeU64(rest); err != nil {
+		if rec.Val, rest, err = takeU64(rest); err != nil {
 			return err
 		}
+	}
+	if len(rest) != 0 {
+		return errTorn
 	}
 	return nil
 }

@@ -18,8 +18,9 @@ type WALMetrics struct {
 	// already past their LSN record nothing.
 	CommitWait *metrics.Histogram
 	// BatchSize is the number of records each group-syncer fsync made
-	// durable — the batch the coalescing window collected. Only the
-	// FsyncGroup/FsyncAsync syncer records it.
+	// durable — those appended while the previous fsync was in flight,
+	// the syncer's only batching window. Only the FsyncGroup/FsyncAsync
+	// syncer records it.
 	BatchSize *metrics.Histogram
 }
 
