@@ -91,19 +91,30 @@ func newLoadedTrie(n int) (*cuckootrie.Trie, [][]byte) {
 	return t, ks
 }
 
+// lookupSizes are the table sizes of the single-key and batch lookup
+// benchmarks. At 8 k keys the table (426 KB of buckets) stays in L2, so
+// ns/key is the lookup's CPU floor; 2^18 keys is the cache-friendlier point
+// of the MLP experiment. BenchmarkMultiGetDRAM covers the DRAM-resident
+// point.
+var lookupSizes = []int{8 << 10, 1 << 18}
+
 func BenchmarkTrieGet(b *testing.B) {
-	t, ks := newLoadedTrie(1 << 18)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var hits int
-	for i := 0; i < b.N; i++ {
-		if _, ok := t.Get(ks[rng.Intn(len(ks))]); ok {
-			hits++
-		}
-	}
-	if hits == 0 {
-		b.Fatal("no hits")
+	for _, n := range lookupSizes {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			t, ks := newLoadedTrie(n)
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var hits int
+			for i := 0; i < b.N; i++ {
+				if _, ok := t.Get(ks[rng.Intn(len(ks))]); ok {
+					hits++
+				}
+			}
+			if hits == 0 {
+				b.Fatal("no hits")
+			}
+		})
 	}
 }
 
@@ -137,12 +148,16 @@ func benchMultiGet(b *testing.B, t *cuckootrie.Trie, ks [][]byte, batches ...int
 }
 
 // BenchmarkMultiGet exercises core's staged batch lookup path at the batch
-// sizes of the MLP experiment on 2^18 keys, the cache-friendlier point:
-// batch=1 is the degenerate (single-Get) baseline; larger batches let the
-// prefetched probes' misses overlap.
+// sizes of the MLP experiment on each of lookupSizes: batch=1 is the
+// degenerate (single-Get) baseline; larger batches let the prefetched
+// probes' misses overlap.
 func BenchmarkMultiGet(b *testing.B) {
-	t, ks := newLoadedTrie(1 << 18)
-	benchMultiGet(b, t, ks, 1, 8, 64)
+	for _, n := range lookupSizes {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			t, ks := newLoadedTrie(n)
+			benchMultiGet(b, t, ks, 1, 8, 64)
+		})
+	}
 }
 
 // BenchmarkMultiGetDRAM is the quick in-module read-out of the gate's

@@ -63,7 +63,7 @@ func (e *entry) encode() (w0, w1, w2 uint64) {
 	w0 = uint64(e.kind) & 3
 	w0 |= uint64(e.tag&0xf) << 2
 	if e.primary {
-		w0 |= 1 << 6
+		w0 |= primaryBit
 	}
 	w0 |= uint64(e.lastSym&0x3f) << 7
 	w0 |= uint64(e.color&7) << 13
@@ -89,29 +89,43 @@ func (e *entry) encode() (w0, w1, w2 uint64) {
 
 func decodeEntry(w0, w1, w2 uint64) entry {
 	return entry{
-		kind:         uint8(w0 & 3),
+		kind:         rawKind(w0),
 		tag:          uint8(w0 >> 2 & 0xf),
-		primary:      w0>>6&1 != 0,
+		primary:      w0&primaryBit != 0,
 		lastSym:      byte(w0 >> 7 & 0x3f),
-		color:        uint8(w0 >> 13 & 7),
+		color:        rawColor(w0),
 		parentColor:  uint8(w0 >> 16 & 7),
-		dirty:        w0>>19&1 != 0,
-		jumpLen:      uint8(w0 >> 20 & 0xf),
+		dirty:        rawDirty(w0),
+		jumpLen:      uint8(rawJumpLen(w0)),
 		locColor:     uint8(w0 >> 24 & 7),
-		childColor:   uint8(w0 >> 27 & 7),
+		childColor:   rawChildColor(w0),
 		hasNext:      w0>>30&1 != 0,
 		hasLoc:       w0>>31&1 != 0,
 		parentIsJump: w0>>32&1 != 0,
-		recIdx:       uint32(w0 >> 33 & 0x7fffffff),
+		recIdx:       rawRecIdx(w0),
 		w1:           w1,
 		locHash:      w2,
 	}
 }
 
-// jumpSymbol returns the i'th compressed symbol of a jump node.
-func (e *entry) jumpSymbol(i int) byte {
-	return byte(e.w1 >> (6 * uint(i)) & 0x3f)
+// Word-0 fields read in place. The lookup paths carry a node as its raw
+// words and read only the fields they branch on; no entry is decoded.
+const primaryBit = 1 << 6
+
+func rawKind(w0 uint64) uint8       { return uint8(w0 & 3) }
+func rawColor(w0 uint64) uint8      { return uint8(w0 >> 13 & 7) }
+func rawDirty(w0 uint64) bool       { return w0>>19&1 != 0 }
+func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
+func rawChildColor(w0 uint64) uint8 { return uint8(w0 >> 27 & 7) }
+func rawRecIdx(w0 uint64) uint32    { return uint32(w0 >> 33 & 0x7fffffff) }
+
+// rawJumpSymbol returns the i'th compressed symbol of a jump node's word 1.
+func rawJumpSymbol(w1 uint64, i int) byte {
+	return byte(w1 >> (6 * uint(i)) & 0x3f)
 }
+
+// jumpSymbol returns the i'th compressed symbol of a jump node.
+func (e *entry) jumpSymbol(i int) byte { return rawJumpSymbol(e.w1, i) }
 
 // packJumpSymbols packs syms (len ≤ maxJumpSymbols) into a word-1 value.
 func packJumpSymbols(syms []byte) uint64 {

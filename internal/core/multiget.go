@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sync"
 
 	"repro/internal/keys"
@@ -74,13 +73,16 @@ const (
 	mgRetry          // conflict: resolve via single-key Get at the end
 )
 
-// mgState tracks one key's in-flight descent.
+// mgState tracks one key's in-flight descent. The current node is carried as
+// the raw words Get carries: word 0, word 1, and the bucket and version they
+// were read under.
 type mgState struct {
-	syms   []byte
-	hashes []uint64 // hashes[i] = H(syms[:i]) under the current table
-	cur    pathNode
-	i      int // next symbol index to consume
-	stage  uint8
+	syms        []byte
+	hashes      []uint64 // hashes[i] = H(syms[:i]) under the current table
+	w0, w1      uint64
+	bucket, ver uint64
+	depth       int // the node's name length, and the next symbol to consume
+	stage       uint8
 }
 
 // prefetchNextProbe hints the buckets of the next child this key will fetch:
@@ -88,9 +90,9 @@ type mgState struct {
 // is the hash at the jump's end, since the intermediate symbols are compared
 // in-entry without probing.
 func (st *mgState) prefetchNextProbe(t *table) {
-	at := st.i + 1
-	if st.cur.ent.kind == kindJump {
-		at = st.cur.depth + int(st.cur.ent.jumpLen)
+	at := st.depth + 1
+	if rawKind(st.w0) == kindJump {
+		at = st.depth + rawJumpLen(st.w0)
 	}
 	if at < len(st.hashes) {
 		b1, b2, _ := t.bucketsOf(st.hashes[at])
@@ -112,7 +114,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 		return
 	}
 	t := tr.tbl.Load()
-	root, rootRef, rok := tr.tryFindRoot(t)
+	rw0, rw1, _, rb, _, rver, rok := tr.rootNode(t)
 
 	// Flat per-batch scratch, pooled so the steady-state batch path is
 	// allocation-free: the states, the symbol expansions, and the hash
@@ -165,7 +167,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 			hashBuf = append(hashBuf, h)
 		}
 		st.hashes = hashBuf[hlo:len(hashBuf):len(hashBuf)]
-		st.cur = pathNode{ent: root, ref: rootRef, depth: 0, hash: 0}
+		st.w0, st.w1, st.bucket, st.ver = rw0, rw1, rb, rver
 		st.prefetchNextProbe(t)
 		active++
 	}
@@ -177,7 +179,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 			case mgDescend:
 				tr.mgAdvance(t, st, vals, found, j)
 			case mgSlot:
-				tr.recs.prefetchKey(st.cur.ent.recIdx)
+				tr.recs.prefetchKey(rawRecIdx(st.w0))
 				st.stage = mgVerify
 			case mgVerify:
 				tr.mgVerify(t, st, ks[j], vals, found, j)
@@ -197,81 +199,47 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	}
 }
 
-// mgAdvance performs one probe step of key j's descent: it consumes in-entry
+// mgAdvance performs one probe step of key j's descent: it matches in-entry
 // jump symbols without memory accesses, then fetches exactly one child (or
 // reaches a terminal miss) and prefetches what the next round will read.
 // Conflicts mark the key for single-Get retry.
 func (tr *Trie) mgAdvance(t *table, st *mgState, vals []uint64, found []bool, j int) {
-	cur := &st.cur
-	for {
-		if st.i >= len(st.syms) {
-			// The terminator cannot have children: torn read, retry.
-			st.stage = mgRetry
-			return
-		}
-		s := st.syms[st.i]
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
-				vals[j], found[j] = 0, false
-				st.stage = mgDone
-				return
-			}
-		case kindJump:
-			off := st.i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				vals[j], found[j] = 0, false
-				st.stage = mgDone
-				return
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				st.i++
-				continue
-			}
-		default:
-			st.stage = mgRetry
-			return
-		}
-		h := st.hashes[st.i+1]
-		child, ref, ok := t.findChild(cur, h, s, cur.ent.kind == kindJump)
-		if !ok {
-			st.stage = mgRetry
-			return
-		}
-		st.cur = pathNode{ent: child, ref: ref, depth: st.i + 1, hash: h}
-		st.i++
-		if child.kind != kindLeaf {
-			st.prefetchNextProbe(t)
-			return
-		}
-		if child.dirty {
-			st.stage = mgRetry
-			return
-		}
-		tr.recs.prefetchSlot(child.recIdx)
-		st.stage = mgSlot
+	at, m := matchNode(st.w0, st.w1, st.depth, st.syms)
+	switch m {
+	case nodeMiss:
+		vals[j], found[j] = 0, false
+		st.stage = mgDone
 		return
-	}
-}
-
-// mgVerify is the leaf's last stage, the single-key Get's sequence
-// unchanged: compare the record's key, read its value, then re-validate the
-// leaf — if it was deleted meanwhile its record slot may have been reused
-// and both reads are stale.
-func (tr *Trie) mgVerify(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
-	leaf := &st.cur
-	rk := tr.recs.key(leaf.ent.recIdx)
-	match := bytes.Equal(rk, k)
-	val := tr.recs.value(leaf.ent.recIdx)
-	if t.loadVersion(leaf.ref.bucket) != leaf.ref.ver {
+	case nodeTorn:
 		st.stage = mgRetry
 		return
 	}
-	if match {
-		vals[j], found[j] = val, true
-	} else {
-		vals[j], found[j] = 0, false
+	w0, w1, _, b, _, ver, ok := t.childOf(st.w0, st.bucket, st.ver, st.hashes[at+1], st.syms[at])
+	if !ok {
+		st.stage = mgRetry
+		return
 	}
+	st.w0, st.w1, st.bucket, st.ver, st.depth = w0, w1, b, ver, at+1
+	if rawKind(w0) != kindLeaf {
+		st.prefetchNextProbe(t)
+		return
+	}
+	if rawDirty(w0) {
+		st.stage = mgRetry
+		return
+	}
+	tr.recs.prefetchSlot(rawRecIdx(w0))
+	st.stage = mgSlot
+}
+
+// mgVerify is the leaf's last stage, the single-key Get's leafValue.
+func (tr *Trie) mgVerify(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
+	val, hit, ok := tr.leafValue(t, st.w0, st.bucket, st.ver, k)
+	if !ok {
+		st.stage = mgRetry
+		return
+	}
+	vals[j], found[j] = val, hit
 	st.stage = mgDone
 }
 

@@ -262,13 +262,16 @@ func (tr *Trie) Min() (key []byte, val uint64, ok bool) {
 		if !valid {
 			return nil, 0, false
 		}
-		e, _, lok := t.findByLocator(minLoc)
+		e, ref, lok := t.findByLocator(minLoc)
 		if !lok || e.kind != kindLeaf {
 			continue
 		}
 		k := append([]byte(nil), tr.recs.key(e.recIdx)...)
 		v := tr.recs.value(e.recIdx)
-		if tr.minLoc.Load() != packed {
+		// The locator and the leaf must both be unchanged: a minimum
+		// deleted and re-inserted keeps its locator, but its old record
+		// slot may now hold another key.
+		if tr.minLoc.Load() != packed || t.loadVersion(ref.bucket) != ref.ver {
 			continue
 		}
 		return k, v, true
@@ -289,12 +292,17 @@ func (tr *Trie) Max() (key []byte, val uint64, ok bool) {
 		if !root.hasLoc {
 			return nil, 0, false
 		}
-		leaf, _, lok := t.followLocator(root.maxLeafLoc(), ref)
+		leaf, lref, lok := t.followLocator(root.maxLeafLoc(), ref)
 		if !lok || leaf.kind != kindLeaf {
 			continue
 		}
 		k := append([]byte(nil), tr.recs.key(leaf.recIdx)...)
-		return k, tr.recs.value(leaf.recIdx), true
+		v := tr.recs.value(leaf.recIdx)
+		// A leaf deleted mid-read may have had its record slot reused.
+		if t.loadVersion(lref.bucket) != lref.ver {
+			continue
+		}
+		return k, v, true
 	}
 }
 

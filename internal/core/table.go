@@ -47,21 +47,46 @@ type entryRef struct {
 	ver uint64
 }
 
-// readSlot atomically snapshots one slot under the bucket seqlock.
-// ok is false if a writer intervened; the caller retries.
-func (t *table) readSlot(b uint64, slot int) (e entry, ver uint64, ok bool) {
-	base := b*bucketWords + 1 + uint64(slot)*3
-	v := t.loadVersion(b)
-	if v&1 != 0 {
-		return entry{}, 0, false
+// Seqlock readers wait out a held lock: readSpins attempts, yielding the
+// processor on every attempt after the first yieldAfter. A reader that gives
+// up reports a conflict and its caller retries or re-validates.
+const (
+	readSpins  = 64
+	yieldAfter = 16
+)
+
+// scanBucket is the one read of a bucket on the lookup paths: it finds the
+// live slot whose word 0 matches want under mask and snapshots that slot's
+// words under the seqlock, with the version they were read under. slot is
+// -1, and the words meaningless, when a consistent read finds no match or
+// the lock stayed held.
+func (t *table) scanBucket(b, want, mask uint64) (w0, w1, w2 uint64, slot int, ver uint64) {
+	ws := t.words[b*bucketWords : (b+1)*bucketWords]
+	for spin := 0; spin < readSpins; spin++ {
+		v := atomic.LoadUint64(&ws[0])
+		if v&1 != 0 {
+			if spin > yieldAfter {
+				runtime.Gosched()
+			}
+			continue
+		}
+		slot = -1
+		for i := 0; i < entriesPerBucket; i++ {
+			e := ws[1+3*i : 4+3*i]
+			w0 = atomic.LoadUint64(&e[0])
+			if w0&3 == kindEmpty || w0&mask != want {
+				continue
+			}
+			w1 = atomic.LoadUint64(&e[1])
+			w2 = atomic.LoadUint64(&e[2])
+			slot = i
+			break
+		}
+		if atomic.LoadUint64(&ws[0]) == v {
+			return w0, w1, w2, slot, v
+		}
 	}
-	w0 := atomic.LoadUint64(&t.words[base])
-	w1 := atomic.LoadUint64(&t.words[base+1])
-	w2 := atomic.LoadUint64(&t.words[base+2])
-	if t.loadVersion(b) != v {
-		return entry{}, 0, false
-	}
-	return decodeEntry(w0, w1, w2), v, true
+	return 0, 0, 0, -1, 0
 }
 
 // bucketSnap is a consistent snapshot of one bucket.
@@ -70,13 +95,13 @@ type bucketSnap struct {
 	entries [entriesPerBucket]entry
 }
 
-// readBucket snapshots a whole bucket. Spins briefly while a writer holds the
-// seqlock.
+// readBucket snapshots a whole bucket for writers' plans, evictions and
+// stats, waiting out a held seqlock like scanBucket.
 func (t *table) readBucket(b uint64) (bucketSnap, bool) {
-	for spin := 0; spin < 64; spin++ {
+	for spin := 0; spin < readSpins; spin++ {
 		v := t.loadVersion(b)
 		if v&1 != 0 {
-			if spin > 16 {
+			if spin > yieldAfter {
 				runtime.Gosched()
 			}
 			continue
@@ -129,18 +154,6 @@ func (t *table) unlock(b uint64, ver uint64, bump bool) {
 	} else {
 		atomic.StoreUint64(t.versionAddr(b), ver)
 	}
-}
-
-// findInBucket scans a bucket snapshot for a live entry with the given tag,
-// primacy and color. Returns the slot index or -1.
-func (s *bucketSnap) findByColor(tag uint8, primary bool, color uint8) int {
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.kind != kindEmpty && e.tag == tag && e.primary == primary && e.color == color {
-			return i
-		}
-	}
-	return -1
 }
 
 func (s *bucketSnap) freeSlot() int {

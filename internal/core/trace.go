@@ -50,7 +50,7 @@ func (tr *Trie) LookupLevels(k []byte) [][]uint64 {
 		default:
 			return levels
 		}
-		child, ref, cok := t.findChild(&cur, h, s, cur.ent.kind == kindJump)
+		child, ref, cok := t.findChild(&cur, h, s)
 		if !cok {
 			return levels
 		}

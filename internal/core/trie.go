@@ -130,37 +130,16 @@ func New(cfg Config) *Trie {
 // Len returns the number of keys currently stored.
 func (tr *Trie) Len() int { return int(tr.count.Load()) }
 
-// findRoot locates the root entry in table t.
-func (tr *Trie) findRoot(t *table) (entry, entryRef) {
-	for {
-		e, ref, ok := t.findByLocator(locator{0, uint8(tr.rootColor.Load())})
-		if ok {
-			return e, ref
-		}
-		// The root always exists; a miss means a racing relocation.
-	}
-}
-
-// findByLocator resolves a locator to its entry. ok is false only on
+// locate resolves a locator to its entry's raw words. found is false only on
 // transient contention; the caller should retry (and revalidate whatever
 // produced the locator if the retry limit is hit — see followLocator).
+func (t *table) locate(l locator) (w0, w1, w2, b uint64, slot int, ver uint64, found bool) {
+	return t.probe(l.hash, uint64(l.color&7)<<13, matchMaskByLoc)
+}
+
+// findByLocator is locate for callers that keep the entry.
 func (t *table) findByLocator(l locator) (entry, entryRef, bool) {
-	b1, b2, tag := t.bucketsOf(l.hash)
-	if s, ok := t.readBucket(b1); ok {
-		if i := s.findByColor(tag, true, l.color); i >= 0 {
-			return s.entries[i], entryRef{slotRef{b1, i}, s.ver}, true
-		}
-	} else {
-		return entry{}, entryRef{}, false
-	}
-	if s, ok := t.readBucket(b2); ok {
-		if i := s.findByColor(tag, false, l.color); i >= 0 {
-			return s.entries[i], entryRef{slotRef{b2, i}, s.ver}, true
-		}
-	} else {
-		return entry{}, entryRef{}, false
-	}
-	return entry{}, entryRef{}, false
+	return decodeFound(t.locate(l))
 }
 
 // followLocator resolves a locator, retrying across concurrent relocations.

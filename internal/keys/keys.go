@@ -20,7 +20,10 @@
 //     the original byte strings.
 package keys
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 const (
 	// SymbolBits is the number of payload bits per symbol.
@@ -67,13 +70,39 @@ func SymbolAt(k []byte, i int) byte {
 }
 
 // AppendSymbols appends the full symbol sequence of k (terminator included)
-// to dst and returns the extended slice.
+// to dst and returns the extended slice. Five key bytes are exactly eight
+// symbols, so it converts one 40-bit big-endian load per step and stores the
+// eight symbols as one word; the last zero to four bytes are zero-padded.
+// The output equals the SymbolAt sequence.
 func AppendSymbols(dst []byte, k []byte) []byte {
 	n := NumSymbols(k)
-	for i := 0; i < n; i++ {
-		dst = append(dst, SymbolAt(k, i))
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	i := 0
+	for ; len(k) >= 5; k = k[5:] {
+		v := uint64(binary.BigEndian.Uint32(k))<<8 | uint64(k[4])
+		binary.LittleEndian.PutUint64(out[i:], spreadSymbols(v))
+		i += 8
 	}
-	return dst
+	if len(k) > 0 {
+		var tail [5]byte
+		copy(tail[:], k)
+		v := uint64(binary.BigEndian.Uint32(tail[:]))<<8 | uint64(tail[4])
+		var syms [8]byte
+		binary.LittleEndian.PutUint64(syms[:], spreadSymbols(v))
+		i += copy(out[i:n-1], syms[:])
+	}
+	out[i] = Terminator
+	return dst[:len(dst)+n]
+}
+
+// spreadSymbols cuts a 40-bit big-endian bit string into eight 5-bit data
+// symbols, first symbol in the lowest byte.
+func spreadSymbols(v uint64) uint64 {
+	const lsb = 0x0101010101010101
+	w := v>>35&0x1f | (v>>30&0x1f)<<8 | (v>>25&0x1f)<<16 | (v>>20&0x1f)<<24 |
+		(v>>15&0x1f)<<32 | (v>>10&0x1f)<<40 | (v>>5&0x1f)<<48 | (v&0x1f)<<56
+	return w + lsb*MinData
 }
 
 // CommonPrefixLen returns the length (in symbols) of the longest common

@@ -119,6 +119,70 @@ func TestTerminatorOnlyAtEnd(t *testing.T) {
 	}
 }
 
+// maxKeyLen is the longest key the trie accepts (core.MaxKeyLen).
+const maxKeyLen = 4096
+
+// checkAppendSymbols checks AppendSymbols(dst, k) against the per-symbol
+// SymbolAt sequence for a dst with and without a prefix, with and without
+// spare capacity, and checks that the prefix is left untouched.
+func checkAppendSymbols(t *testing.T, k []byte) {
+	t.Helper()
+	want := make([]byte, NumSymbols(k))
+	for i := range want {
+		want[i] = SymbolAt(k, i)
+	}
+	prefix := []byte{0xa5, 0x5a, 0xff}
+	for _, dst := range [][]byte{
+		nil,
+		make([]byte, 0, len(want)+7),
+		append([]byte(nil), prefix...)[:3:3],
+		append(make([]byte, 0, len(prefix)+len(want)+7), prefix...),
+	} {
+		got := AppendSymbols(dst, k)
+		if !bytes.Equal(dst, prefix[:len(dst)]) || !bytes.Equal(got[:len(dst)], dst) {
+			t.Fatalf("len %d, prefix %d cap %d: prefix became %v / %v", len(k), len(dst), cap(dst), dst, got[:len(dst)])
+		}
+		if !bytes.Equal(got[len(dst):], want) {
+			t.Fatalf("len %d (%x), prefix %d cap %d: AppendSymbols = %v, SymbolAt = %v",
+				len(k), k, len(dst), cap(dst), got[len(dst):], want)
+		}
+	}
+}
+
+// Property: AppendSymbols equals the per-symbol SymbolAt sequence for every
+// key length the trie accepts.
+func TestAppendSymbolsMatchesSymbolAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	lengths := []int{maxKeyLen, maxKeyLen - 1, maxKeyLen - 4}
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for i := 0; i < 200; i++ {
+		lengths = append(lengths, rng.Intn(maxKeyLen+1))
+	}
+	for _, n := range lengths {
+		k := make([]byte, n)
+		rng.Read(k)
+		checkAppendSymbols(t, k)
+		for i := range k {
+			k[i] = 0xff
+		}
+		checkAppendSymbols(t, k)
+	}
+}
+
+// FuzzAppendSymbols searches for a key whose word-at-a-time expansion
+// differs from the SymbolAt sequence. Seed corpus:
+// testdata/fuzz/FuzzAppendSymbols.
+func FuzzAppendSymbols(f *testing.F) {
+	f.Fuzz(func(t *testing.T, k []byte) {
+		if len(k) > maxKeyLen {
+			k = k[:maxKeyLen]
+		}
+		checkAppendSymbols(t, k)
+	})
+}
+
 func TestCommonPrefixLen(t *testing.T) {
 	a := []byte("hello world")
 	b := []byte("hello there")
