@@ -92,11 +92,12 @@ func newLoadedTrie(n int) (*cuckootrie.Trie, [][]byte) {
 }
 
 // lookupSizes are the table sizes of the single-key and batch lookup
-// benchmarks. At 8 k keys the table (426 KB of buckets) stays in L2, so
-// ns/key is the lookup's CPU floor; 2^18 keys is the cache-friendlier point
-// of the MLP experiment. BenchmarkMultiGetDRAM covers the DRAM-resident
-// point.
-var lookupSizes = []int{8 << 10, 1 << 18}
+// benchmarks, chosen to bracket where batch-64 MultiGet overtakes a Get
+// loop. At 8 k keys the table (426 KB of buckets) stays in L2, so ns/key is
+// the lookup's CPU floor; each later size is 4-8x the previous, up to a
+// 2^20-key table far beyond L2. BenchmarkMultiGetDRAM is the gate's 1M-key
+// shape (bulk-loaded at CapacityHint 2x).
+var lookupSizes = []int{8 << 10, 1 << 16, 1 << 18, 1 << 20}
 
 func BenchmarkTrieGet(b *testing.B) {
 	for _, n := range lookupSizes {

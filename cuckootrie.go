@@ -151,8 +151,8 @@ func (t *Trie) MemoryOverheadBytes() int64 {
 
 // LookupLevels returns the cache-line addresses a lookup of k would touch,
 // one slice per trie level (two candidate buckets each, plus the record
-// line). Used by the memory simulator to regenerate the paper's
-// counter-based results (Figure 2, Table 3).
+// line). The benchmark's structural counts and `ctbench table3`'s
+// lines-per-lookup are computed from it.
 func (t *Trie) LookupLevels(k []byte) [][]uint64 { return t.t.LookupLevels(k) }
 
 // Name identifies the index in benchmark output.

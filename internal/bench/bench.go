@@ -1,12 +1,12 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§6) on the simulated substrate: workload generation, index
-// loading, throughput measurement, the memory simulator for
-// counter-based results, and paper-style text output. The cmd/ctbench
-// binary and the root bench_test.go both drive this package.
+// evaluation (§6) by measuring wall-clock time on the host: workload
+// generation, index loading, throughput and latency measurement, and
+// paper-style text output. The cmd/ctbench binary and the root
+// bench_test.go both drive this package.
 //
 // Absolute numbers will not match the paper's Xeon testbed; the shapes —
 // who wins, by roughly what factor, where the crossovers fall — are the
-// reproduction target (see EXPERIMENTS.md).
+// reproduction target (README "Benchmarks").
 package bench
 
 import (

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	cuckootrie "repro"
+	"repro/internal/dataset"
 	"repro/internal/sharded"
 )
 
@@ -25,12 +28,12 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		want   []string
 	}{
 		{"table1", 0, []string{"rand-8", "az", "reddit"}},
-		{"fig2", 0, []string{"CuckooTrie", "STX", "eff.lat"}},
+		{"fig2", 0, []string{"CuckooTrie", "CuckooTrie-MultiGet64", "STX", "stall ns"}},
 		{"fig9", 0, []string{"CuckooTrie", "Wormhole"}},
 		{"fig11", 0, []string{"CuckooTrie (resize)", "HOT"}},
 		{"fig12", 0, []string{"MlpIndex", "bytes/key"}},
-		{"table3", 0, []string{"DRAM", "UPI"}},
-		{"ablation", 0, []string{"nodes/key", "D=5"}},
+		{"table3", 0, []string{"DRAM", "probed lines/lookup", "upper bound"}},
+		{"ablation", 0, []string{"nodes/key", "LOAD throughput", "ctbench multiget"}},
 		{"sharded", 4, []string{"CuckooTrie", "x2", "x4", "shard count", "router=hash", "GOMAXPROCS=", "sampled-x4", "az", "reddit", "balance"}},
 		{"load", 4, []string{"CuckooTrie", "hash-x2", "range-x4", "sampled-x2", "router", "GOMAXPROCS=", "az", "reddit", "balance"}},
 	}
@@ -64,30 +67,74 @@ func figure(t *testing.T, name string) Figure {
 	return Figure{}
 }
 
+// TestFig2Shape: fig2 measures every row at both table sizes, names both
+// sizes in its banner, and prints stall = large − small. The timings are
+// the host's, so only the table's structure is pinned.
 func TestFig2Shape(t *testing.T) {
-	// The reproduction target: the Cuckoo Trie's effective DRAM latency must
-	// be well below the serial indexes' (the paper reports ~3x).
 	var buf bytes.Buffer
-	o := Options{Keys: 30000, Ops: 10000, Threads: 1, Seed: 1}
+	o := Options{Keys: 12000, Ops: 4000, Threads: 1, Seed: 1}
 	fig2(&buf, o)
-	var ctEff, artEff float64
-	for _, line := range strings.Split(buf.String(), "\n") {
+	out := buf.String()
+	if !strings.Contains(out, "8192-key vs 12000-key") {
+		t.Fatalf("banner does not name both table sizes:\n%s", out)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)
-		if len(f) < 6 {
+		if len(f) != 5 {
 			continue
 		}
-		switch f[0] {
-		case "CuckooTrie":
-			ctEff = atofOr(f[5], 0)
-		case "ARTOLC":
-			artEff = atofOr(f[5], 0)
+		small, err1 := strconv.ParseFloat(f[1], 64)
+		large, err2 := strconv.ParseFloat(f[2], 64)
+		stall, err3 := strconv.ParseFloat(f[3], 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			continue
+		}
+		seen[f[0]] = true
+		if small <= 0 || large <= 0 {
+			t.Fatalf("row %q: non-positive ns/lookup", line)
+		}
+		// Each column is rounded to 0.1 ns on its own.
+		if math.Abs(stall-(large-small)) > 0.1+1e-9 {
+			t.Fatalf("row %q: stall %.1f != large − small %.1f", line, stall, large-small)
 		}
 	}
-	if ctEff <= 0 || artEff <= 0 {
-		t.Fatalf("could not parse Fig2 output:\n%s", buf.String())
+	for _, name := range []string{"CuckooTrie", "CuckooTrie-MultiGet64", "ARTOLC", "HOT", "Wormhole", "STX"} {
+		if !seen[name] {
+			t.Fatalf("fig2 has no %s row:\n%s", name, out)
+		}
 	}
-	if ctEff*1.5 > artEff {
-		t.Fatalf("effective latency gap too small: CT %.1f vs ART %.1f", ctEff, artEff)
+	if len(seen) != 6 {
+		t.Fatalf("fig2 printed %d rows, want 6:\n%s", len(seen), out)
+	}
+}
+
+// TestTable3LinesPerLookup: table3's lines per lookup is the mean of
+// Σ len(level) over core's LookupLevels for its probe keys, on a trie
+// loaded the way the YCSB run loads it, and the table has no interconnect
+// row.
+func TestTable3LinesPerLookup(t *testing.T) {
+	o := Options{Keys: 6000, Ops: 3000, Threads: 1, Seed: 3}
+	var buf bytes.Buffer
+	table3(&buf, o)
+	out := buf.String()
+
+	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
+	ct, _ := engineByName("CuckooTrie")
+	tr := load(ct, keys, len(keys)).(*cuckootrie.Trie)
+	probes := probeKeys(keys, o.Ops, o.Seed)
+	lines := 0
+	for _, k := range probes {
+		for _, lv := range tr.LookupLevels(k) {
+			lines += len(lv)
+		}
+	}
+	want := fmt.Sprintf("probed lines/lookup: %.4f", float64(lines)/float64(len(probes)))
+	if !strings.Contains(out, want) {
+		t.Fatalf("table3 output missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "UPI") {
+		t.Fatalf("table3 prints an interconnect row:\n%s", out)
 	}
 }
 
@@ -333,12 +380,4 @@ func TestHeaderNamesEnvironment(t *testing.T) {
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("header output missing %q:\n%s", want, buf.String())
 	}
-}
-
-func atofOr(s string, def float64) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return def
-	}
-	return v
 }

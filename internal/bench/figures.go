@@ -7,13 +7,8 @@ import (
 	"sort"
 
 	cuckootrie "repro"
-	"repro/internal/art"
-	"repro/internal/btree"
 	"repro/internal/dataset"
-	"repro/internal/hot"
 	"repro/internal/index"
-	"repro/internal/memsim"
-	"repro/internal/wormhole"
 	"repro/internal/ycsb"
 )
 
@@ -34,91 +29,40 @@ func table1(w io.Writer, o Options) {
 	}
 }
 
-// fig2 regenerates the lookup latency breakdown: cycles (exec vs stall) and
-// DRAM accesses per lookup on rand-8, via the memory simulator.
+// fig2SmallKeys sizes fig2's small table: 8 k rand-8 keys keep every
+// engine's nodes in L2, so a lookup there costs roughly its execution time.
+const fig2SmallKeys = 8192
+
+// fig2 regenerates the lookup latency breakdown in wall-clock time: each
+// engine's ns/lookup on a small, cache-resident table (≈ execution) and on
+// the o.Keys table (execution + memory stall). Their difference is the
+// stall; each loop's own harness cost cancels in it, so rows compare on the
+// stall column.
 func fig2(w io.Writer, o Options) {
-	header(w, "Figure 2: cycles and DRAM accesses per lookup (rand-8)",
-		"CuckooTrie total < serial indexes' stall; effective DRAM latency ≈3x lower")
+	small := min(fig2SmallKeys, o.Keys)
+	header(w, fmt.Sprintf("Figure 2: ns per lookup, %d-key vs %d-key table (rand-8)", small, o.Keys),
+		"CuckooTrie total < serial indexes' stall alone; its misses overlap, theirs do not")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
 
-	type probeSource struct {
-		name   string
-		levels func(k []byte) [][]uint64
-		depth  int // prefetch depth; 0 = serial
+	fmt.Fprintf(w, "%-22s %10s %10s %10s %8s\n", "index", "small ns", "large ns", "stall ns", "stall %")
+	// row prints one index's ns/lookup on keys[:small] and keys[:o.Keys],
+	// given its throughput (Mops/s) on keys[:n].
+	row := func(name string, mopsOn func(n int) float64) {
+		s, l := 1e3/mopsOn(small), 1e3/mopsOn(o.Keys)
+		fmt.Fprintf(w, "%-22s %10.1f %10.1f %10.1f %8.1f\n", name, s, l, l-s, (l-s)/l*100)
 	}
-	var sources []probeSource
-
-	ct := cuckootrie.New(cuckootrie.Config{CapacityHint: o.Keys, AutoResize: true})
-	a := art.New()
-	h := hot.New()
-	wh := wormhole.New()
-	bt := btree.New()
-	for i, k := range keys {
-		ct.Set(k, uint64(i))
-		a.Set(k, uint64(i))
-		h.Set(k, uint64(i))
-		wh.Set(k, uint64(i))
-		bt.Set(k, uint64(i))
-	}
-	ctc := core(ct)
-	sources = append(sources,
-		probeSource{"CuckooTrie", ctc, 5},
-		probeSource{"ARTOLC", a.LookupLevels, 0},
-		probeSource{"HOT", h.LookupLevels, 0},
-		probeSource{"Wormhole", wh.LookupLevels, 0},
-		probeSource{"STX", bt.LookupLevels, 0},
-	)
-
-	fmt.Fprintf(w, "%-12s %9s %9s %9s %8s %14s\n",
-		"index", "cycles", "exec", "stall", "DRAM/op", "eff.lat (cyc)")
-	rng := rand.New(rand.NewSource(o.Seed + 7))
-	probes := min(o.Ops, 20000)
-	for _, src := range sources {
-		sim := memsim.New(simConfig(o.Keys))
-		var agg memsim.Aggregate
-		// Warm the simulated cache, then measure.
-		for phase := 0; phase < 2; phase++ {
-			if phase == 1 {
-				agg = memsim.Aggregate{}
-			}
-			for i := 0; i < probes/2; i++ {
-				k := keys[rng.Intn(len(keys))]
-				levels := src.levels(k)
-				var acc []memsim.Access
-				if src.depth > 0 {
-					acc = memsim.PrefetchedLevels(levels, src.depth, 8)
-				} else {
-					acc = memsim.SerialLevels(levels, 12)
-				}
-				agg.Add(sim.Run(acc))
-			}
+	for _, e := range Engines() {
+		row(e.Name, func(n int) float64 {
+			return runWorkload(e, ycsb.C, keys[:n], n, o.Ops, 1, o.Seed)
+		})
+		if e.Name == "CuckooTrie" {
+			row("CuckooTrie-MultiGet64", func(n int) float64 {
+				return runMultiGet(load(e, keys, n), keys[:n], o.Ops, 64, o.Seed)
+			})
 		}
-		cyc, exec, stall, dram := agg.PerOp()
-		fmt.Fprintf(w, "%-12s %9.0f %9.0f %9.0f %8.1f %14.1f\n",
-			src.name, cyc, exec, stall, dram, agg.EffectiveDRAMLatency())
 	}
-	fmt.Fprintln(w, "paper (200M keys): CuckooTrie ~33.5 eff. cycles vs ~100+ for serial; STX stall 4413")
-}
-
-// simConfig scales the simulated LLC so that, as in the paper (§6.1), the
-// index far exceeds cache capacity: the dataset-to-cache ratio — not the
-// absolute size — drives the DRAM-bound behaviour Figure 2 shows.
-func simConfig(keys int) memsim.Config {
-	cfg := memsim.Default()
-	lines := keys / 24
-	if lines < 1024 {
-		lines = 1024
-	}
-	if lines > cfg.CacheLines {
-		lines = cfg.CacheLines
-	}
-	cfg.CacheLines = lines
-	return cfg
-}
-
-// core adapts the Cuckoo Trie's LookupLevels through the public wrapper.
-func core(t *cuckootrie.Trie) func(k []byte) [][]uint64 {
-	return t.LookupLevels
+	fmt.Fprintln(w, "stall = large − small; CuckooTrie-MultiGet64 is batch-64 MultiGet, ns per key")
+	fmt.Fprintln(w, "paper (200M keys, cycles): CuckooTrie total below every serial index's stall; STX stall 4413")
 }
 
 // fig6 regenerates the lookup/insert scalability curves on rand-8.
@@ -372,26 +316,22 @@ func fig11(w io.Writer, o Options) {
 		fmt.Fprintln(w)
 	}
 	// Paper-layout equivalent and resize estimate for the Cuckoo Trie.
-	fmt.Fprintf(w, "%-22s", "CuckooTrie (paper-eq)")
+	var paperEq []float64
 	for _, ds := range dataset.All {
 		keys := datasetKeys(ds, o.Keys, o.Seed)
 		t := cuckootrie.New(cuckootrie.Config{CapacityHint: len(keys), AutoResize: true})
 		for i, k := range keys {
 			t.Set(k, uint64(i))
 		}
-		st := t.Stats()
-		fmt.Fprintf(w, "%10.1f", st.PaperBytesPerKey)
+		paperEq = append(paperEq, t.Stats().PaperBytesPerKey)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-22s", "CuckooTrie (resize)")
-	for _, ds := range dataset.All {
-		keys := datasetKeys(ds, o.Keys, o.Seed)
-		t := cuckootrie.New(cuckootrie.Config{CapacityHint: len(keys), AutoResize: true})
-		for i, k := range keys {
-			t.Set(k, uint64(i))
-		}
-		st := t.Stats()
-		fmt.Fprintf(w, "%10.1f", st.PaperBytesPerKey*1.5)
+	fmt.Fprintf(w, "%-22s", "CuckooTrie (paper-eq)")
+	for _, b := range paperEq {
+		fmt.Fprintf(w, "%10.1f", b)
+	}
+	fmt.Fprintf(w, "\n%-22s", "CuckooTrie (resize)")
+	for _, b := range paperEq {
+		fmt.Fprintf(w, "%10.1f", b*1.5)
 	}
 	fmt.Fprintln(w)
 }
@@ -416,47 +356,53 @@ func fig12(w io.Writer, o Options) {
 	}
 }
 
-// table3 regenerates the bandwidth analysis: DRAM and interconnect demand of
-// the 28-thread YCSB-C run, versus hardware limits, derived from measured
-// throughput and simulated per-op DRAM access counts.
+// table3 regenerates the bandwidth analysis: the DRAM demand of the
+// all-threads YCSB-C run is its measured throughput × the exact cache lines
+// a lookup probes (core's LookupLevels) × 64 B. That is an upper bound:
+// every probed line is counted as a miss.
 func table3(w io.Writer, o Options) {
-	header(w, "Table 3: memory bandwidth usage (YCSB-C, rand-8, all cores)",
+	header(w, fmt.Sprintf("Table 3: DRAM bandwidth demand (YCSB-C, rand-8, %d threads)", o.Threads),
 		"DRAM demand well under limits: 3.6x under spec, 2.15x under random-read max")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
+	// The YCSB run loads t through this engine, and the line count then
+	// walks the same trie: one build serves both.
 	ct, _ := engineByName("CuckooTrie")
+	t := ct.New(len(keys)).(*cuckootrie.Trie)
+	ct.New = func(int) index.Index { return t }
 	th := runWorkload(ct, ycsb.C, keys, len(keys), o.Ops, o.Threads, o.Seed) // Mops/s
 
-	// DRAM accesses per op from the simulator (cold-cache dominated).
-	t := cuckootrie.New(cuckootrie.Config{CapacityHint: o.Keys, AutoResize: true})
-	for i, k := range keys {
-		t.Set(k, uint64(i))
+	probes := probeKeys(keys, min(o.Ops, 20000), o.Seed)
+	lines := 0
+	for _, k := range probes {
+		for _, l := range t.LookupLevels(k) {
+			lines += len(l)
+		}
 	}
-	sim := memsim.New(simConfig(o.Keys))
-	var agg memsim.Aggregate
-	rng := rand.New(rand.NewSource(o.Seed))
-	for i := 0; i < min(o.Ops, 20000); i++ {
-		k := keys[rng.Intn(len(keys))]
-		agg.Add(sim.Run(memsim.PrefetchedLevels(t.LookupLevels(k), 5, 8)))
-	}
-	_, _, _, dramPerOp := agg.PerOp()
+	linesPerOp := float64(lines) / float64(len(probes))
 
-	opsPerSec := th * 1e6
-	dramBytesPerSec := opsPerSec * dramPerOp * 64
-	const specDRAM = 256e9 // 2 x 6 DDR4-2666 channels (§6.6)
+	dramBytesPerSec := th * 1e6 * linesPerOp * 64
+	const specDRAM = 256e9 // the paper's 2 x 6 DDR4-2666 channels (§6.6)
 	const randReadMax = specDRAM * 0.6
-	const specUPI = 93e9
-	upi := dramBytesPerSec * 0.5 * 1.7 // half remote + coherence overhead
-	fmt.Fprintf(w, "measured throughput: %.2f Mops/s; simulated DRAM accesses/op: %.1f\n", th, dramPerOp)
-	fmt.Fprintf(w, "%-10s %14s %18s %18s\n", "resource", "GB/s demand", "% of spec max", "% of rand-read max")
+	fmt.Fprintf(w, "measured throughput: %.2f Mops/s; probed lines/lookup: %.4f\n", th, linesPerOp)
+	fmt.Fprintf(w, "%-10s %14s %18s %18s\n", "resource", "GB/s demand", "% of paper spec", "% of paper rand-read")
 	fmt.Fprintf(w, "%-10s %14.2f %18.1f %18.1f\n", "DRAM",
 		dramBytesPerSec/1e9, dramBytesPerSec/specDRAM*100, dramBytesPerSec/randReadMax*100)
-	fmt.Fprintf(w, "%-10s %14.2f %18.1f %18s\n", "UPI", upi/1e9, upi/specUPI*100, "-")
-	fmt.Fprintln(w, "paper: DRAM 71.24 GB/s = 27.8% of spec, 46.3% of rand-read; UPI 61 GB/s = 65.5%")
+	fmt.Fprintln(w, "upper bound: every probed line is counted as a DRAM miss")
+	fmt.Fprintln(w, "paper (2 sockets, 28 threads): DRAM 71.24 GB/s = 27.8% of spec, 46.3% of rand-read")
+}
+
+// probeKeys draws n lookup keys from keys, uniformly with replacement.
+func probeKeys(keys [][]byte, n int, seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = keys[rng.Intn(len(keys))]
+	}
+	return out
 }
 
 // ablation regenerates the design-choice measurements of §4.6/§6.2:
-// nodes/key, the no-leaf-list insert ablation (footnote 10), and a prefetch
-// depth sweep.
+// nodes/key and the no-leaf-list insert ablation (footnote 10).
 func ablation(w io.Writer, o Options) {
 	header(w, "Ablations (§4.6, §6.2 fn10)", "nodes/key ≈1.25; no-list insert ≈ ARTOLC; D=5 best")
 	keys := datasetKeys(dataset.Rand8, o.Keys, o.Seed)
@@ -480,17 +426,5 @@ func ablation(w io.Writer, o Options) {
 		fmt.Fprintf(w, "  %-18s %8.3f\n", e.Name, runWorkload(e, ycsb.Load, keys, len(keys), o.Ops, 1, o.Seed))
 	}
 
-	// Prefetch-depth sweep on the simulator.
-	fmt.Fprintf(w, "\nsimulated lookup cycles by prefetch depth D (rand-8):\n")
-	rng := rand.New(rand.NewSource(o.Seed))
-	for _, d := range []int{1, 2, 3, 5, 8, 12} {
-		sim := memsim.New(simConfig(o.Keys))
-		var agg memsim.Aggregate
-		for i := 0; i < min(o.Ops, 10000); i++ {
-			k := keys[rng.Intn(len(keys))]
-			agg.Add(sim.Run(memsim.PrefetchedLevels(t.LookupLevels(k), d, 8)))
-		}
-		cyc, _, _, _ := agg.PerOp()
-		fmt.Fprintf(w, "  D=%-3d %8.0f cycles/lookup\n", d, cyc)
-	}
+	fmt.Fprintln(w, "\nprefetch depth: see `ctbench multiget`, whose batch sweep (1/8/64) is the measured analogue")
 }

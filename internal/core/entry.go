@@ -4,8 +4,7 @@ package core
 // 64-bit words so that readers can snapshot it with three atomic loads under
 // the bucket seqlock. The paper packs entries into 15 bytes (Figure 4); Go's
 // race-checked memory model requires word-granular atomics, so we spend 24
-// bytes and report both layouts in the memory accounting (see stats.go and
-// DESIGN.md §3).
+// bytes and report both layouts in the memory accounting (see stats.go).
 //
 // Word 0 (metadata + record index):
 //

@@ -107,8 +107,9 @@ func (rs *recordStore) alloc(key []byte, value uint64) uint32 {
 }
 
 // release returns a slot to the free list. Key bytes are not reclaimed until
-// the trie is resized (the paper's implementation has no deletions at all;
-// see DESIGN.md).
+// the trie is resized: readers alias chunk bytes without a lock (see key),
+// so chunks stay immutable. The paper's implementation has no deletions at
+// all.
 func (rs *recordStore) release(idx uint32) {
 	rs.mu.Lock()
 	rs.free = append(rs.free, idx)

@@ -4,11 +4,13 @@ import "repro/internal/keys"
 
 // LookupLevels returns the cache-line addresses a lookup of k touches, one
 // slice per trie level: the two candidate buckets of each node on the
-// root-to-leaf path, plus the record line. Levels are what the memory
-// simulator needs to model the prefetched (independent) probe schedule of
-// Algorithm 1 — including the superfluous accesses of §4.7: both buckets
-// are fetched per node, and jump nodes do not reduce the probe count (the
-// probes for symbols compressed into a jump node are issued anyway).
+// root-to-leaf path, plus the record line. It counts the probe work of
+// Algorithm 1 exactly, including the superfluous accesses of §4.7: both
+// buckets are fetched per node, and jump nodes do not reduce the probe
+// count (the probes for symbols compressed into a jump node are issued
+// anyway). Its consumers are the benchmark's coreShape
+// (core.levels_per_lookup, core.probe_lines_per_lookup) and the bench
+// package's table3 (lines per lookup × throughput = DRAM demand).
 func (tr *Trie) LookupLevels(k []byte) [][]uint64 {
 	t := tr.tbl.Load()
 	var sbuf [96]byte

@@ -2,8 +2,8 @@
 // as deterministic, seeded synthetic equivalents — the real OSM, Amazon and
 // Reddit dumps are not redistributable, so we match their index-relevant
 // structure: key length distribution and shared-prefix (unique-prefix)
-// structure. Table 1 of EXPERIMENTS.md compares the generated statistics
-// against the paper's.
+// structure. `ctbench table1` prints the generated statistics beside the
+// paper's.
 package dataset
 
 import (

@@ -5,8 +5,10 @@
 // PATRICIA (crit-bit) structure directly — which captures HOT's two headline
 // properties in the paper's figures: the LOWEST memory per key of all
 // baselines (≈ one small node per key) and purely serial pointer-chased
-// lookups (no MLP) — but not HOT's intra-node SIMD search; see DESIGN.md
-// for the substitution note. A global RWMutex provides thread safety.
+// lookups (no MLP) — but not HOT's compound-node packing or its intra-node
+// SIMD search, so our lookups read one crit-bit node per discriminating bit
+// where HOT reads one compound node per several. A global RWMutex provides
+// thread safety.
 package hot
 
 import (

@@ -5,8 +5,8 @@
 // LENGTHS — O(log L) hash probes for L-byte keys instead of O(log N)
 // comparisons.
 //
-// Simplifications versus the original (documented in DESIGN.md): byte (not
-// bit) granularity for anchors, Go map as the meta-trie hash table, and a
+// Simplifications versus the original: byte (not bit) granularity for
+// anchors, Go map as the meta-trie hash table, and a
 // global RWMutex for thread safety (the paper observes Wormhole's insert
 // throughput saturating under concurrency; ours does too, for a different
 // reason).
