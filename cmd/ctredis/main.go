@@ -48,7 +48,7 @@ func main() {
 	router := flag.String("router", "hash", "key→shard routing for sharded sets: hash|range|sampled (range/sampled keep scans single-shard when possible; sampled derives balanced shard boundaries from the preload stream)")
 	preload := flag.Int("preload", 0, "bulk-load N random 8-byte keys into set 'bench' before serving (partitioned load for sharded sets; trains the sampled router's boundaries)")
 	dataDir := flag.String("data-dir", "", "enable persistence: recover this directory on boot (snapshot + WAL replay) and log writes to it")
-	fsync := flag.String("fsync", "everysec", "WAL fsync policy with -data-dir: always|everysec|no|group|async (group batches a pipeline's writes into one fsync before acking; async acks immediately and tracks durability via the DurableLSN watermark in INFO persistence)")
+	fsync := flag.String("fsync", "everysec", "WAL fsync policy with -data-dir: always|everysec|no|group|async (always and group ack a pipeline's writes once one shared fsync covers them; async fsyncs as eagerly but acks at once, tracking durability via the DurableLSN watermark in INFO persistence; everysec fsyncs once a second; no leaves it to the OS)")
 	snapEvery := flag.Int("snapshot-every", 0, "cut a background snapshot every N logged writes (0 disables; SAVE/BGSAVE always work)")
 	autoRewrite := flag.Int64("auto-rewrite-bytes", 64<<20, "rewrite the log (background snapshot + segment compaction) once the WAL grows this many bytes past the last snapshot (0 disables)")
 	replicaOf := flag.String("replicaof", "", "replicate from this primary (host:port); the server is a memory-only read replica")
@@ -165,7 +165,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	// Close's error is the WAL's final flush+fsync; a silent exit here
+	// Close's error is the WAL syncer's final flush+fsync; a silent exit here
 	// could hide a non-durable tail.
 	if err := srv.Close(); err != nil {
 		log.Fatalf("shutdown: %v", err)

@@ -3,8 +3,8 @@
 //
 // The server's durability contract (PR 5/6) is "a WAL failure is an error
 // reply, never a silent ack": a write is acknowledged only after its WAL
-// append (and, for fsync=always, its sync) succeeded. A dropped error on
-// any link of that chain — the append, the sync, the snapshot write, the
+// append (and, for fsync=always/group, its Commit) succeeded. A dropped
+// error on any link of that chain — the append, the commit, the snapshot write, the
 // WAL close, or the RESP reply write that carries the ack — silently
 // converts a non-durable write into an acknowledged one. Unlike a race,
 // that bug produces no crash and no detector report; it only shows up as
@@ -38,7 +38,6 @@ type watched struct {
 var watchedCalls = []watched{
 	// WAL: the write path itself.
 	{"persist", "WAL", "Append"},
-	{"persist", "WAL", "Sync"},
 	{"persist", "WAL", "Commit"}, // the group-commit ack barrier: a dropped error acks an unsynced pipeline
 	{"persist", "WAL", "Close"},  // close = final flush+fsync: a dropped error loses the tail
 	// Snapshots.

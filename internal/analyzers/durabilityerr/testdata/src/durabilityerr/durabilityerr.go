@@ -10,7 +10,6 @@ import (
 )
 
 func discards(w *persist.WAL, rw *resp.Writer, rep bench.Report) {
-	w.Sync()                   // want `error from \(persist\.WAL\)\.Sync is discarded`
 	w.Commit(7)                // want `error from \(persist\.WAL\)\.Commit is discarded`
 	rw.Flush()                 // want `error from \(resp\.Writer\)\.Flush is discarded`
 	rw.WriteRaw(nil)           // want `error from \(resp\.Writer\)\.WriteRaw is discarded`
@@ -19,7 +18,6 @@ func discards(w *persist.WAL, rw *resp.Writer, rep bench.Report) {
 }
 
 func blanks(w *persist.WAL, rw *resp.Writer) {
-	_ = w.Sync()            // want `error from \(persist\.WAL\)\.Sync is assigned to _`
 	_ = w.Commit(7)         // want `error from \(persist\.WAL\)\.Commit is assigned to _`
 	lsn, _ := w.Append(nil) // want `error from \(persist\.WAL\)\.Append is assigned to _`
 	_ = lsn
@@ -43,7 +41,7 @@ func consumed(w *persist.WAL, rw *resp.Writer) error {
 	if _, err := w.Append(nil); err != nil {
 		return err
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Commit(7); err != nil {
 		return err
 	}
 	if err := rw.WriteCommand(nil); err != nil {
@@ -58,7 +56,7 @@ func deferredClosureIsFine(w *persist.WAL) (err error) {
 			err = cerr
 		}
 	}()
-	return w.Sync()
+	return w.Commit(7)
 }
 
 func suppressed(rw *resp.Writer) {

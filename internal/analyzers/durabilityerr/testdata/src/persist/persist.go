@@ -8,13 +8,10 @@ type WAL struct{}
 // Append logs one record, returning its LSN.
 func (w *WAL) Append(rec []byte) (uint64, error) { return 0, nil }
 
-// Sync flushes and fsyncs the log.
-func (w *WAL) Sync() error { return nil }
-
 // Commit parks until a coalesced fsync covers lsn.
 func (w *WAL) Commit(lsn uint64) error { return nil }
 
-// Close is the final flush+fsync.
+// Close waits for the last fsync and closes the log.
 func (w *WAL) Close() error { return nil }
 
 // WriteSnapshot writes a point-in-time image.

@@ -27,7 +27,7 @@
 // //ctvet:holds <lock> on the line above its declaration.
 //
 // Group commit adds a second protocol on top of the order: WAL.Commit
-// PARKS the calling goroutine until the group syncer's fsync covers its
+// PARKS the calling goroutine until the WAL syncer's fsync covers its
 // LSN. The syncer only ever takes the WAL's own mutex, so a writer that
 // parks while holding a lock the append path needs — cmdMu on a serial
 // server, a per-stripe write mutex, a keyspace stripe — stalls the very
@@ -79,7 +79,7 @@ var lockArrays = map[string]bool{
 // the requirement for callees whose callers take the lock.
 var requiresHeld = map[string]string{}
 
-// parkCall names one call that parks its goroutine on the group syncer's
+// parkCall names one call that parks its goroutine on the WAL syncer's
 // durability watermark, matched by import-path suffix (so testdata stubs
 // qualify), receiver type, and method name — the same resolution the
 // durabilityerr analyzer uses.
@@ -90,9 +90,9 @@ type parkCall struct {
 }
 
 // parkCalls is the registry of parking calls. WAL.Commit blocks until a
-// coalesced fsync covers the given LSN; under fsync=group that fsync only
-// happens once enough writers have appended, so the caller must not be
-// holding anything those writers need.
+// coalesced fsync covers the given LSN; that fsync is shared with the
+// writers appending alongside, so the caller must not be holding anything
+// those writers need.
 var parkCalls = []parkCall{
 	{"persist", "WAL", "Commit"},
 }

@@ -6,7 +6,7 @@ package persist
 // WAL stands in for the real write-ahead log.
 type WAL struct{}
 
-// Commit parks until the group syncer's fsync covers lsn (stub).
+// Commit parks until the WAL syncer's fsync covers lsn (stub).
 func (w *WAL) Commit(lsn uint64) error { return nil }
 
 // Append appends one record (stub, here so fixtures can mix calls).

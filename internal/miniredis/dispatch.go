@@ -15,7 +15,6 @@ import (
 	"net"
 	"strings"
 
-	"repro/internal/persist"
 	"repro/internal/resp"
 )
 
@@ -41,7 +40,8 @@ func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
 	defer s.conns.Add(-1)
 	r := resp.NewReaderSize(conn, connBufSize)
-	w := resp.NewWriterSize(conn, connBufSize)
+	hold := &replyHold{conn: conn}
+	w := resp.NewWriterSize(hold, connBufSize)
 	cs := newConnState()
 	batch := make([]command, 0, maxPipelineBatch)
 	for {
@@ -50,29 +50,32 @@ func (s *Server) serve(conn net.Conn) {
 			s.dropWithError(w, err)
 			return
 		}
-		// PSYNC turns the connection into a replication feed: dispatch
-		// whatever preceded it, then hand the connection to the manager for
-		// its remaining lifetime.
-		if i := psyncIndex(batch); i >= 0 {
-			s.dispatch(w, batch[:i], cs)
-			s.servePSync(conn, r, w, cs, batch[i].args)
-			return
-		}
+		// PSYNC turns the connection into a replication feed: whatever
+		// preceded it is dispatched and acknowledged first, then the
+		// manager takes the connection for its remaining lifetime.
+		psync := psyncIndex(batch)
 		prevWrite := cs.lastWrite
-		s.dispatch(w, batch, cs)
-		// Group commit's ack barrier: the batch's replies are still only
-		// buffered in w, so parking here — after dispatch released cmdMu and
-		// the stripe write mutexes, before the flush that acknowledges —
-		// delays nothing but this connection while one fsync covers the
-		// whole pipeline. Async mode skips the wait: replies flush
-		// immediately and DurableLSN reports how far durability lags.
-		if s.fsyncPol == persist.FsyncGroup && cs.lastWrite > prevWrite {
+		hold.held = s.fsyncPol.AcksDurable()
+		s.dispatch(w, batch[:psync], cs)
+		// The durable-ack barrier (always, group): no reply byte has left
+		// (w's buffer and hold keep them all), and dispatch has released
+		// cmdMu and the stripe write mutexes, so parking here delays only
+		// this connection while one fsync covers the whole pipeline. Other
+		// policies send replies as written; DurableLSN reports the lag.
+		if hold.held && cs.lastWrite > prevWrite {
 			if cerr := s.wal.Commit(cs.lastWrite); cerr != nil {
-				// The buffered replies contain acks for writes that never
-				// became durable: drop the connection without flushing them.
+				// The withheld replies contain acks for writes that never
+				// became durable: drop the connection without sending them.
 				// A reset connection promises nothing; a flushed ":1" does.
 				return
 			}
+		}
+		if hold.release() != nil {
+			return
+		}
+		if psync < len(batch) {
+			s.servePSync(conn, r, w, cs, batch[psync].args)
+			return
 		}
 		if err != nil { // tail read error: answer what we got, then drop
 			s.dropWithError(w, err)
@@ -82,6 +85,34 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// replyHold sits between a connection's resp.Writer and the socket: while
+// held, it keeps what the writer's full buffer overflows instead of sending
+// it, so serve can withhold a batch's replies, however large, until their
+// Commit returns.
+type replyHold struct {
+	conn  io.Writer
+	held  bool
+	spill []byte
+}
+
+func (h *replyHold) Write(p []byte) (int, error) {
+	if h.held {
+		h.spill = append(h.spill, p...)
+		return len(p), nil
+	}
+	return h.conn.Write(p)
+}
+
+// release stops holding and sends the held bytes, which precede whatever
+// is still in the writer's buffer.
+func (h *replyHold) release() (err error) {
+	if h.held = false; len(h.spill) > 0 {
+		_, err = h.conn.Write(h.spill)
+		h.spill = nil // overflows are rare: do not pin their memory
+	}
+	return err
 }
 
 // readBatch blocks for one command, then drains every further command
@@ -130,17 +161,16 @@ func (s *Server) dispatch(w *resp.Writer, batch []command, cs *connState) {
 	}
 }
 
-// psyncIndex finds a PSYNC command in a drained batch (-1 when absent). A
-// replica never pipelines past its PSYNC, so anything after one would be
-// handshake bytes misread as commands — the index lets serve stop exactly
-// there.
+// psyncIndex finds a PSYNC command in a drained batch (len(batch) when
+// absent). A replica never pipelines past its PSYNC, so anything after one
+// would be handshake bytes misread as commands — the index lets serve stop
+// exactly there.
 func psyncIndex(batch []command) int {
-	for i := range batch {
-		if batch[i].id == cmdPSync {
-			return i
-		}
+	i := 0
+	for i < len(batch) && batch[i].id != cmdPSync {
+		i++
 	}
-	return -1
+	return i
 }
 
 // cmdID identifies a command by name: its index in cmdSpecs. The IDs below

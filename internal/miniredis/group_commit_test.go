@@ -2,9 +2,11 @@ package miniredis
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,33 +36,132 @@ func newServerWithPersist(t *testing.T, dir string, mode ExecMode, opts PersistO
 	return srv, cl
 }
 
-// TestGroupCommitPipelineAck: a pipelined batch of writes under -fsync
-// group is acknowledged only after the WAL's durable watermark covers its
-// last LSN — the whole pipeline rides one (or few) fsyncs, and by the time
-// the client sees the replies the records are on stable storage.
+// TestGroupCommitPipelineAck: a pipelined batch of writes under a policy
+// whose acks wait (always, group) is acknowledged only after the WAL's
+// durable watermark covers its last LSN — the whole pipeline rides one (or
+// few) fsyncs, and by the time the client sees the replies the records are
+// on stable storage.
 func TestGroupCommitPipelineAck(t *testing.T) {
 	for _, mode := range []ExecMode{ExecSerial, ExecStripedConn} {
 		t.Run(fmt.Sprintf("serial=%v", mode == ExecSerial), func(t *testing.T) {
-			dir := t.TempDir()
-			srv, cl := newServerWithPersist(t, dir, mode, PersistOptions{Policy: persist.FsyncGroup})
-			defer srv.Close()
-			defer cl.Close()
-			const n = 64
-			cmds := make([][][]byte, n)
-			for i := 0; i < n; i++ {
-				cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%03d", i)), []byte("1")}
-			}
-			out, err := cl.Pipeline(cmds)
-			if err != nil || len(out) != n {
-				t.Fatalf("pipeline: %d replies, %v", len(out), err)
-			}
-			// Replies reached the client, so the ack barrier has run: every
-			// logged record must already be durable.
-			if last, durable := srv.wal.LSN(), srv.wal.DurableLSN(); durable < last {
-				t.Fatalf("acked with DurableLSN=%d behind LSN=%d", durable, last)
+			for _, pol := range []persist.FsyncPolicy{persist.FsyncAlways, persist.FsyncGroup} {
+				t.Run(pol.String(), func(t *testing.T) {
+					srv, cl := newServerWithPersist(t, t.TempDir(), mode, PersistOptions{Policy: pol})
+					defer srv.Close()
+					defer cl.Close()
+					const n = 64
+					cmds := make([][][]byte, n)
+					for i := 0; i < n; i++ {
+						cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%03d", i)), []byte("1")}
+					}
+					out, err := cl.Pipeline(cmds)
+					if err != nil || len(out) != n {
+						t.Fatalf("pipeline: %d replies, %v", len(out), err)
+					}
+					// Replies reached the client, so the ack barrier has run:
+					// every logged record must already be durable.
+					if last, durable := srv.wal.LSN(), srv.wal.DurableLSN(); durable < last {
+						t.Fatalf("acked with DurableLSN=%d behind LSN=%d", durable, last)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestDurableAckWithholdsOverflow: under a policy whose acks wait, no reply
+// byte of a batch leaves before the batch's Commit — not even when a large
+// reply overflows the connection's write buffer behind a write's ack, and
+// not for writes queued ahead of a PSYNC.
+func TestDurableAckWithholdsOverflow(t *testing.T) {
+	for _, pol := range []persist.FsyncPolicy{persist.FsyncAlways, persist.FsyncGroup} {
+		for _, tail := range []string{"ZRANGEBYLEX s m 4000", "PSYNC 0"} {
+			t.Run(pol.String()+"/"+strings.Fields(tail)[0], func(t *testing.T) {
+				testDurableAckWithholdsOverflow(t, pol, tail)
+			})
+		}
+	}
+}
+
+func testDurableAckWithholdsOverflow(t *testing.T, pol persist.FsyncPolicy, tail string) {
+	dir := t.TempDir()
+	srv := NewServerExec(skiplistFactory, 256, ExecSerial)
+	if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: pol}); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen the WAL behind a gate that holds every fsync while armed.
+	if err := srv.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	entered, open := make(chan struct{}, 1), make(chan struct{})
+	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: pol, FsyncFn: func(f *os.File) error {
+		if armed.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-open
+		}
+		return f.Sync()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.wal = wal
+	wal.SetOnAppend(srv.repl.Publish)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(open) // runs before srv.Close: the syncer must not stay gated
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// 4000 members of a dozen bytes: a ZRANGEBYLEX over them replies with
+	// about 60 KiB, past the 16 KiB write buffer.
+	const n = 4000
+	cmds := make([][][]byte, n)
+	for i := range cmds {
+		cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%06d", i)), []byte("1")}
+	}
+	if _, err := cl.Pipeline(cmds); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("ZADD s new 1\r\n" + tail + "\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the ZADD's fsync never started")
+	}
+	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	var b [1]byte
+	if k, err := conn.Read(b[:]); k > 0 || !isTimeout(err) {
+		t.Fatalf("read %d bytes (%v) while the ZADD's fsync was held", k, err)
+	}
+	armed.Store(false)
+	open <- struct{}{} // release the held fsync; the deferred close opens the gate for good
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if k, err := conn.Read(b[:]); k != 1 || b[0] != ':' {
+		t.Fatalf("first reply byte after the fsync = %q (%d, %v), want the ZADD's ':'", b[0], k, err)
+	}
+}
+
+func isTimeout(err error) bool {
+	ne, ok := err.(net.Error)
+	return ok && ne.Timeout()
 }
 
 // TestGroupCommitConcurrentWriters: ≥8 connections writing pipelines in

@@ -213,8 +213,8 @@ func (ks *keyspace) flush() {
 	}
 }
 
-// snapshotSets collects every set's name, cursor and length under the
-// all-stripe read lock — the only moment BGSAVE blocks writers (and only
+// snapshotSets collects every set's name and cursor under the all-stripe
+// read lock — the only moment BGSAVE blocks writers (and only
 // those resolving a set name). Sets are returned in name order so
 // snapshots of the same state are byte-identical.
 func (ks *keyspace) snapshotSets() []persist.SetSnapshot {
@@ -223,11 +223,7 @@ func (ks *keyspace) snapshotSets() []persist.SetSnapshot {
 	var sets []persist.SetSnapshot
 	for i := range ks.stripes {
 		for name, ix := range ks.stripes[i].sets {
-			sets = append(sets, persist.SetSnapshot{
-				Set:     name,
-				Cursor:  ix.NewCursor(),
-				LenHint: ix.Len(),
-			})
+			sets = append(sets, persist.SetSnapshot{Set: name, Cursor: ix.NewCursor()})
 		}
 	}
 	sort.Slice(sets, func(i, j int) bool { return sets[i].Set < sets[j].Set })
@@ -359,12 +355,7 @@ func (s *Server) EnablePersistence(dir string, opts PersistOptions) (*persist.Re
 	if s.wal != nil {
 		return nil, errors.New("miniredis: persistence already enabled")
 	}
-	res, err := persist.Recover(dir, func(set string, hint int) index.Index {
-		if hint <= 0 {
-			hint = s.capacity
-		}
-		return s.factory(hint)
-	})
+	res, err := persist.Recover(dir, func(_ string, keys int) index.Index { return s.newSet(keys) })
 	if err != nil {
 		return nil, err
 	}
@@ -408,6 +399,17 @@ func (s *Server) EnablePersistence(dir string, opts PersistOptions) (*persist.Re
 		s.writeMus = make([]sync.Mutex, len(s.ks.stripes))
 	}
 	return res, nil
+}
+
+// newSet builds the index for a set arriving with the given key count —
+// from a recovered or a replicated snapshot — sized by that exact count,
+// never by the hint the snapshot records (a damaged or hostile image can
+// name any size). An empty set falls back to the server's capacity hint.
+func (s *Server) newSet(keys int) index.Index {
+	if keys <= 0 {
+		keys = s.capacity
+	}
+	return s.factory(keys)
 }
 
 // lockWrite makes apply+log atomic for one set's stripe on a persistent

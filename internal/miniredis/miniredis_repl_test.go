@@ -267,6 +267,29 @@ func TestReplicationResumeAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestLoadSnapshotSizesFromKeyCount: a full-sync stream comes from a
+// primary the replica cannot vouch for, so the replica sizes each set from
+// the decoded key count (or its own capacity for an empty set): the one
+// size in the stream that the decoder has checked.
+func TestLoadSnapshotSizesFromKeyCount(t *testing.T) {
+	sets := []persist.SnapshotSet{
+		{Set: "one", Keys: [][]byte{[]byte("only")}, Vals: []uint64{1}},
+		{Set: "empty"},
+	}
+	const capacity = 256
+	var hints []int
+	rep := NewServerExec(func(c int) index.Index {
+		hints = append(hints, c)
+		return skiplistFactory(c)
+	}, capacity, ExecSerial)
+	if err := (replTarget{rep}).LoadSnapshot(sets); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hints, []int{1, capacity}) {
+		t.Fatalf("factory hints = %v, want [1 %d] (the key count, then capacity for the empty set)", hints, capacity)
+	}
+}
+
 // TestReplicationFallBehindFullSync re-attaches a replica whose LSN has
 // been compacted out of the primary's WAL retention (tiny segments + a SAVE
 // removed the segments it would need): the primary must answer with a fresh

@@ -248,11 +248,11 @@ func (s *Server) cmdWait(w *resp.Writer, cs *connState, cmd [][]byte) {
 	}
 	// Local durability before replica counting: WAIT's reply must never
 	// claim more than the log can back (acks must not run ahead of
-	// durability, even though replication shipping may). Under group/async
-	// this parks on the group syncer; under the inline policies Commit
-	// syncs on the spot. The gate applies identically in every execution
-	// mode, pipelined or lone: dispatch guarantees no execution lock is
-	// held here, so parking stalls only this connection.
+	// durability, even though replication shipping may). Commit parks on
+	// the WAL's syncer under every policy, and its LSN makes a lazy
+	// cadence (everysec, no) sync at once. The gate applies identically in
+	// every execution mode, pipelined or lone: dispatch guarantees no
+	// execution lock is held here, so parking stalls only this connection.
 	if s.wal != nil && cs.lastWrite > 0 {
 		if err := s.wal.Commit(cs.lastWrite); err != nil {
 			w.WriteError("persistence: " + err.Error())
@@ -416,14 +416,7 @@ func (t replTarget) LoadSnapshot(sets []persist.SnapshotSet) error {
 	release := t.s.quiesce()
 	defer release()
 	for _, set := range sets {
-		hint := set.LenHint
-		if hint < len(set.Keys) {
-			hint = len(set.Keys)
-		}
-		if hint <= 0 {
-			hint = t.s.capacity
-		}
-		ix := t.s.factory(hint)
+		ix := t.s.newSet(len(set.Keys))
 		if _, err := index.BulkLoad(ix, set.Keys, set.Vals); err != nil {
 			return fmt.Errorf("miniredis: bulk-loading replicated set %q: %w", set.Set, err)
 		}

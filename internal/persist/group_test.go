@@ -256,11 +256,16 @@ func TestGroupCommitBatchesDuringFsync(t *testing.T) {
 	}
 }
 
-// TestGroupRotation: under group/async the syncer owns segment rotation;
+// allPolicies lists every fsync policy; each runs on the same syncer.
+var allPolicies = []persist.FsyncPolicy{
+	persist.FsyncAlways, persist.FsyncEverySec, persist.FsyncNo, persist.FsyncGroup, persist.FsyncAsync,
+}
+
+// TestGroupRotation: the syncer owns segment rotation under every policy;
 // with a tiny SegmentBytes the log must still rotate, stay recoverable,
 // and keep LSNs continuous across boundaries.
 func TestGroupRotation(t *testing.T) {
-	for _, pol := range []persist.FsyncPolicy{persist.FsyncGroup, persist.FsyncAsync} {
+	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{
@@ -297,11 +302,12 @@ func TestGroupRotation(t *testing.T) {
 	}
 }
 
-// TestCommitInlineUnderNonGroupPolicies: Commit is a universal durability
-// barrier — under policies without a syncer it syncs inline instead of
-// parking, so WAIT-style callers can rely on it regardless of -fsync.
-func TestCommitInlineUnderNonGroupPolicies(t *testing.T) {
-	for _, pol := range []persist.FsyncPolicy{persist.FsyncNo, persist.FsyncEverySec, persist.FsyncAlways} {
+// TestCommitIsUniversalBarrier: Commit is a durability barrier under every
+// policy, so WAIT-style callers can rely on it regardless of -fsync — under
+// everysec and no its LSN is demand the syncer serves at once, not on the
+// next tick or never.
+func TestCommitIsUniversalBarrier(t *testing.T) {
+	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: pol})
@@ -315,11 +321,15 @@ func TestCommitInlineUnderNonGroupPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			start := time.Now()
 			if err := wal.Commit(last); err != nil {
 				t.Fatal(err)
 			}
 			if d := wal.DurableLSN(); d < last {
 				t.Fatalf("DurableLSN = %d after Commit(%d)", d, last)
+			}
+			if waited := time.Since(start); waited > 500*time.Millisecond {
+				t.Fatalf("Commit took %v: it waited for a tick instead of demanding a sync", waited)
 			}
 			if err := wal.Commit(last + 1); err == nil {
 				t.Fatal("Commit past the last assigned LSN must error, not park forever")
@@ -328,17 +338,63 @@ func TestCommitInlineUnderNonGroupPolicies(t *testing.T) {
 	}
 }
 
+// TestAppendNeverFsyncs: Append only buffers under every policy — the
+// syncer alone fsyncs and rotates. With every fsync held on a gate, 2×
+// SegmentBytes of appends (so rotation falls due twice) must all return.
+func TestAppendNeverFsyncs(t *testing.T) {
+	for _, pol := range allPolicies {
+		t.Run(pol.String(), func(t *testing.T) {
+			var gated atomic.Bool
+			release := make(chan struct{})
+			const segBytes = 1 << 10
+			wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
+				Policy:       pol,
+				SegmentBytes: segBytes,
+				FsyncFn: func(f *os.File) error {
+					if gated.Load() {
+						<-release
+					}
+					return f.Sync()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gated.Store(true)
+			appended := make(chan error, 1)
+			go func() {
+				for i := 0; wal.AppendedBytes() < 2*segBytes; i++ {
+					if _, err := wal.Append(persist.OpSet, "", u64key(uint64(i)), uint64(i)); err != nil {
+						appended <- err
+						return
+					}
+				}
+				appended <- nil
+			}()
+			select {
+			case err := <-appended:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("Append blocked on a gated fsync")
+			}
+			close(release)
+			if err := wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestFsyncFailureIsStickyUnderEveryPolicy: one failed fsync poisons the
-// WAL whichever path issued it — always's per-append sync, Commit's inline
-// sync (everysec/no), or the group syncer. Once an fsync has failed the
-// kernel may have dropped the dirty pages, so a later fsync that succeeds
-// must not acknowledge anything: Append, Commit of the record whose sync
-// failed, Sync and Close all keep returning the injected error, and the
-// durable watermark never advances past it.
+// WAL under every policy's cadence. Once an fsync has failed the kernel
+// may have dropped the dirty pages, so a later fsync that succeeds must
+// not acknowledge anything: Append, Commit of the record whose sync
+// failed, a fresh Commit barrier and Close all keep returning the injected
+// error, and the durable watermark never advances past it.
 func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
-	for _, pol := range []persist.FsyncPolicy{
-		persist.FsyncAlways, persist.FsyncEverySec, persist.FsyncNo, persist.FsyncGroup, persist.FsyncAsync,
-	} {
+	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			injected := errors.New("injected fsync failure")
 			var armed atomic.Bool
@@ -369,8 +425,8 @@ func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
 			if err := wal.Commit(last); !errors.Is(err, injected) {
 				t.Fatalf("Commit(%d) after the failed fsync = %v, want the sticky error", last, err)
 			}
-			if err := wal.Sync(); !errors.Is(err, injected) {
-				t.Fatalf("Sync after the failed fsync = %v, want the sticky error", err)
+			if err := wal.Commit(wal.LSN()); !errors.Is(err, injected) {
+				t.Fatalf("Commit(LSN()) after the failed fsync = %v, want the sticky error", err)
 			}
 			if err := wal.Close(); !errors.Is(err, injected) {
 				t.Fatalf("Close after the failed fsync = %v, want the sticky error", err)
@@ -383,7 +439,7 @@ func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
 }
 
 // TestAsyncDurableWatermark: FsyncAsync promises the watermark catches up
-// on its own — no Commit, no Sync — within a few group cycles.
+// on its own — no Commit — within a few syncer cycles.
 func TestAsyncDurableWatermark(t *testing.T) {
 	dir := t.TempDir()
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncAsync})

@@ -18,12 +18,14 @@
 // corruption and recovery reports it instead of silently dropping data.
 //
 // Durability contract: write operations are logged after they apply
-// (Redis-AOF style), so a crash loses at most the unsynced tail permitted
-// by the fsync policy — nothing on FsyncAlways, nothing ACKNOWLEDGED on
-// FsyncGroup (writers park on WAL.Commit until the group syncer's fsync
-// covers their LSN), up to one group cycle past the DurableLSN watermark on
-// FsyncAsync, up to a second of writes on FsyncEverySec, up to the OS flush
-// interval on FsyncNo. Snapshots are
+// (Redis-AOF style), and one syncer goroutine per WAL flushes, fsyncs and
+// rotates under every fsync policy; a policy only sets the syncer's
+// cadence and whether acknowledgements wait for it (see policies). A
+// crash loses at most the unsynced tail the policy permits — nothing
+// ACKNOWLEDGED on FsyncAlways or FsyncGroup (writers park on WAL.Commit
+// until the syncer's fsync covers their LSN), up to one fsync cycle past
+// the DurableLSN watermark on FsyncAsync, up to a second of writes on
+// FsyncEverySec, up to the OS flush interval on FsyncNo. Snapshots are
 // written to a temp file, fsynced, and renamed, so a crashed snapshot never
 // shadows a good older one; replay after a snapshot at LSN L applies only
 // records with LSN > L, and every record type is idempotent, so a record
@@ -39,74 +41,86 @@ import (
 	"io"
 )
 
-// FsyncPolicy says when WAL appends reach stable storage.
+// FsyncPolicy says when WAL appends reach stable storage. Every policy
+// runs on the same syncer goroutine; its row in policies sets the sync
+// cadence and whether acknowledgements wait for durability.
 type FsyncPolicy int
 
 const (
-	// FsyncEverySec flushes and fsyncs the WAL about once per second from a
-	// background goroutine: a crash loses at most the last second of writes.
-	// The Redis AOF default, and the default here.
+	// FsyncEverySec fsyncs about once per second: a crash loses at most
+	// the last second of writes. The Redis AOF default, and the default
+	// here.
 	FsyncEverySec FsyncPolicy = iota
-	// FsyncAlways fsyncs after every append: no acknowledged write is ever
-	// lost, at the cost of one fsync per operation (FsyncGroup batches
-	// them).
+	// FsyncAlways acknowledges a write only once it is durable: no
+	// acknowledged write is ever lost. It is the same schedule as
+	// FsyncGroup — Redis's appendfsync always likewise fsyncs once per
+	// event-loop pass, before the replies go out, not once per write.
 	FsyncAlways
 	// FsyncNo leaves flushing to the OS: fastest, loses up to the kernel's
 	// writeback interval on a crash (still nothing on a clean close).
 	FsyncNo
-	// FsyncGroup is group commit: appends only buffer the record, and a
-	// single syncer goroutine flushes and fsyncs whenever unsynced records
-	// exist. Records appended while an fsync is in flight wait for the next
-	// one, so that fsync is the only batching window — no timer. Writers
-	// that need durability park on their record's LSN via WAL.Commit and
-	// are woken once the durable watermark passes it — one fsync
-	// acknowledges everything appended during the one before it. An
-	// acknowledged (Commit-returned) write is never lost; a writer waits
-	// out at most the fsync in flight plus the one covering its record,
-	// not one fsync per operation.
+	// FsyncGroup is group commit: the syncer fsyncs as soon as records are
+	// unsynced, and everything appended while that fsync is in flight
+	// waits for the next one, so the fsync itself is the only batching
+	// window — no timer. Writers park on their record's LSN via WAL.Commit
+	// and are woken once the durable watermark passes it; a writer waits
+	// out at most the fsync in flight plus the one covering its record.
 	FsyncGroup
-	// FsyncAsync is group commit without the wait: the same syncer batches
-	// fsyncs continuously, but callers are expected NOT to park on Commit —
-	// they acknowledge immediately and expose the DurableLSN watermark
-	// (WAIT/INFO style) so clients can see how far durability lags the ack.
-	// A crash loses at most the records past the watermark, typically a few
-	// milliseconds of writes rather than everysec's full second.
+	// FsyncAsync is group commit without the wait: the same eager cadence,
+	// but callers acknowledge immediately and expose the DurableLSN
+	// watermark (WAIT/INFO style) so clients can see how far durability
+	// lags the ack — typically a few milliseconds of writes rather than
+	// everysec's full second.
 	FsyncAsync
 )
 
+// syncCadence is when the syncer fsyncs on its own, without a Commit
+// asking. Commit, segment rotation and Close make it sync under every
+// cadence.
+type syncCadence uint8
+
+const (
+	syncEager    syncCadence = iota // as soon as records are unsynced
+	syncEverySec                    // on a 1 s tick
+	syncNever                       // only when asked
+)
+
+// policies is the one table of fsync policies, indexed by FsyncPolicy.
+var policies = [...]struct {
+	name        string
+	cadence     syncCadence
+	acksDurable bool // the server parks on Commit before acknowledging
+}{
+	FsyncEverySec: {"everysec", syncEverySec, false},
+	FsyncAlways:   {"always", syncEager, true},
+	FsyncNo:       {"no", syncNever, false},
+	FsyncGroup:    {"group", syncEager, true},
+	FsyncAsync:    {"async", syncEager, false},
+}
+
 // ParseFsyncPolicy maps the ctredis flag spelling to a policy.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "everysec":
-		return FsyncEverySec, nil
-	case "no":
-		return FsyncNo, nil
-	case "group":
-		return FsyncGroup, nil
-	case "async":
-		return FsyncAsync, nil
+	for p, row := range policies {
+		if row.name == s {
+			return FsyncPolicy(p), nil
+		}
 	}
 	return 0, fmt.Errorf("persist: unknown fsync policy %q (want always, everysec, no, group or async)", s)
 }
 
 // String returns the flag spelling of the policy.
 func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncEverySec:
-		return "everysec"
-	case FsyncNo:
-		return "no"
-	case FsyncGroup:
-		return "group"
-	case FsyncAsync:
-		return "async"
+	if p.known() {
+		return policies[p].name
 	}
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
+
+// AcksDurable reports whether a server under this policy acknowledges a
+// write only after WAL.Commit returns for it.
+func (p FsyncPolicy) AcksDurable() bool { return p.known() && policies[p].acksDurable }
+
+func (p FsyncPolicy) known() bool { return p >= 0 && int(p) < len(policies) }
 
 // Op is a WAL record type.
 type Op uint8

@@ -2,8 +2,10 @@ package persist_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -48,6 +50,7 @@ func assertEqual(t *testing.T, a, b index.Index) {
 func TestParseFsyncPolicy(t *testing.T) {
 	for s, want := range map[string]persist.FsyncPolicy{
 		"always": persist.FsyncAlways, "everysec": persist.FsyncEverySec, "no": persist.FsyncNo,
+		"group": persist.FsyncGroup, "async": persist.FsyncAsync,
 	} {
 		got, err := persist.ParseFsyncPolicy(s)
 		if err != nil || got != want {
@@ -175,9 +178,7 @@ func TestSegmentRotation(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		k := u64key(uint64(i))
 		live.Set(k, uint64(i))
-		if _, err := wal.Append(persist.OpSet, "", k, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendCommitted(t, wal, k, uint64(i))
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
@@ -213,6 +214,20 @@ func TestSegmentRotation(t *testing.T) {
 	assertEqual(t, live, got2)
 	if res2.Replayed != 0 {
 		t.Fatalf("post-compaction Replayed = %d, want 0 (snapshot covers all)", res2.Replayed)
+	}
+}
+
+// appendCommitted appends one OpSet record and commits it. Rotation is the
+// syncer's, so a test that counts segments commits each record: the syncer
+// rotates a full segment before it releases the Commit.
+func appendCommitted(t *testing.T, wal *persist.WAL, key []byte, val uint64) {
+	t.Helper()
+	lsn, err := wal.Append(persist.OpSet, "", key, val)
+	if err == nil {
+		err = wal.Commit(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -331,9 +346,7 @@ func TestTornMiddleSegmentIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := wal.Append(persist.OpSet, "", u64key(uint64(i)), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendCommitted(t, wal, u64key(uint64(i)), uint64(i))
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
@@ -461,7 +474,7 @@ func TestFlushAllReplay(t *testing.T) {
 }
 
 // TestNamespacedSnapshot: WriteSnapshot with several named sets recovers
-// each into its own index, with the recorded length hints.
+// each into its own index, sized by its key count.
 func TestNamespacedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	a, b := mkIndex(0), mkIndex(0)
@@ -472,9 +485,9 @@ func TestNamespacedSnapshot(t *testing.T) {
 		b.Set([]byte(fmt.Sprintf("b%03d", i)), uint64(i*2))
 	}
 	_, err := persist.WriteSnapshot(dir, 0, []persist.SetSnapshot{
-		{Set: "alpha", Cursor: a.NewCursor(), LenHint: a.Len()},
-		{Set: "beta", Cursor: b.NewCursor(), LenHint: b.Len()},
-		{Set: "empty", Cursor: mkIndex(0).NewCursor(), LenHint: 0},
+		{Set: "alpha", Cursor: a.NewCursor()},
+		{Set: "beta", Cursor: b.NewCursor()},
+		{Set: "empty", Cursor: mkIndex(0).NewCursor()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,6 +510,58 @@ func TestNamespacedSnapshot(t *testing.T) {
 	}
 	if hints["alpha"] != 64 || hints["beta"] != 16 {
 		t.Fatalf("capacity hints = %v", hints)
+	}
+}
+
+// TestRecoverIgnoresLenHint: a snapshot's set frame has a reserved u64 that
+// older images filled with a key-count hint, and a damaged or hostile image
+// can name any size there. Recovery must size each set from its decoded
+// key count, or a one-key snapshot claiming 2^28 keys makes the factory
+// allocate for all of them.
+func TestRecoverIgnoresLenHint(t *testing.T) {
+	dir := t.TempDir()
+	one := mkIndex(0)
+	one.Set([]byte("only"), 1)
+	path, err := persist.WriteSnapshot(dir, 0, []persist.SetSnapshot{
+		{Set: "huge", Cursor: one.NewCursor()},
+		{Set: "empty", Cursor: mkIndex(0).NewCursor()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setFrameHints(t, path, 1<<28)
+	hints := map[string]int{}
+	if _, err := persist.Recover(dir, func(set string, hint int) index.Index {
+		hints[set] = hint
+		return mkIndex(hint)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hints["huge"] != 1 || hints["empty"] != 0 {
+		t.Fatalf("factory hints = %v, want the decoded key counts (huge 1, empty 0)", hints)
+	}
+}
+
+// setFrameHints rewrites the reserved u64 of every set frame in the
+// snapshot file at path to hint, re-sealing each frame's CRC.
+func setFrameHints(t *testing.T, path string, hint uint64) {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 16; off < len(img); { // past the 16-byte header
+		n := int(binary.LittleEndian.Uint32(img[off:]))
+		payload := img[off+4 : off+4+n]
+		if payload[0] == 0x01 { // set frame: the reserved u64 ends it
+			binary.LittleEndian.PutUint64(payload[n-8:], hint)
+			crc := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(img[off+4+n:], crc)
+		}
+		off += n + 8
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -541,11 +606,11 @@ func TestSampledRouterTrainsFromSnapshotStream(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies: every policy survives the append→close→recover cycle;
-// everysec's background flusher makes unclosed appends durable within ~1s
+// TestFsyncPolicies: every policy survives the append→close→recover cycle,
+// and a Commit barrier puts the records on disk with the writer still open
 // (checked via file growth, not a crash, to keep the test hermetic).
 func TestFsyncPolicies(t *testing.T) {
-	for _, pol := range []persist.FsyncPolicy{persist.FsyncAlways, persist.FsyncEverySec, persist.FsyncNo, persist.FsyncGroup, persist.FsyncAsync} {
+	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: pol})
@@ -557,10 +622,10 @@ func TestFsyncPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := wal.Sync(); err != nil {
+			if err := wal.Commit(wal.LSN()); err != nil {
 				t.Fatal(err)
 			}
-			// After an explicit Sync the records must be on disk even with
+			// After a Commit barrier the records must be on disk even with
 			// the writer still open.
 			segs := walSegmentNames(t, dir)
 			b, err := os.ReadFile(filepath.Join(dir, segs[0]))

@@ -8,10 +8,11 @@ import (
 	"repro/internal/index"
 )
 
-// Factory builds the index for one recovered set. capacityHint is the
-// snapshot's recorded key count for the set (0 for sets born from WAL
-// replay alone).
-type Factory func(set string, capacityHint int) index.Index
+// Factory builds the index for one recovered set. keys is the set's
+// decoded snapshot key count — exact, unlike the hint the snapshot
+// records, which is never trusted as an allocation size — and 0 for sets
+// born from WAL replay alone.
+type Factory func(set string, keys int) index.Index
 
 // Result reports what Recover rebuilt.
 type Result struct {
@@ -82,11 +83,7 @@ func Recover(dir string, factory Factory) (*Result, error) {
 	// 2. Bulk-load the snapshot, one BulkLoad per set over its whole
 	// stream.
 	for _, s := range sets {
-		hint := s.LenHint
-		if hint < len(s.Keys) {
-			hint = len(s.Keys)
-		}
-		ix := factory(s.Set, hint)
+		ix := factory(s.Set, len(s.Keys))
 		if _, err := index.BulkLoad(ix, s.Keys, s.Vals); err != nil {
 			return nil, fmt.Errorf("persist: bulk-loading snapshot set %q: %w", s.Set, err)
 		}
@@ -137,11 +134,7 @@ func (r *Result) Keys() int {
 // WriteSnapshot directly. lsn must cover every WAL record already applied
 // to ix (pass wal.LSN(), or 0 when there is no WAL).
 func SaveIndex(dir string, lsn uint64, ix index.Index) (string, error) {
-	return WriteSnapshot(dir, lsn, []SetSnapshot{{
-		Set:     "",
-		Cursor:  ix.NewCursor(),
-		LenHint: ix.Len(),
-	}})
+	return WriteSnapshot(dir, lsn, []SetSnapshot{{Set: "", Cursor: ix.NewCursor()}})
 }
 
 // RecoverIndex is Recover for a single unnamed index: it returns the

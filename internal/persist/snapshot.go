@@ -16,7 +16,7 @@ import (
 // Snapshot file layout:
 //
 //	header (16 bytes, unframed): magic "CTSNAP1\x00" + LSN (u64 LE)
-//	set frame:      0x01, uvarint(len(name)), name, u64 key-count hint
+//	set frame:      0x01, uvarint(len(name)), name, u64 reserved (written 0)
 //	kv batch frame: 0x02, uvarint(n), n × { uvarint(len(key)), key, u64 val }
 //	trailer frame:  0xFF, u64 total kv count, u64 LSN (must match header)
 //
@@ -74,10 +74,6 @@ type SetSnapshot struct {
 	// recovery converges either way because their WAL records replay
 	// idempotently (see the package comment).
 	Cursor KeyValueCursor
-	// LenHint is recorded in the set frame as the recovery factory's
-	// capacity hint (typically Index.Len() at snapshot time; approximate is
-	// fine).
-	LenHint int
 }
 
 // WriteSnapshot serializes the given sets at the given LSN into dir,
@@ -107,63 +103,7 @@ func WriteSnapshot(dir string, lsn uint64, sets []SetSnapshot) (string, error) {
 	defer f.Close()
 
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var hdr [snapHeaderLen]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], lsn)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return "", err
-	}
-
-	total := uint64(0)
-	payload := make([]byte, 0, 1<<14)
-	for _, s := range sets {
-		payload = payload[:0]
-		payload = append(payload, frameSet)
-		payload = appendUvarint(payload, uint64(len(s.Set)))
-		payload = append(payload, s.Set...)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(s.LenHint))
-		if err := writeFrame(bw, payload); err != nil {
-			return "", err
-		}
-		c := s.Cursor
-		if c == nil {
-			continue
-		}
-		inBatch := 0
-		batch := make([]byte, 0, 1<<14)
-		flushBatch := func() error {
-			if inBatch == 0 {
-				return nil
-			}
-			payload = payload[:0]
-			payload = append(payload, frameKVBatch)
-			payload = appendUvarint(payload, uint64(inBatch))
-			payload = append(payload, batch...)
-			err := writeFrame(bw, payload)
-			batch, inBatch = batch[:0], 0
-			return err
-		}
-		for ok := c.Seek(nil); ok; ok = c.Next() {
-			k := c.Key()
-			batch = appendUvarint(batch, uint64(len(k)))
-			batch = append(batch, k...)
-			batch = binary.LittleEndian.AppendUint64(batch, c.Value())
-			total++
-			if inBatch++; inBatch >= snapBatchKVs {
-				if err := flushBatch(); err != nil {
-					return "", err
-				}
-			}
-		}
-		if err := flushBatch(); err != nil {
-			return "", err
-		}
-	}
-	payload = payload[:0]
-	payload = append(payload, frameTrailer)
-	payload = binary.LittleEndian.AppendUint64(payload, total)
-	payload = binary.LittleEndian.AppendUint64(payload, lsn)
-	if err := writeFrame(bw, payload); err != nil {
+	if err := encodeSnapshot(bw, lsn, sets); err != nil {
 		return "", err
 	}
 	if err := bw.Flush(); err != nil {
@@ -192,16 +132,19 @@ func WriteSnapshot(dir string, lsn uint64, sets []SetSnapshot) (string, error) {
 // sampled router sees the complete stream and derives balanced boundaries
 // from it).
 type SnapshotSet struct {
-	Set     string
-	LenHint int
-	Keys    [][]byte
-	Vals    []uint64
+	Set  string
+	Keys [][]byte
+	Vals []uint64
 }
 
 // readSnapshot decodes and validates a snapshot file. Any structural
 // problem — bad magic, LSN mismatch, torn frame, missing or inconsistent
 // trailer — returns an error wrapping ErrCorrupt; the caller treats the
 // file as invalid and falls back.
+//
+// The set frame's reserved u64 once held a key-count hint, and older images
+// still carry one. It is read past whatever it says: len(Keys) is exact,
+// and a damaged or hostile image could name any size there.
 func readSnapshot(path string) (lsn uint64, sets []SnapshotSet, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -219,7 +162,9 @@ func readSnapshot(path string) (lsn uint64, sets []SnapshotSet, err error) {
 }
 
 // decodeSnapshot decodes a snapshot image from r; name labels errors (a
-// file path, or "snapshot stream" for a replication full sync).
+// file path, or "snapshot stream" for a replication full sync). Only the
+// forms encodeSnapshot writes decode: bytes left in a frame after its last
+// field, or a kv batch with no pairs, are ErrCorrupt.
 func decodeSnapshot(r io.Reader, name string) (lsn uint64, sets []SnapshotSet, err error) {
 	path := name
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -264,18 +209,17 @@ func decodeSnapshot(r io.Reader, name string) (lsn uint64, sets []SnapshotSet, e
 			if err != nil {
 				return 0, nil, fmt.Errorf("%w: %s: bad set frame", ErrCorrupt, path)
 			}
-			hint, _, err := takeU64(rest)
-			if err != nil {
+			if _, rest, err = takeU64(rest); err != nil || len(rest) != 0 {
 				return 0, nil, fmt.Errorf("%w: %s: bad set frame", ErrCorrupt, path)
 			}
-			sets = append(sets, SnapshotSet{Set: string(name), LenHint: int(hint)})
+			sets = append(sets, SnapshotSet{Set: string(name)})
 			cur = &sets[len(sets)-1]
 		case frameKVBatch:
 			if cur == nil {
 				return 0, nil, fmt.Errorf("%w: %s: kv batch before any set frame", ErrCorrupt, path)
 			}
 			n, rest, err := takeUvarint(rest)
-			if err != nil {
+			if err != nil || n == 0 {
 				return 0, nil, fmt.Errorf("%w: %s: bad kv batch", ErrCorrupt, path)
 			}
 			for i := uint64(0); i < n; i++ {
@@ -295,13 +239,16 @@ func decodeSnapshot(r io.Reader, name string) (lsn uint64, sets []SnapshotSet, e
 				cur.Vals = append(cur.Vals, val)
 				total++
 			}
+			if len(rest) != 0 {
+				return 0, nil, fmt.Errorf("%w: %s: bad kv batch", ErrCorrupt, path)
+			}
 		case frameTrailer:
 			count, rest, err := takeU64(rest)
 			if err != nil {
 				return 0, nil, fmt.Errorf("%w: %s: bad trailer", ErrCorrupt, path)
 			}
-			tlsn, _, err := takeU64(rest)
-			if err != nil {
+			tlsn, rest, err := takeU64(rest)
+			if err != nil || len(rest) != 0 {
 				return 0, nil, fmt.Errorf("%w: %s: bad trailer", ErrCorrupt, path)
 			}
 			if count != total || tlsn != lsn {

@@ -73,11 +73,14 @@ type WALOptions struct {
 
 // WAL is a segmented append-only log. Appends are safe for concurrent use;
 // each is assigned the next LSN under the WAL's mutex, so LSN order is the
-// order records reach the log.
+// order records reach the log. Appends only buffer: one syncer goroutine
+// (syncLoop) does every flush, fsync and rotation, on the cadence the
+// policy's row in policies names.
 type WAL struct {
 	mu      sync.Mutex
 	dir     string
 	opts    WALOptions
+	cadence syncCadence
 	f       *os.File
 	bw      *bufio.Writer
 	written int64 // bytes in the current segment, header included
@@ -87,13 +90,13 @@ type WAL struct {
 	syncErr error // sticky write/fsync failure (see failLocked)
 
 	durable  uint64 // highest LSN known to be fsynced to stable storage
+	demand   uint64 // highest LSN a Commit or a 1 s tick asked the syncer to make durable
 	appended int64  // cumulative record bytes this session (auto-rewrite budget input)
-	finished bool   // Close ran its final sync: Commit waiters must not park
 
-	// commitCond (on mu) wakes Commit waiters whenever durable advances, a
-	// sticky sync error lands, or Close finishes — every parked writer
-	// re-checks its LSN against the watermark, so one fsync releases a whole
-	// pipeline and one failure fans out to all of them.
+	// commitCond (on mu) wakes Commit waiters whenever durable advances or
+	// a sticky sync error lands — every parked writer re-checks its LSN
+	// against the watermark, so one fsync releases a whole pipeline and one
+	// failure fans out to all of them.
 	commitCond *sync.Cond
 	// onAppend, when set, observes every appended record — called under the
 	// WAL mutex with the record's LSN and its complete wire frame, so
@@ -104,16 +107,14 @@ type WAL struct {
 
 	met WALMetrics // always-on durability histograms (see walmetrics.go)
 
-	stop chan struct{} // everysec flusher shutdown
-	done chan struct{}
-
-	syncCond   *sync.Cond    // wakes the group syncer when unsynced appends exist
-	syncerDone chan struct{} // closed when the group syncer exits
+	syncCond   *sync.Cond    // wakes the syncer when syncDueLocked may have become true
+	syncerDone chan struct{} // closed when the syncer exits
+	tick       *time.Timer   // the 1 s cadence's timer (syncEverySec only)
 }
 
 // fsync pushes f to stable storage through the configured seam, recording
-// the duration — every fsync the WAL issues (policy syncs, rotations, the
-// final close) lands in the same histogram.
+// the duration — every fsync the WAL issues (the syncer's, rotations', a
+// new segment's) lands in the same histogram.
 func (w *WAL) fsync(f *os.File) error {
 	start := time.Now()
 	var err error
@@ -135,11 +136,15 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
+	if !opts.Policy.known() {
+		return nil, fmt.Errorf("persist: unknown fsync policy %v", opts.Policy)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, opts: opts, next: 1, met: newWALMetrics()}
+	w := &WAL{dir: dir, opts: opts, cadence: policies[opts.Policy].cadence, next: 1, met: newWALMetrics()}
 	w.commitCond = sync.NewCond(&w.mu)
+	w.syncCond = sync.NewCond(&w.mu)
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -165,16 +170,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	// Everything on disk at open is the recovery baseline: durable by
 	// definition as far as this session's acknowledgements are concerned.
 	w.durable = w.next - 1
-	switch opts.Policy {
-	case FsyncEverySec:
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.flushLoop()
-	case FsyncGroup, FsyncAsync:
-		w.syncCond = sync.NewCond(&w.mu)
-		w.syncerDone = make(chan struct{})
-		go w.groupSyncLoop()
-	}
+	w.syncerDone = make(chan struct{})
+	go w.syncLoop()
 	return w, nil
 }
 
@@ -252,9 +249,11 @@ func (w *WAL) createSegment(firstLSN uint64) error {
 	return nil
 }
 
-// Append logs one record and returns its LSN. Durability depends on the
-// fsync policy; rotation to a new segment happens after the append that
-// crosses SegmentBytes, so a record never spans segments.
+// Append logs one record and returns its LSN. It only buffers the record:
+// the syncer makes it durable on the policy's cadence (Commit waits for
+// that), and rotates to a new segment once the current one has crossed
+// SegmentBytes — so a record never spans segments, and a segment may
+// overshoot the threshold by what is appended before the syncer rotates.
 func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -279,72 +278,11 @@ func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) 
 		// Under w.mu: fan-out subscribers see records in LSN order.
 		w.onAppend(op, lsn, frame)
 	}
-	switch w.opts.Policy {
-	case FsyncAlways:
-		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-	case FsyncGroup, FsyncAsync:
-		// The record is only buffered; wake the group syncer and return.
-		// Rotation is the syncer's job under these policies — it may be
-		// fsyncing w.f outside the mutex right now, so nothing else is
-		// allowed to close the segment file out from under it.
+	// An everysec/no append wakes nobody until its segment is full.
+	if w.cadence == syncEager || w.written >= w.opts.SegmentBytes {
 		w.syncCond.Signal()
-		return lsn, nil
-	}
-	if w.written >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
 	}
 	return lsn, nil
-}
-
-// rotateLocked seals the current segment (flush + fsync, so the boundary
-// is durable under every policy) and starts the next one. Any failure
-// poisons the WAL.
-func (w *WAL) rotateLocked() error {
-	if err := w.syncLocked(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return w.failLocked(err)
-	}
-	if err := w.createSegment(w.next); err != nil {
-		return w.failLocked(err)
-	}
-	return nil
-}
-
-// syncLocked flushes and fsyncs the current segment and advances the
-// durable watermark. A poisoned WAL refuses: after a failed fsync the
-// kernel may have dropped the dirty pages, so a later fsync that succeeds
-// proves nothing about the records the failed one covered.
-func (w *WAL) syncLocked() error {
-	if w.syncErr != nil {
-		return w.syncErr
-	}
-	if err := w.bw.Flush(); err != nil {
-		return w.failLocked(err)
-	}
-	if err := w.fsync(w.f); err != nil {
-		return w.failLocked(err)
-	}
-	if w.next-1 > w.durable {
-		w.durable = w.next - 1
-		w.commitCond.Broadcast()
-	}
-	return nil
-}
-
-// Sync flushes buffered appends and fsyncs the current segment.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	return w.syncLocked()
 }
 
 // DurableLSN returns the highest LSN known to have reached stable storage —
@@ -365,13 +303,12 @@ func (w *WAL) AppendedBytes() int64 {
 }
 
 // Commit blocks until every record with LSN ≤ lsn is durable, and is the
-// park-on-LSN half of group commit: under FsyncGroup/FsyncAsync the caller
-// sleeps on the commit condition while the syncer batches fsyncs, so N
-// pipelined writers are released by one fsync instead of issuing N. Under
-// the other policies it syncs inline when the watermark hasn't caught up
-// (a durability barrier that works everywhere, e.g. for WAIT). A sticky
-// sync error fails every parked and future Commit; after Close, waiters
-// whose LSN the final sync did not cover get ErrWALClosed.
+// park-on-LSN half of group commit: the caller sleeps on the commit
+// condition while the syncer batches fsyncs, so N pipelined writers are
+// released by one fsync instead of issuing N. It is a durability barrier
+// under every policy (e.g. for WAIT): its LSN becomes demand, so a lazy
+// cadence syncs at once. A sticky sync error fails every parked and future
+// Commit.
 //
 // Callers must not hold locks that the append path needs while parked —
 // in miniredis terms: never call Commit with cmdMu or a per-stripe write
@@ -388,20 +325,14 @@ func (w *WAL) Commit(lsn uint64) error {
 		// costs nothing and would drown the park distribution in zeros.
 		start := time.Now()
 		defer func() { w.met.CommitWait.RecordDuration(int64(time.Since(start))) }()
+		if lsn > w.demand {
+			w.demand = lsn
+			w.syncCond.Signal()
+		}
 	}
 	for w.durable < lsn {
 		if w.syncErr != nil {
 			return w.syncErr
-		}
-		if w.finished {
-			return ErrWALClosed
-		}
-		if w.syncCond == nil {
-			// No syncer under this policy: make the tail durable inline.
-			if err := w.syncLocked(); err != nil {
-				return err
-			}
-			continue
 		}
 		w.commitCond.Wait()
 	}
@@ -428,12 +359,12 @@ func (w *WAL) LSN() uint64 {
 // Dir returns the WAL's data directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Close flushes, fsyncs and closes the WAL. A cleanly closed WAL loses
-// nothing under any fsync policy. Background goroutines are stopped before
-// the segment file is touched, so a group sync pending at Close completes
-// (its parked writers are released with their durability intact) — or, if
-// the final sync fails, every parked writer gets the error; either way no
-// waiter is left parked and no goroutine leaks.
+// Close makes everything appended durable and closes the WAL. A cleanly
+// closed WAL loses nothing under any fsync policy. The syncer drains the
+// buffer before the segment file is touched, so a sync pending at Close
+// completes (its parked writers are released with their durability
+// intact) — or, if it fails, every parked writer gets the error; either
+// way no waiter is left parked and no goroutine leaks.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -441,113 +372,135 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.syncCond != nil {
-		w.syncCond.Signal()
-	}
+	w.syncCond.Signal()
 	w.mu.Unlock()
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-	}
-	if w.syncerDone != nil {
-		// The syncer drains everything buffered (it may be mid-fsync on w.f
-		// right now, which is why the file must not be closed yet) and exits
-		// once durable has caught up or a sync error poisoned the WAL.
-		<-w.syncerDone
-	}
+	// The syncer may be mid-fsync on w.f right now, which is why the file
+	// must not be closed before it exits: durable caught up, or poisoned.
+	<-w.syncerDone
 	w.mu.Lock()
-	// A poisoned WAL skips the final sync (syncLocked returns the sticky
-	// error) so the watermark never advances past a failed fsync.
-	err := w.syncLocked()
+	defer w.mu.Unlock()
+	err := w.syncErr
 	if cerr := w.f.Close(); err == nil && cerr != nil {
-		err = w.failLocked(cerr) // late Commit callers must not report durability
+		err = w.failLocked(cerr)
 	}
-	w.finished = true
-	w.commitCond.Broadcast()
-	w.mu.Unlock()
 	return err
 }
 
-// flushLoop is the FsyncEverySec background flusher.
-func (w *WAL) flushLoop() {
-	defer close(w.done)
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
+// syncLoop is the WAL's one syncer, under every policy. It waits until
+// syncDueLocked holds, then flushes and fsyncs, advances the durable
+// watermark, wakes every Commit waiter at or below it, and rotates a full
+// segment. The fsync runs OUTSIDE the WAL mutex against a captured
+// *os.File, so appends keep buffering (and the fan-out keeps publishing)
+// while the disk works, and everything appended during one fsync forms
+// the next batch — under an eager cadence the in-flight fsync is the only
+// batching window, as with PostgreSQL's default commit_delay = 0. The
+// syncer owns rotation, which is what makes the captured file safe:
+// nothing else closes w.f while it lives. It must never take locks
+// outside the WAL — in particular no miniredis stripe/write mutexes —
+// since writers park on its progress while holding none (ctvet's
+// lockorder analyzer enforces the protocol).
+func (w *WAL) syncLoop() {
+	defer close(w.syncerDone)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cadence == syncEverySec {
+		w.tick = time.AfterFunc(time.Second, w.onTick)
+		defer w.tick.Stop()
+	}
 	for {
-		select {
-		case <-w.stop:
+		for !w.syncDueLocked() {
+			w.syncCond.Wait()
+		}
+		if w.syncErr != nil {
 			return
-		case <-t.C:
-			w.mu.Lock()
-			if !w.closed {
-				// A failure poisons the WAL (failLocked), so the next Append
-				// surfaces it instead of accepting writes that cannot
-				// become durable.
-				w.syncLocked()
+		}
+		if w.durable < w.next-1 {
+			if err := w.bw.Flush(); err != nil {
+				w.failLocked(err)
+				return
 			}
+			// Capture the batch boundary and the file, then fsync unlocked.
+			target := w.next - 1
+			f := w.f
 			w.mu.Unlock()
+			err := w.fsync(f)
+			w.mu.Lock()
+			if err != nil {
+				w.failLocked(err)
+				return
+			}
+			w.advanceLocked(target)
+		}
+		if w.written >= w.opts.SegmentBytes && w.rotateLocked() != nil {
+			return
+		}
+		if w.closed && w.durable == w.next-1 {
+			return // Close closes the file
 		}
 	}
 }
 
-// groupSyncLoop is the FsyncGroup/FsyncAsync syncer: one goroutine that
-// flushes and fsyncs as soon as it sees unsynced records, advances the
-// durable watermark, and wakes every Commit waiter at or below it. There
-// is no artificial delay: the fsync itself runs OUTSIDE the WAL mutex
-// against a captured *os.File, so appends keep buffering (and the fan-out
-// keeps publishing) while the disk works, and everything appended during
-// one fsync forms the next batch — the in-flight fsync is the only
-// batching window, as with PostgreSQL's default commit_delay = 0. The
-// syncer owns rotation under these policies, which is what makes the
-// captured file safe: nothing else closes w.f while the syncer lives. It
-// must never take locks outside the WAL — in particular no miniredis
-// stripe/write mutexes — since writers park on its progress while holding
-// none (ctvet's lockorder analyzer enforces the protocol).
-func (w *WAL) groupSyncLoop() {
-	defer close(w.syncerDone)
+// syncDueLocked reports whether the syncer has work: records are unsynced
+// and the cadence is eager, a Commit or a 1 s tick demands an LSN past the
+// watermark, the segment is full, Close ran, or the WAL is poisoned.
+func (w *WAL) syncDueLocked() bool {
+	return w.demand > w.durable || w.cadence == syncEager && w.durable < w.next-1 ||
+		w.written >= w.opts.SegmentBytes || w.closed || w.syncErr != nil
+}
+
+// onTick is the 1 s cadence: it demands everything appended so far and
+// re-arms, until Close or a sticky error stops the syncer.
+func (w *WAL) onTick() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for {
-		for w.durable == w.next-1 && !w.closed && w.syncErr == nil {
-			w.syncCond.Wait()
-		}
-		if w.syncErr != nil || w.durable == w.next-1 {
-			return // poisoned, or closed and fully durable: Close finishes up
-		}
-		if err := w.bw.Flush(); err != nil {
-			w.failLocked(err)
-			return
-		}
-		// Capture the batch boundary and the file, then fsync unlocked.
-		target := w.next - 1
-		f := w.f
-		w.mu.Unlock()
-		err := w.fsync(f)
-		w.mu.Lock()
-		if err != nil {
-			w.failLocked(err)
-			return
-		}
-		if target > w.durable {
-			w.met.BatchSize.Record(target - w.durable)
-			w.durable = target
-			w.commitCond.Broadcast()
-		}
-		if w.written >= w.opts.SegmentBytes {
-			// rotateLocked re-syncs inline (records may have landed during
-			// the unlocked fsync), seals the segment and opens the next one.
-			if w.rotateLocked() != nil {
-				return
-			}
-		}
+	if w.closed || w.syncErr != nil {
+		return
 	}
+	if w.next-1 > w.demand {
+		w.demand = w.next - 1
+		w.syncCond.Signal()
+	}
+	w.tick.Reset(time.Second)
+}
+
+// advanceLocked moves the durable watermark to target after an fsync
+// covered it and releases the Commit waiters it satisfies.
+func (w *WAL) advanceLocked(target uint64) {
+	if target > w.durable {
+		w.met.BatchSize.Record(target - w.durable)
+		w.durable = target
+		w.commitCond.Broadcast()
+	}
+}
+
+// rotateLocked seals the current segment — flush and fsync under the
+// mutex, since records may have landed during the syncer's unlocked fsync,
+// so the boundary is durable under every policy — and starts the next one.
+// Any failure poisons the WAL. So a full segment gets two fsyncs, by
+// design: the syncer's unlocked one takes the bulk while appends go on.
+func (w *WAL) rotateLocked() error {
+	if err := w.bw.Flush(); err != nil {
+		return w.failLocked(err)
+	}
+	if err := w.fsync(w.f); err != nil {
+		return w.failLocked(err)
+	}
+	w.advanceLocked(w.next - 1)
+	if err := w.f.Close(); err != nil {
+		return w.failLocked(err)
+	}
+	if err := w.createSegment(w.next); err != nil {
+		return w.failLocked(err)
+	}
+	return nil
 }
 
 // failLocked records the sticky I/O error, fails every parked writer and
 // returns the sticky error. Called under w.mu by every path that writes or
-// syncs, under every policy. After it, Append, Commit, Sync and Close
-// return the error forever: a WAL that cannot promise durability must not
-// keep acknowledging.
+// syncs, under every policy. After it, Append, Commit and Close return the
+// error forever: after a failed fsync the kernel may have dropped the
+// dirty pages, so a later fsync that succeeds proves nothing, and a WAL
+// that cannot promise durability must not keep acknowledging.
 func (w *WAL) failLocked(err error) error {
 	if w.syncErr == nil {
 		w.syncErr = err
