@@ -7,9 +7,9 @@
 // With -data-dir the store is durable: the directory is recovered on boot
 // (newest valid snapshot bulk-loaded, then the WAL tail replayed), writes
 // append to the segmented WAL under the -fsync policy, and SAVE/BGSAVE —
-// or -snapshot-every N — cut compacting snapshots:
+// or the WAL outgrowing -auto-rewrite-bytes — cut compacting snapshots:
 //
-//	ctredis -data-dir /var/lib/ctredis -fsync everysec -snapshot-every 100000
+//	ctredis -data-dir /var/lib/ctredis -fsync everysec -auto-rewrite-bytes 16777216
 //
 // With -replicaof the server boots as a memory-only read replica: it syncs
 // from the primary (full snapshot stream or partial WAL tail), follows the
@@ -45,11 +45,10 @@ func main() {
 	engine := flag.String("engine", "CuckooTrie", "sorted-set engine: CuckooTrie|ARTOLC|HOT|Wormhole|STX|SkipList")
 	capacity := flag.Int("capacity", 1<<20, "expected keys per sorted set")
 	shards := flag.Int("shards", 1, "shards per sorted set (>1 enables scatter-gather across cores)")
-	router := flag.String("router", "hash", "key→shard routing for sharded sets: hash|range|sampled (range/sampled keep scans single-shard when possible; sampled derives balanced shard boundaries from the preload stream)")
-	preload := flag.Int("preload", 0, "bulk-load N random 8-byte keys into set 'bench' before serving (partitioned load for sharded sets; trains the sampled router's boundaries)")
+	router := flag.String("router", "hash", "key→shard routing for sharded sets: hash|range (range keeps scans single-shard when possible; it splits by key prefix until the first bulk load into an empty set derives balanced boundaries from that stream)")
+	preload := flag.Int("preload", 0, "bulk-load N random 8-byte keys into set 'bench' before serving (partitioned load for sharded sets; trains the range router's boundaries)")
 	dataDir := flag.String("data-dir", "", "enable persistence: recover this directory on boot (snapshot + WAL replay) and log writes to it")
-	fsync := flag.String("fsync", "everysec", "WAL fsync policy with -data-dir: always|everysec|no|group|async (always and group ack a pipeline's writes once one shared fsync covers them; async fsyncs as eagerly but acks at once, tracking durability via the DurableLSN watermark in INFO persistence; everysec fsyncs once a second; no leaves it to the OS)")
-	snapEvery := flag.Int("snapshot-every", 0, "cut a background snapshot every N logged writes (0 disables; SAVE/BGSAVE always work)")
+	fsync := flag.String("fsync", "everysec", "WAL fsync policy with -data-dir: always|everysec|no (always acks a pipeline's writes once one shared fsync covers them, and group is another spelling of it; everysec fsyncs once a second and no leaves it to the OS, both acking at once and tracking durability via aof_durable_lsn in INFO persistence)")
 	autoRewrite := flag.Int64("auto-rewrite-bytes", 64<<20, "rewrite the log (background snapshot + segment compaction) once the WAL grows this many bytes past the last snapshot (0 disables)")
 	replicaOf := flag.String("replicaof", "", "replicate from this primary (host:port); the server is a memory-only read replica")
 	execFlag := flag.String("exec", "serial", "command execution mode: serial (Redis's one-at-a-time loop, any engine) | striped-conn (per-connection concurrency; runs as serial when the engine is not concurrent-safe)")
@@ -82,7 +81,7 @@ func main() {
 	if *shards > 1 {
 		mk, ok := sharded.RouterByName(*router)
 		if !ok {
-			log.Fatalf("unknown router %q (want hash, range or sampled)", *router)
+			log.Fatalf("unknown router %q (want hash or range)", *router)
 		}
 		f = miniredis.ShardedFactoryWithRouter(f, *shards, mk)
 		name = fmt.Sprintf("%s x%d shards, %s-routed", name, sharded.RoundShards(*shards), *router)
@@ -98,15 +97,14 @@ func main() {
 	srv.SetMaxConns(*maxConns)
 	srv.SetSlowlogThreshold(*slowlogThreshold)
 	recovered := 0
+	var policy persist.FsyncPolicy
 	if *dataDir != "" {
-		policy, err := persist.ParseFsyncPolicy(*fsync)
-		if err != nil {
+		if policy, err = persist.ParseFsyncPolicy(*fsync); err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
 		res, err := srv.EnablePersistence(*dataDir, miniredis.PersistOptions{
 			Policy:           policy,
-			SnapshotEvery:    *snapEvery,
 			AutoRewriteBytes: *autoRewrite,
 		})
 		if err != nil {
@@ -150,7 +148,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if srv.Persistent() {
-		name = fmt.Sprintf("%s, persisted to %s, fsync %s", name, *dataDir, *fsync)
+		name = fmt.Sprintf("%s, persisted to %s, fsync %s", name, *dataDir, policy)
 	}
 	role := "master"
 	if *replicaOf != "" {

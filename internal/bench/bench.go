@@ -149,7 +149,7 @@ func ShardedEngine(e Engine, shards int) Engine {
 }
 
 // ShardedEngineRouted is ShardedEngine with an explicit routing mode from
-// sharded.RouterByName ("hash", "range", "sampled"); the engine is named
+// sharded.RouterByName ("hash", "range"); the engine is named
 // "<base>-<router>-xN". It reports false for an unknown router.
 func ShardedEngineRouted(e Engine, shards int, router string) (Engine, bool) {
 	mk, ok := sharded.RouterByName(router)
@@ -181,7 +181,7 @@ func ShardedEngines(shards int) []Engine {
 
 // engineByName finds an engine. A "-xN" suffix (e.g. "CuckooTrie-x4")
 // resolves the base engine and wraps it in an N-shard hash-routed variant;
-// a router-qualified suffix (e.g. "CuckooTrie-sampled-x4") selects the
+// a router-qualified suffix (e.g. "CuckooTrie-range-x4") selects the
 // routing mode.
 func engineByName(name string) (Engine, bool) {
 	if i := strings.LastIndex(name, "-x"); i > 0 {

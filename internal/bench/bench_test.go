@@ -34,8 +34,8 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		{"fig12", 0, []string{"MlpIndex", "bytes/key"}},
 		{"table3", 0, []string{"DRAM", "probed lines/lookup", "upper bound"}},
 		{"ablation", 0, []string{"nodes/key", "LOAD throughput", "ctbench multiget"}},
-		{"sharded", 4, []string{"CuckooTrie", "x2", "x4", "shard count", "router=hash", "GOMAXPROCS=", "sampled-x4", "az", "reddit", "balance"}},
-		{"load", 4, []string{"CuckooTrie", "hash-x2", "range-x4", "sampled-x2", "router", "GOMAXPROCS=", "az", "reddit", "balance"}},
+		{"sharded", 4, []string{"CuckooTrie", "x2", "x4", "shard count", "router=hash", "GOMAXPROCS=", "range-x4", "az", "reddit", "balance"}},
+		{"load", 4, []string{"CuckooTrie", "hash-x2", "range-x4", "range-x2", "router", "GOMAXPROCS=", "az", "reddit", "balance"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -233,7 +233,7 @@ func TestShardedEngineRegistry(t *testing.T) {
 // to sharded variants with the requested routing mode; unknown routers
 // fail rather than silently falling back to hash.
 func TestRoutedEngineRegistry(t *testing.T) {
-	for _, router := range []string{"hash", "range", "sampled"} {
+	for _, router := range []string{"hash", "range"} {
 		name := "CuckooTrie-" + router + "-x4"
 		e, ok := engineByName(name)
 		if !ok {
@@ -264,26 +264,26 @@ func TestRoutedEngineRegistry(t *testing.T) {
 // under -json, one parseable report carrying the banner fields
 // (GOMAXPROCS, keys, seed) and per-cell rows — the contract that makes
 // cross-machine runs diffable. Per-figure checks pin the axes that figure
-// sweeps: sampled-router balance for the shard figures, the
+// sweeps: range-router balance for the shard figures, the
 // workload/threads axes for the YCSB grids, the latency axes for fig7.
 func TestJSONReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs are not short")
 	}
 	type check func(t *testing.T, rep Report)
-	wantSampled := func(t *testing.T, rep Report) {
+	wantRange := func(t *testing.T, rep Report) {
 		t.Helper()
-		sampled := 0
+		ranged := 0
 		for _, r := range rep.Rows {
-			if r.Router == "sampled" {
-				sampled++
+			if r.Router == "range" {
+				ranged++
 				if r.Shards != 2 || r.Balance <= 0 {
-					t.Fatalf("sampled row %+v: want shards=2 and a balance figure", r)
+					t.Fatalf("range row %+v: want shards=2 and a balance figure", r)
 				}
 			}
 		}
-		if sampled == 0 {
-			t.Fatal("no sampled-router rows in the report")
+		if ranged == 0 {
+			t.Fatal("no range-router rows in the report")
 		}
 		if rep.MaxShards != 2 {
 			t.Fatalf("MaxShards = %d, want 2", rep.MaxShards)
@@ -324,8 +324,8 @@ func TestJSONReports(t *testing.T) {
 		}
 	}
 	checks := map[string]check{
-		"load":    wantSampled,
-		"sharded": wantSampled,
+		"load":    wantRange,
+		"sharded": wantRange,
 		"fig7":    wantLatency(wantWorkloads("LOAD", "A", "C")),
 		"fig8":    wantWorkloads("LOAD", "A", "C"),
 		"fig10":   wantWorkloads("E"),

@@ -10,15 +10,16 @@ import (
 )
 
 // routedModes are the routing modes the shard-axis figures sweep, in
-// presentation order: hash (balanced, order-scattered), range (ordered,
-// first-byte balanced), sampled (ordered AND balanced via sample-derived
-// boundaries).
-var routedModes = []string{"hash", "range", "sampled"}
+// presentation order: hash (balanced, order-scattered) and range (ordered;
+// both figures bulk-load into an empty index, which trains its boundaries
+// from the load stream, so it is balanced too).
+var routedModes = []string{"hash", "range"}
 
 // skewedDatasets is the skewed-dataset axis of the router figures: az keys
 // share a long "B..." prefix and reddit usernames cluster in the lowercase
-// range, so first-byte (prefix) range routing piles either onto one hot
-// shard — exactly the regime the sampled router exists for.
+// range, so an untrained range router's prefix split would pile either
+// onto one hot shard — the regime its trained boundaries exist for
+// (TestSampledRouterBalanceSkewed pins the contrast).
 var skewedDatasets = []dataset.Name{dataset.AZ, dataset.Reddit}
 
 // rowIndex keys a Report's rows by their identifying axes for table
@@ -113,7 +114,7 @@ func loadReport(o Options) Report {
 
 // renderLoad renders the partitioned bulk-load figure as text: LOAD-phase
 // throughput (Mops/s) by shard count and router on rand-8, then the
-// hash/range/sampled trade-off on the skewed datasets with a per-shard
+// hash/range trade-off on the skewed datasets with a per-shard
 // balance column (max/mean key count; 1.00 = even, shard count = one hot
 // shard). Column x1 is the unsharded engine loading through the
 // chunked-MultiSet fallback. On a single-core box the sharded columns only
@@ -121,7 +122,7 @@ func loadReport(o Options) Report {
 // regime produced the numbers.
 func renderLoad(w io.Writer, o Options, rep Report) {
 	header(w, "Load: partitioned bulk-load throughput by dataset, shard count and router (Mops/s)",
-		"ingest-side cross-core MLP; sampled boundaries keep range routing balanced on skew")
+		"ingest-side cross-core MLP; trained boundaries keep range routing balanced on skew")
 	rows := rowIndex(rep)
 
 	// rand-8: shard ladder × router.
@@ -155,7 +156,7 @@ func renderLoad(w io.Writer, o Options, rep Report) {
 }
 
 // renderSkewedTables renders the skewed-dataset router trade-off tables of
-// a load/sharded Report: per dataset, engines × {x1, hash, range, sampled}
+// a load/sharded Report: per dataset, engines × {x1, hash, range}
 // at the max shard count, with a per-router balance footer (max/mean shard
 // key count, from the first engine's cells — balance is a router×dataset
 // property; engines only add hash-seed noise).

@@ -28,11 +28,9 @@ const shardedBatchSize = 512
 
 // shardedReport measures scatter-gather MultiGet throughput into a Report:
 // on rand-8, the hash-routed shard ladder (the original cross-core MLP
-// sweep); on the skewed datasets, the hash/range/sampled trade-off at the
-// max shard count — a range-routed sub-batch scatter is only as parallel
-// as its balance, so the hot shard the prefix router creates on az/reddit
-// shows up directly as lost MultiGet throughput, and the balance field
-// quantifies it.
+// sweep); on the skewed datasets, the hash/range trade-off at the max
+// shard count — a range-routed sub-batch scatter is only as parallel as
+// its balance, which the balance field quantifies.
 func shardedReport(o Options) Report {
 	rep := newReport("sharded", o)
 	cell := func(e Engine, router string, shards int, ds dataset.Name, ks [][]byte) Row {
@@ -90,8 +88,8 @@ func shardedReport(o Options) Report {
 // engine (no wrapper at all); columns x2..xN scatter each 512-key MultiGet
 // into per-shard sub-batches that run concurrently on a worker pool. The
 // skewed-dataset tables compare the routing modes at the max shard count,
-// with the balance footer showing why the prefix router loses throughput
-// there (its sub-batches all land on one hot shard). Scaling tracks the
+// with the balance footer showing each router's per-shard spread (a hot
+// shard would serialize the sub-batches). Scaling tracks the
 // machine's core count — on a single-core box the sharded columns only
 // measure the scatter overhead; the banner's GOMAXPROCS says which regime
 // produced the numbers.

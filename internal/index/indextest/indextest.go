@@ -680,7 +680,7 @@ func testCursorOrder(t *testing.T, mk func(int) index.Index, opts Options) {
 // testPersistRecover is the snapshot→recover equivalence case: a mixed
 // write stream is applied to a live index and logged to a WAL, a snapshot
 // is cut mid-stream, and the index persist.Recover rebuilds — snapshot
-// bulk-loaded (training any untrained sampled router from the stream),
+// bulk-loaded (training any untrained range router from the stream),
 // then the WAL tail replayed — must be element-for-element identical to
 // the live index. Skipped for scanless engines: with no ordered cursor
 // there is nothing to serialize.

@@ -57,7 +57,7 @@ func (s *Server) serve(conn net.Conn) {
 		prevWrite := cs.lastWrite
 		hold.held = s.fsyncPol.AcksDurable()
 		s.dispatch(w, batch[:psync], cs)
-		// The durable-ack barrier (always, group): no reply byte has left
+		// The durable-ack barrier (always): no reply byte has left
 		// (w's buffer and hold keep them all), and dispatch has released
 		// cmdMu and the stripe write mutexes, so parking here delays only
 		// this connection while one fsync covers the whole pipeline. Other

@@ -229,7 +229,7 @@ func TestWaitAllModes(t *testing.T) {
 	for _, mode := range allExecModes {
 		t.Run(string(mode), func(t *testing.T) {
 			srv := NewServerExec(trieFactory, 64, mode)
-			if _, err := srv.EnablePersistence(t.TempDir(), PersistOptions{Policy: persist.FsyncGroup}); err != nil {
+			if _, err := srv.EnablePersistence(t.TempDir(), PersistOptions{Policy: persist.FsyncAlways}); err != nil {
 				t.Fatal(err)
 			}
 			addr, err := srv.Listen("127.0.0.1:0")

@@ -36,17 +36,32 @@ func newServerWithPersist(t *testing.T, dir string, mode ExecMode, opts PersistO
 	return srv, cl
 }
 
-// TestGroupCommitPipelineAck: a pipelined batch of writes under a policy
-// whose acks wait (always, group) is acknowledged only after the WAL's
-// durable watermark covers its last LSN — the whole pipeline rides one (or
-// few) fsyncs, and by the time the client sees the replies the records are
-// on stable storage.
+// durableSpellings are the -fsync spellings whose acks wait: "always" and
+// "group", its second spelling.
+var durableSpellings = []string{"always", "group"}
+
+// parsePolicy parses an -fsync spelling, failing the test on error.
+func parsePolicy(t *testing.T, spelling string) persist.FsyncPolicy {
+	t.Helper()
+	pol, err := persist.ParseFsyncPolicy(spelling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
+// TestGroupCommitPipelineAck: a pipelined batch of writes under
+// FsyncAlways, the policy whose acks wait, under either of its spellings,
+// is acknowledged only after the
+// WAL's durable watermark covers its last LSN — the whole pipeline rides
+// one (or few) fsyncs, and by the time the client sees the replies the
+// records are on stable storage.
 func TestGroupCommitPipelineAck(t *testing.T) {
 	for _, mode := range []ExecMode{ExecSerial, ExecStripedConn} {
 		t.Run(fmt.Sprintf("serial=%v", mode == ExecSerial), func(t *testing.T) {
-			for _, pol := range []persist.FsyncPolicy{persist.FsyncAlways, persist.FsyncGroup} {
-				t.Run(pol.String(), func(t *testing.T) {
-					srv, cl := newServerWithPersist(t, t.TempDir(), mode, PersistOptions{Policy: pol})
+			for _, spelling := range durableSpellings {
+				t.Run(spelling, func(t *testing.T) {
+					srv, cl := newServerWithPersist(t, t.TempDir(), mode, PersistOptions{Policy: parsePolicy(t, spelling)})
 					defer srv.Close()
 					defer cl.Close()
 					const n = 64
@@ -69,15 +84,15 @@ func TestGroupCommitPipelineAck(t *testing.T) {
 	}
 }
 
-// TestDurableAckWithholdsOverflow: under a policy whose acks wait, no reply
-// byte of a batch leaves before the batch's Commit — not even when a large
-// reply overflows the connection's write buffer behind a write's ack, and
-// not for writes queued ahead of a PSYNC.
+// TestDurableAckWithholdsOverflow: under FsyncAlways, spelled either way,
+// no reply byte of a batch leaves before the batch's Commit — not even when a large reply
+// overflows the connection's write buffer behind a write's ack, and not for
+// writes queued ahead of a PSYNC.
 func TestDurableAckWithholdsOverflow(t *testing.T) {
-	for _, pol := range []persist.FsyncPolicy{persist.FsyncAlways, persist.FsyncGroup} {
+	for _, spelling := range durableSpellings {
 		for _, tail := range []string{"ZRANGEBYLEX s m 4000", "PSYNC 0"} {
-			t.Run(pol.String()+"/"+strings.Fields(tail)[0], func(t *testing.T) {
-				testDurableAckWithholdsOverflow(t, pol, tail)
+			t.Run(spelling+"/"+strings.Fields(tail)[0], func(t *testing.T) {
+				testDurableAckWithholdsOverflow(t, parsePolicy(t, spelling), tail)
 			})
 		}
 	}
@@ -169,7 +184,7 @@ func isTimeout(err error) bool {
 // contention — and every acknowledged write survives a clean restart.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncGroup})
+	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncAlways})
 	cl.Close()
 	addr := srv.ln.Addr().String()
 	const writers, perWriter = 8, 30
@@ -201,7 +216,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory)
 	defer srv2.Close()
 	defer cl2.Close()
 	if res.Keys() != writers*perWriter {
@@ -209,12 +224,12 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestAsyncAckDurability: FsyncAsync replies immediately, and INFO
+// TestAsyncAckDurability: FsyncEverySec replies before the fsync, and INFO
 // persistence exposes the ack-vs-durable gap; the watermark catches up to
-// the last LSN within a few group cycles without any explicit sync.
+// the last LSN within about one 1 s tick without any explicit sync.
 func TestAsyncAckDurability(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncAsync})
+	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{Policy: persist.FsyncEverySec})
 	defer srv.Close()
 	defer cl.Close()
 	for i := 0; i < 50; i++ {
@@ -235,13 +250,13 @@ func TestAsyncAckDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := string(r.([]byte))
-	for _, want := range []string{"# Persistence", "appendfsync:async", "aof_enabled:1",
+	for _, want := range []string{"# Persistence", "appendfsync:everysec", "aof_enabled:1",
 		fmt.Sprintf("aof_last_lsn:%d", last), fmt.Sprintf("aof_durable_lsn:%d", last)} {
 		if !strings.Contains(info, want) {
 			t.Fatalf("INFO persistence missing %q:\n%s", want, info)
 		}
 	}
-	// WAIT 0 doubles as the async client's explicit local-durability
+	// WAIT 0 doubles as an everysec client's explicit local-durability
 	// barrier: it drives wal.Commit for the connection's last write.
 	if r, err := cl.Do([]byte("WAIT"), []byte("0"), []byte("10")); err != nil || r != int64(0) {
 		t.Fatalf("WAIT = %v, %v", r, err)
@@ -249,16 +264,30 @@ func TestAsyncAckDurability(t *testing.T) {
 }
 
 // TestAutoRewrite: once the WAL tail since the last snapshot exceeds the
-// byte budget, the server snapshots and compacts on its own — no
-// SnapshotEvery cadence, no explicit SAVE.
+// byte budget, the server snapshots and compacts on its own — no explicit
+// SAVE. The skiplist case runs serial over a non-concurrent engine, so the
+// background save fired from the write path must quiesce execution; the
+// CuckooTrie case saves against live striped-conn writers.
 func TestAutoRewrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode ExecMode
+	}{{"skiplist", ExecSerial}, {"CuckooTrie", ExecStripedConn}} {
+		t.Run(tc.name, func(t *testing.T) { testAutoRewrite(t, tc.mode) })
+	}
+}
+
+func testAutoRewrite(t *testing.T, mode ExecMode) {
 	dir := t.TempDir()
-	srv, cl := newServerWithPersist(t, dir, ExecSerial, PersistOptions{
+	srv, cl := newServerWithPersist(t, dir, mode, PersistOptions{
 		Policy:           persist.FsyncNo,
 		AutoRewriteBytes: 2 << 10,
 	})
 	defer srv.Close()
 	defer cl.Close()
+	if srv.quiesceSaves != (mode == ExecSerial) {
+		t.Fatalf("quiesceSaves = %v under %s", srv.quiesceSaves, mode)
+	}
 	for i := 0; i < 400; i++ {
 		if _, err := cl.Do([]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("member%05d", i)), []byte("1")); err != nil {
 			t.Fatal(err)

@@ -67,8 +67,9 @@ func ShardedFactory(inner EngineFactory, shards int) EngineFactory {
 }
 
 // ShardedFactoryWithRouter is ShardedFactory with an explicit routing mode:
-// under sharded.NewPrefixRouter the shards range-partition each sorted set,
-// so a ZRANGEBYLEX whose range lives in one shard bypasses the k-way merge.
+// under sharded.NewSampledRouter (the "range" mode) the shards
+// range-partition each sorted set, so a ZRANGEBYLEX whose range lives in
+// one shard bypasses the k-way merge.
 func ShardedFactoryWithRouter(inner EngineFactory, shards int, mk sharded.RouterMaker) EngineFactory {
 	return func(capacityHint int) index.Index {
 		return sharded.NewWithRouter(shards, capacityHint, inner, mk)
@@ -253,9 +254,7 @@ type Server struct {
 	wal        *persist.WAL
 	dataDir    string
 	fsyncPol   persist.FsyncPolicy
-	snapEvery  int          // logged writes between automatic BGSAVEs
 	rewriteAt  int64        // WAL bytes since last snapshot that trigger one; 0 disables
-	sinceSave  atomic.Int64 // logged writes since the last snapshot
 	savedBytes atomic.Int64 // WAL AppendedBytes watermark at the last snapshot cut
 	saving     atomic.Bool  // one BGSAVE at a time
 	saveMu     sync.Mutex   // serializes snapshot cuts (SAVE vs BGSAVE)
@@ -324,26 +323,24 @@ var ErrNoPersistence = errors.New("miniredis: persistence not enabled")
 // the common case; the rest are exposed mainly so tests can force tiny WAL
 // segments and replication fan-out buffers to exercise retention edges.
 type PersistOptions struct {
-	Policy        persist.FsyncPolicy
-	SnapshotEvery int   // logged writes between automatic BGSAVEs; 0 disables
-	SegmentBytes  int64 // WAL segment rotation threshold; 0 = persist default
-	FanoutBytes   int   // replication fan-out ring bound; 0 = repl default
+	Policy       persist.FsyncPolicy
+	SegmentBytes int64 // WAL segment rotation threshold; 0 = persist default
+	FanoutBytes  int   // replication fan-out ring bound; 0 = repl default
 	// AutoRewriteBytes caps the WAL tail's estimated replay cost: once the
 	// record bytes appended since the last snapshot exceed it, a background
 	// snapshot (the BGSAVE + RemoveObsolete path) rewrites the log
-	// automatically, independent of the SnapshotEvery record cadence.
-	// 0 disables.
+	// automatically. It is the one automatic snapshot trigger; 0 disables.
 	AutoRewriteBytes int64
 }
 
 // EnablePersistence makes the server durable: it recovers dir's newest
 // valid snapshot plus WAL tail into the keyspace (each set bulk-loaded, so
-// sharded engines ride the partitioned ingest and untrained sampled
+// sharded engines ride the partitioned ingest and untrained range
 // routers train from the snapshot stream), then opens the WAL for the
 // write path. ZADD/ZREM/FLUSHALL append a record after they apply, synced
-// per opts.Policy; opts.SnapshotEvery > 0 triggers a background snapshot
-// every that many logged writes. Must be called before Listen. The
-// returned Result reports what was recovered.
+// per opts.Policy; opts.AutoRewriteBytes > 0 triggers a background
+// snapshot once that many WAL bytes follow the last one. Must be called
+// before Listen. The returned Result reports what was recovered.
 //
 // Preload bypasses the WAL by design (logging a bulk load record-by-record
 // would forfeit the partitioned ingest); call Save after preloading to
@@ -373,7 +370,7 @@ func (s *Server) EnablePersistence(dir string, opts PersistOptions) (*persist.Re
 	if err != nil {
 		return nil, err
 	}
-	s.wal, s.dataDir, s.snapEvery = wal, dir, opts.SnapshotEvery
+	s.wal, s.dataDir = wal, dir
 	s.fsyncPol, s.rewriteAt = opts.Policy, opts.AutoRewriteBytes
 	// A durable server can feed read replicas: every WAL append publishes
 	// its wire frame into the fan-out ring, in LSN order because the hook
@@ -447,7 +444,7 @@ func (s *Server) lockAllWrites() func() {
 func (s *Server) Persistent() bool { return s.wal != nil }
 
 // logWrite appends one record for an applied write and drives the
-// automatic snapshot cadence, returning the record's LSN — the offset a
+// automatic log rewrite, returning the record's LSN — the offset a
 // later WAIT on the same connection targets. A nil WAL (memory-only
 // server) is a no-op returning 0; the set name is converted only when
 // there is a record to write.
@@ -459,10 +456,7 @@ func (s *Server) logWrite(op persist.Op, set []byte, key []byte, val uint64) (ui
 	if err != nil {
 		return 0, err
 	}
-	if s.snapEvery > 0 && s.sinceSave.Add(1) >= int64(s.snapEvery) {
-		s.sinceSave.Store(0)
-		s.BGSave()
-	} else if s.rewriteAt > 0 && s.wal.AppendedBytes()-s.savedBytes.Load() >= s.rewriteAt {
+	if s.rewriteAt > 0 && s.wal.AppendedBytes()-s.savedBytes.Load() >= s.rewriteAt {
 		// Automatic log rewrite: the WAL tail past the last snapshot has
 		// grown beyond the replay-cost budget, so compact it into a snapshot
 		// (BGSave ends with RemoveObsolete, which drops the covered
@@ -521,7 +515,6 @@ func (s *Server) cutSnapshot() (uint64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	s.sinceSave.Store(0)
 	return lsn, path, persist.RemoveObsolete(s.dataDir, lsn)
 }
 

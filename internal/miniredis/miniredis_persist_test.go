@@ -17,10 +17,10 @@ import (
 
 // newPersistentServer starts a serial server over the given factory with
 // persistence attached to dir.
-func newPersistentServer(t *testing.T, dir string, factory EngineFactory, snapEvery int) (*Server, *Client, *persist.Result) {
+func newPersistentServer(t *testing.T, dir string, factory EngineFactory) (*Server, *Client, *persist.Result) {
 	t.Helper()
 	srv := NewServerExec(factory, 256, ExecSerial)
-	res, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo, SnapshotEvery: snapEvery})
+	res, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncNo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func trieFactory(c int) index.Index {
 // named sets, with only the WAL (no explicit SAVE).
 func TestPersistenceRestartCycle(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl, res := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv, cl, res := newPersistentServer(t, dir, skiplistFactory)
 	if res.Keys() != 0 {
 		t.Fatalf("fresh dir recovered %d keys", res.Keys())
 	}
@@ -72,7 +72,7 @@ func TestPersistenceRestartCycle(t *testing.T) {
 	cl.Close()
 	srv.Close()
 
-	srv2, cl2, res2 := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv2, cl2, res2 := newPersistentServer(t, dir, skiplistFactory)
 	defer srv2.Close()
 	defer cl2.Close()
 	if res2.Keys() != 39 {
@@ -101,7 +101,7 @@ func TestPersistenceRestartCycle(t *testing.T) {
 // replaying history.
 func TestSaveCommandCompacts(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	for i := 0; i < 30; i++ {
 		if _, err := cl.Do([]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%03d", i)), []byte(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSaveCommandCompacts(t *testing.T) {
 	cl.Close()
 	srv.Close()
 
-	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory)
 	defer srv2.Close()
 	defer cl2.Close()
 	if res.SnapshotKeys != 30 || res.Replayed != 0 {
@@ -158,42 +158,11 @@ func waitBGSave(t *testing.T, srv *Server) {
 	}
 }
 
-// TestAutoSnapshotEvery: the -snapshot-every cadence triggers background
-// saves from the write path.
-func TestAutoSnapshotEvery(t *testing.T) {
-	dir := t.TempDir()
-	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory, 10)
-	defer srv.Close()
-	defer cl.Close()
-	for i := 0; i < 25; i++ {
-		if _, err := cl.Do([]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%03d", i)), []byte("1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitBGSave(t, srv)
-	if err := srv.LastBGSaveError(); err != nil {
-		t.Fatalf("background save failed: %v", err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".snap") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no snapshot after crossing the auto-save threshold")
-	}
-}
-
 // TestPreloadThenSaveDurable: the documented preload flow — bulk load off
 // the RESP path, then one Save — survives a restart.
 func TestPreloadThenSaveDurable(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	keys := make([][]byte, 500)
 	vals := make([]uint64, len(keys))
 	for i := range keys {
@@ -208,7 +177,7 @@ func TestPreloadThenSaveDurable(t *testing.T) {
 	}
 	cl.Close()
 	srv.Close()
-	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv2, cl2, res := newPersistentServer(t, dir, skiplistFactory)
 	defer srv2.Close()
 	defer cl2.Close()
 	if res.SnapshotKeys != 500 {
@@ -222,7 +191,7 @@ func TestPreloadThenSaveDurable(t *testing.T) {
 func TestShardedSampledServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	factory := ShardedFactoryWithRouter(trieFactory, 4, sharded.NewSampledRouter)
-	srv, cl, _ := newPersistentServer(t, dir, factory, 0)
+	srv, cl, _ := newPersistentServer(t, dir, factory)
 	for i := 0; i < 400; i++ {
 		if _, err := cl.Do([]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("m%05d", i)), []byte(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
@@ -234,7 +203,7 @@ func TestShardedSampledServerRecovery(t *testing.T) {
 	cl.Close()
 	srv.Close()
 
-	srv2, cl2, res := newPersistentServer(t, dir, factory, 0)
+	srv2, cl2, res := newPersistentServer(t, dir, factory)
 	defer srv2.Close()
 	defer cl2.Close()
 	if res.Keys() != 400 {

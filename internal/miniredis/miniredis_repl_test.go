@@ -86,7 +86,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 // keyspaces must match element for element.
 func TestReplicationConvergence(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 
@@ -188,7 +188,7 @@ func TestReplicationShardedSampled(t *testing.T) {
 // every write must have been applied once — no gap, no duplicate.
 func TestReplicationResumeNoDup(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
@@ -227,7 +227,7 @@ func TestReplicationResumeNoDup(t *testing.T) {
 // full sync), and the state must converge element for element.
 func TestReplicationResumeAcrossSessions(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
@@ -357,7 +357,7 @@ func TestReplicationFallBehindFullSync(t *testing.T) {
 // LSN → CONTINUE, future LSN → FULLSYNC, no offset → the arity error.
 func TestPSyncHandshakeRaw(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 	for i := 0; i < 20; i++ {
@@ -429,7 +429,7 @@ func TestPreloadGateHoldsPSync(t *testing.T) {
 	factory := func(c int) index.Index {
 		return &gatedIndex{Index: skiplistFactory(c), gate: gate}
 	}
-	prim, cl, _ := newPersistentServer(t, dir, factory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, factory)
 	defer prim.Close()
 	defer cl.Close()
 	addr := prim.ln.Addr().String()
@@ -472,7 +472,7 @@ func TestPreloadGateHoldsPSync(t *testing.T) {
 // reporting what acked).
 func TestWaitSemantics(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 
@@ -500,7 +500,7 @@ func TestWaitSemantics(t *testing.T) {
 // TestInfoReplication checks both roles' INFO replication sections.
 func TestInfoReplication(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 
@@ -544,7 +544,7 @@ func TestInfoReplication(t *testing.T) {
 // ONE the server accepts writes again.
 func TestReplicaRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
-	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	prim, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer prim.Close()
 	defer cl.Close()
 	mustDo(t, cl, "ZADD", "s", "a", "1")
@@ -591,7 +591,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 // replica.
 func TestReplicaOfRejectsPersistent(t *testing.T) {
 	dir := t.TempDir()
-	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory, 0)
+	srv, cl, _ := newPersistentServer(t, dir, skiplistFactory)
 	defer srv.Close()
 	defer cl.Close()
 	if _, err := srv.ReplicaOf("127.0.0.1:1", 0); err == nil {

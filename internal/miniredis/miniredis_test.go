@@ -566,7 +566,7 @@ func TestConcurrentSetCreationAcrossStripes(t *testing.T) {
 // it) and must still return globally ordered members.
 func TestRangeRoutedFactory(t *testing.T) {
 	factory := ShardedFactoryWithRouter(
-		func(c int) index.Index { return skiplist.New(1) }, 4, sharded.NewPrefixRouter)
+		func(c int) index.Index { return skiplist.New(1) }, 4, sharded.NewSampledRouter)
 	srv := NewServerExec(factory, 64, ExecSerial)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -2,7 +2,7 @@ package miniredis
 
 // Observability drills: the LATENCY / SLOWLOG / INFO surface is exercised
 // over raw RESP (net.Dial + the resp package, no Client conveniences) in
-// both execution modes, against a persistent fsync=group server so the WAL
+// both execution modes, against a persistent fsync=always server so the WAL
 // histograms (fsync duration, commit park, group batch size) have real
 // samples. Plus the -maxconns cap.
 
@@ -71,7 +71,7 @@ func TestObservabilityDrill(t *testing.T) {
 			srv := NewServerExec(func(c int) index.Index {
 				return cuckootrie.New(cuckootrie.Config{CapacityHint: c, AutoResize: true})
 			}, 1024, mode)
-			if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncGroup}); err != nil {
+			if _, err := srv.EnablePersistence(dir, PersistOptions{Policy: persist.FsyncAlways}); err != nil {
 				t.Fatal(err)
 			}
 			srv.SetSlowlogThreshold(0) // log every command: the drill asserts entry shape, not slowness

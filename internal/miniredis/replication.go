@@ -6,7 +6,7 @@ package miniredis
 // become a read replica with REPLICAOF (or the ReplicaOf method). Replicas
 // reject client writes with -READONLY; their keyspace changes only through
 // the replication applier, which reuses the same bulk-load and apply paths
-// recovery uses, so engines (including sharded ones with sampled routers)
+// recovery uses, so engines (including sharded ones with range routers)
 // cannot tell a replication sync from a local restart.
 
 import (
@@ -348,7 +348,7 @@ func (s *Server) appendReplicationInfo(b *strings.Builder) {
 
 // appendPersistenceInfo writes the "# Persistence" INFO section: the fsync
 // policy, the last assigned LSN, and the durable watermark — the pair that
-// makes async mode's ack-vs-durable gap observable (aof_last_lsn -
+// makes everysec's and no's ack-vs-durable gap observable (aof_last_lsn -
 // aof_durable_lsn is exactly the writes a crash right now would lose).
 func (s *Server) appendPersistenceInfo(b *strings.Builder) {
 	b.WriteString("# Persistence\r\n")

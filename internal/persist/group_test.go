@@ -16,7 +16,7 @@ import (
 // and recovery after a clean close sees every acknowledged write.
 func TestGroupCommitMultiWriter(t *testing.T) {
 	dir := t.TempDir()
-	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncGroup})
+	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
-		Policy: persist.FsyncGroup,
+		Policy: persist.FsyncAlways,
 		FsyncFn: func(f *os.File) error {
 			if armed.Load() {
 				started <- struct{}{}
@@ -137,7 +137,7 @@ func TestCloseWithParkedWriters(t *testing.T) {
 	started := make(chan struct{}, 16)
 	release := make(chan struct{})
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
-		Policy: persist.FsyncGroup,
+		Policy: persist.FsyncAlways,
 		FsyncFn: func(f *os.File) error {
 			if gate.Load() {
 				started <- struct{}{}
@@ -151,7 +151,7 @@ func TestCloseWithParkedWriters(t *testing.T) {
 	}
 	gate.Store(true)
 	const writers = 8
-	// Append everything up front (appends only buffer under FsyncGroup), so
+	// Append everything up front (appends only buffer under FsyncAlways), so
 	// Close below cannot race an Append; the goroutines park on Commit.
 	lsns := make([]uint64, writers)
 	for g := 0; g < writers; g++ {
@@ -201,7 +201,7 @@ func TestGroupCommitBatchesDuringFsync(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
-		Policy: persist.FsyncGroup,
+		Policy: persist.FsyncAlways,
 		FsyncFn: func(f *os.File) error {
 			if armed.Load() && fsyncs.Add(1) == 1 {
 				started <- struct{}{}
@@ -256,17 +256,26 @@ func TestGroupCommitBatchesDuringFsync(t *testing.T) {
 	}
 }
 
-// allPolicies lists every fsync policy; each runs on the same syncer.
-var allPolicies = []persist.FsyncPolicy{
-	persist.FsyncAlways, persist.FsyncEverySec, persist.FsyncNo, persist.FsyncGroup, persist.FsyncAsync,
+// allPolicies lists every -fsync spelling with the policy it parses to:
+// Redis's three policies, plus "group", the second spelling of "always"
+// that ctredis keeps accepting. Each runs on the same syncer.
+var allPolicies = []struct {
+	name string
+	pol  persist.FsyncPolicy
+}{
+	{"always", persist.FsyncAlways},
+	{"everysec", persist.FsyncEverySec},
+	{"no", persist.FsyncNo},
+	{"group", persist.FsyncAlways},
 }
 
 // TestGroupRotation: the syncer owns segment rotation under every policy;
 // with a tiny SegmentBytes the log must still rotate, stay recoverable,
 // and keep LSNs continuous across boundaries.
 func TestGroupRotation(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range allPolicies {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{
 				Policy:       pol,
@@ -307,8 +316,9 @@ func TestGroupRotation(t *testing.T) {
 // everysec and no its LSN is demand the syncer serves at once, not on the
 // next tick or never.
 func TestCommitIsUniversalBarrier(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range allPolicies {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: pol})
 			if err != nil {
@@ -342,8 +352,9 @@ func TestCommitIsUniversalBarrier(t *testing.T) {
 // syncer alone fsyncs and rotates. With every fsync held on a gate, 2×
 // SegmentBytes of appends (so rotation falls due twice) must all return.
 func TestAppendNeverFsyncs(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range allPolicies {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			var gated atomic.Bool
 			release := make(chan struct{})
 			const segBytes = 1 << 10
@@ -394,8 +405,9 @@ func TestAppendNeverFsyncs(t *testing.T) {
 // failed, a fresh Commit barrier and Close all keep returning the injected
 // error, and the durable watermark never advances past it.
 func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range allPolicies {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			injected := errors.New("injected fsync failure")
 			var armed atomic.Bool
 			wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
@@ -438,11 +450,12 @@ func TestFsyncFailureIsStickyUnderEveryPolicy(t *testing.T) {
 	}
 }
 
-// TestAsyncDurableWatermark: FsyncAsync promises the watermark catches up
-// on its own — no Commit — within a few syncer cycles.
+// TestAsyncDurableWatermark: FsyncEverySec acks before durability, and
+// promises the watermark catches up on its own — no Commit — within about
+// one tick of its 1 s cadence.
 func TestAsyncDurableWatermark(t *testing.T) {
 	dir := t.TempDir()
-	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncAsync})
+	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncEverySec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,11 @@
 //
 // Durability contract: write operations are logged after they apply
 // (Redis-AOF style), and one syncer goroutine per WAL flushes, fsyncs and
-// rotates under every fsync policy; a policy only sets the syncer's
-// cadence and whether acknowledgements wait for it (see policies). A
-// crash loses at most the unsynced tail the policy permits — nothing
-// ACKNOWLEDGED on FsyncAlways or FsyncGroup (writers park on WAL.Commit
-// until the syncer's fsync covers their LSN), up to one fsync cycle past
-// the DurableLSN watermark on FsyncAsync, up to a second of writes on
+// rotates under every fsync policy; the policy is the syncer's cadence,
+// and only FsyncAlways makes acknowledgements wait for it. A crash loses
+// at most the unsynced tail the policy permits — nothing ACKNOWLEDGED on
+// FsyncAlways (writers park on WAL.Commit until the syncer's fsync covers
+// their LSN), up to a second of writes past the DurableLSN watermark on
 // FsyncEverySec, up to the OS flush interval on FsyncNo. Snapshots are
 // written to a temp file, fsynced, and renamed, so a crashed snapshot never
 // shadows a good older one; replay after a snapshot at LSN L applies only
@@ -41,86 +40,62 @@ import (
 	"io"
 )
 
-// FsyncPolicy says when WAL appends reach stable storage. Every policy
-// runs on the same syncer goroutine; its row in policies sets the sync
-// cadence and whether acknowledgements wait for durability.
+// FsyncPolicy says when WAL appends reach stable storage, and whether a
+// server acknowledges a write before they do. Every policy runs on the
+// same syncer goroutine; the policy is its cadence. These are Redis's
+// three appendfsync values.
 type FsyncPolicy int
 
 const (
 	// FsyncEverySec fsyncs about once per second: a crash loses at most
-	// the last second of writes. The Redis AOF default, and the default
-	// here.
+	// the last second of writes, and DurableLSN reports how far durability
+	// lags the acks. The Redis AOF default, and the default here.
 	FsyncEverySec FsyncPolicy = iota
-	// FsyncAlways acknowledges a write only once it is durable: no
-	// acknowledged write is ever lost. It is the same schedule as
-	// FsyncGroup — Redis's appendfsync always likewise fsyncs once per
+	// FsyncAlways is group commit: the syncer fsyncs as soon as records
+	// are unsynced, and everything appended while that fsync is in flight
+	// waits for the next one, so the fsync itself is the only batching
+	// window — no timer. A server acknowledges a write only once it is
+	// durable: writers park on their record's LSN via WAL.Commit and are
+	// woken once the durable watermark passes it, so no acknowledged write
+	// is ever lost. Redis's appendfsync always likewise fsyncs once per
 	// event-loop pass, before the replies go out, not once per write.
 	FsyncAlways
 	// FsyncNo leaves flushing to the OS: fastest, loses up to the kernel's
 	// writeback interval on a crash (still nothing on a clean close).
 	FsyncNo
-	// FsyncGroup is group commit: the syncer fsyncs as soon as records are
-	// unsynced, and everything appended while that fsync is in flight
-	// waits for the next one, so the fsync itself is the only batching
-	// window — no timer. Writers park on their record's LSN via WAL.Commit
-	// and are woken once the durable watermark passes it; a writer waits
-	// out at most the fsync in flight plus the one covering its record.
-	FsyncGroup
-	// FsyncAsync is group commit without the wait: the same eager cadence,
-	// but callers acknowledge immediately and expose the DurableLSN
-	// watermark (WAIT/INFO style) so clients can see how far durability
-	// lags the ack — typically a few milliseconds of writes rather than
-	// everysec's full second.
-	FsyncAsync
 )
 
-// syncCadence is when the syncer fsyncs on its own, without a Commit
-// asking. Commit, segment rotation and Close make it sync under every
-// cadence.
-type syncCadence uint8
+// policyNames holds the flag spelling of each policy, indexed by
+// FsyncPolicy.
+var policyNames = [...]string{FsyncEverySec: "everysec", FsyncAlways: "always", FsyncNo: "no"}
 
-const (
-	syncEager    syncCadence = iota // as soon as records are unsynced
-	syncEverySec                    // on a 1 s tick
-	syncNever                       // only when asked
-)
-
-// policies is the one table of fsync policies, indexed by FsyncPolicy.
-var policies = [...]struct {
-	name        string
-	cadence     syncCadence
-	acksDurable bool // the server parks on Commit before acknowledging
-}{
-	FsyncEverySec: {"everysec", syncEverySec, false},
-	FsyncAlways:   {"always", syncEager, true},
-	FsyncNo:       {"no", syncNever, false},
-	FsyncGroup:    {"group", syncEager, true},
-	FsyncAsync:    {"async", syncEager, false},
-}
-
-// ParseFsyncPolicy maps the ctredis flag spelling to a policy.
+// ParseFsyncPolicy maps the ctredis flag spelling to a policy. "group" is
+// a second spelling of "always", the group-commit schedule it runs.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	for p, row := range policies {
-		if row.name == s {
+	if s == "group" {
+		return FsyncAlways, nil
+	}
+	for p, name := range policyNames {
+		if name == s {
 			return FsyncPolicy(p), nil
 		}
 	}
-	return 0, fmt.Errorf("persist: unknown fsync policy %q (want always, everysec, no, group or async)", s)
+	return 0, fmt.Errorf("persist: unknown fsync policy %q (want always, everysec or no)", s)
 }
 
 // String returns the flag spelling of the policy.
 func (p FsyncPolicy) String() string {
 	if p.known() {
-		return policies[p].name
+		return policyNames[p]
 	}
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
 // AcksDurable reports whether a server under this policy acknowledges a
 // write only after WAL.Commit returns for it.
-func (p FsyncPolicy) AcksDurable() bool { return p.known() && policies[p].acksDurable }
+func (p FsyncPolicy) AcksDurable() bool { return p == FsyncAlways }
 
-func (p FsyncPolicy) known() bool { return p >= 0 && int(p) < len(policies) }
+func (p FsyncPolicy) known() bool { return p >= 0 && int(p) < len(policyNames) }
 
 // Op is a WAL record type.
 type Op uint8

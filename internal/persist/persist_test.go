@@ -48,20 +48,18 @@ func assertEqual(t *testing.T, a, b index.Index) {
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
-	for s, want := range map[string]persist.FsyncPolicy{
-		"always": persist.FsyncAlways, "everysec": persist.FsyncEverySec, "no": persist.FsyncNo,
-		"group": persist.FsyncGroup, "async": persist.FsyncAsync,
-	} {
-		got, err := persist.ParseFsyncPolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("String() = %q, want %q", got.String(), s)
+	// "group" is a second spelling of "always", not a policy of its own.
+	for _, tc := range allPolicies {
+		got, err := persist.ParseFsyncPolicy(tc.name)
+		if err != nil || got != tc.pol {
+			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v; want %v", tc.name, got, err, tc.pol)
 		}
 	}
-	if _, err := persist.ParseFsyncPolicy("fsync-maybe"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, s := range []string{"async", "fsync-maybe"} {
+		_, err := persist.ParseFsyncPolicy(s)
+		if err == nil || !strings.Contains(err.Error(), "always, everysec or no") {
+			t.Fatalf("ParseFsyncPolicy(%q) error = %v, want one naming always, everysec or no", s, err)
+		}
 	}
 }
 
@@ -610,8 +608,9 @@ func TestSampledRouterTrainsFromSnapshotStream(t *testing.T) {
 // and a Commit barrier puts the records on disk with the writer still open
 // (checked via file growth, not a crash, to keep the test hermetic).
 func TestFsyncPolicies(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range allPolicies {
+		pol := tc.pol
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: pol})
 			if err != nil {

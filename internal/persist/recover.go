@@ -39,7 +39,7 @@ type Result struct {
 
 // Recover rebuilds a data directory's state: it loads the newest VALID
 // snapshot — each set bulk-loaded through index.BulkLoad, so a sharded
-// index with an untrained sampled router derives its shard boundaries from
+// index with an untrained range router derives its shard boundaries from
 // the full snapshot stream — then replays every WAL record with LSN above
 // the snapshot's, in order. Invalid snapshots (torn, trailer missing,
 // checksum-damaged) are skipped in favour of the next older one; the

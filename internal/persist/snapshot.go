@@ -129,7 +129,7 @@ func WriteSnapshot(dir string, lsn uint64, sets []SetSnapshot) (string, error) {
 
 // SnapshotSet is one decoded snapshot section: the whole set's keys and
 // values in key order, ready for one index.BulkLoad call (so an untrained
-// sampled router sees the complete stream and derives balanced boundaries
+// range router sees the complete stream and derives balanced boundaries
 // from it).
 type SnapshotSet struct {
 	Set  string

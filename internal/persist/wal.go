@@ -75,12 +75,11 @@ type WALOptions struct {
 // each is assigned the next LSN under the WAL's mutex, so LSN order is the
 // order records reach the log. Appends only buffer: one syncer goroutine
 // (syncLoop) does every flush, fsync and rotation, on the cadence the
-// policy's row in policies names.
+// policy names.
 type WAL struct {
 	mu      sync.Mutex
 	dir     string
 	opts    WALOptions
-	cadence syncCadence
 	f       *os.File
 	bw      *bufio.Writer
 	written int64 // bytes in the current segment, header included
@@ -109,7 +108,7 @@ type WAL struct {
 
 	syncCond   *sync.Cond    // wakes the syncer when syncDueLocked may have become true
 	syncerDone chan struct{} // closed when the syncer exits
-	tick       *time.Timer   // the 1 s cadence's timer (syncEverySec only)
+	tick       *time.Timer   // the 1 s cadence's timer (FsyncEverySec only)
 }
 
 // fsync pushes f to stable storage through the configured seam, recording
@@ -142,7 +141,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, opts: opts, cadence: policies[opts.Policy].cadence, next: 1, met: newWALMetrics()}
+	w := &WAL{dir: dir, opts: opts, next: 1, met: newWALMetrics()}
 	w.commitCond = sync.NewCond(&w.mu)
 	w.syncCond = sync.NewCond(&w.mu)
 	segs, err := listSegments(dir)
@@ -279,14 +278,15 @@ func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) 
 		w.onAppend(op, lsn, frame)
 	}
 	// An everysec/no append wakes nobody until its segment is full.
-	if w.cadence == syncEager || w.written >= w.opts.SegmentBytes {
+	if w.opts.Policy == FsyncAlways || w.written >= w.opts.SegmentBytes {
 		w.syncCond.Signal()
 	}
 	return lsn, nil
 }
 
 // DurableLSN returns the highest LSN known to have reached stable storage —
-// the async-ack watermark: a crash can lose only records past it.
+// the watermark an everysec or no ack runs ahead of: a crash can lose only
+// records past it.
 func (w *WAL) DurableLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -392,7 +392,7 @@ func (w *WAL) Close() error {
 // segment. The fsync runs OUTSIDE the WAL mutex against a captured
 // *os.File, so appends keep buffering (and the fan-out keeps publishing)
 // while the disk works, and everything appended during one fsync forms
-// the next batch — under an eager cadence the in-flight fsync is the only
+// the next batch — under FsyncAlways the in-flight fsync is the only
 // batching window, as with PostgreSQL's default commit_delay = 0. The
 // syncer owns rotation, which is what makes the captured file safe:
 // nothing else closes w.f while it lives. It must never take locks
@@ -403,7 +403,7 @@ func (w *WAL) syncLoop() {
 	defer close(w.syncerDone)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.cadence == syncEverySec {
+	if w.opts.Policy == FsyncEverySec {
 		w.tick = time.AfterFunc(time.Second, w.onTick)
 		defer w.tick.Stop()
 	}
@@ -441,10 +441,10 @@ func (w *WAL) syncLoop() {
 }
 
 // syncDueLocked reports whether the syncer has work: records are unsynced
-// and the cadence is eager, a Commit or a 1 s tick demands an LSN past the
+// under FsyncAlways, a Commit or a 1 s tick demands an LSN past the
 // watermark, the segment is full, Close ran, or the WAL is poisoned.
 func (w *WAL) syncDueLocked() bool {
-	return w.demand > w.durable || w.cadence == syncEager && w.durable < w.next-1 ||
+	return w.demand > w.durable || w.opts.Policy == FsyncAlways && w.durable < w.next-1 ||
 		w.written >= w.opts.SegmentBytes || w.closed || w.syncErr != nil
 }
 

@@ -18,7 +18,7 @@ type WALMetrics struct {
 	// already past their LSN record nothing.
 	CommitWait *metrics.Histogram
 	// BatchSize is the number of records each syncer fsync made durable —
-	// under an eager cadence, those appended while the previous fsync was
+	// under FsyncAlways, those appended while the previous fsync was
 	// in flight, the syncer's only batching window. The syncer records it
 	// under every policy.
 	BatchSize *metrics.Histogram

@@ -23,7 +23,7 @@ type Target interface {
 	// and an OpFlushAll record replicates a primary-side FLUSHALL.
 	FlushAll()
 	// LoadSnapshot bulk-loads a full-sync image, one set per SnapshotSet
-	// (the same shape crash recovery bulk-loads, so untrained sampled
+	// (the same shape crash recovery bulk-loads, so untrained range
 	// routers train from the sync stream exactly as they do from a local
 	// snapshot).
 	LoadSnapshot(sets []persist.SnapshotSet) error

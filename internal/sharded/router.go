@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/maphash"
 	"sort"
 	"sync/atomic"
@@ -38,8 +39,6 @@ func RouterByName(name string) (RouterMaker, bool) {
 	case "hash":
 		return NewHashRouter, true
 	case "range":
-		return NewPrefixRouter, true
-	case "sampled":
 		return NewSampledRouter, true
 	}
 	return nil, false
@@ -65,79 +64,50 @@ func (r *hashRouter) Route(key []byte) int {
 func (r *hashRouter) Ordered() bool { return false }
 func (r *hashRouter) Name() string  { return "hash" }
 
-// prefixRouter partitions the keyspace by a fixed-length key prefix: shard
-// = the top log2(shards) bits of the key's first 8 bytes (zero-padded).
-// Zero-padded big-endian prefixes are monotone in the lexicographic key
-// order, so the partition is a range partition: shard i's keys all sort
-// below shard i+1's. Load balance is only as good as the key
-// distribution's first bytes — uniform for random keys, skewed for keys
-// sharing a common prefix — which is the classic range-partitioning
-// trade-off for order-aware scans.
-type prefixRouter struct {
-	bits uint // log2(shards)
-}
-
-// NewPrefixRouter returns a range router over a fixed key prefix for a
-// power-of-two shard count.
-func NewPrefixRouter(shards int) Router {
-	bits := uint(0)
-	for 1<<bits < shards {
-		bits++
-	}
-	return &prefixRouter{bits: bits}
-}
-
-func (r *prefixRouter) Route(key []byte) int {
-	var p uint64
-	for i := 0; i < 8; i++ {
-		p <<= 8
-		if i < len(key) {
-			p |= uint64(key[i])
-		}
-	}
-	return int(p >> (64 - r.bits)) // bits==0: p>>64 is 0 in Go, shard 0
-}
-
-func (r *prefixRouter) Ordered() bool { return true }
-func (r *prefixRouter) Name() string  { return "range" }
-
 // maxBoundarySample caps how many keys boundary selection sorts: beyond a
 // few thousand samples the quantile estimate is already within a percent or
 // two of the true key distribution, so sampling a stride of a large stream
 // costs one pass instead of an O(n log n) sort of the whole load.
 const maxBoundarySample = 8192
 
-// SampledRouter is a range router whose shard boundaries come from a key
-// sample instead of a fixed prefix: the sample is sorted and the keys at
-// its n-1 evenly spaced quantiles become the boundary table, so each shard
-// owns roughly the same fraction of the SAMPLED distribution — balanced
-// for any key distribution, where the prefix router balances only as well
-// as the keys' first bytes (one hot shard on az/reddit-style skew). A key
-// routes to the number of boundaries ≤ it (binary search), which is
-// monotone in lexicographic order, so the router is order-preserving and
-// the chain cursor's single-shard scan bypass applies unchanged.
+// SampledRouter is the range router: a key routes to the number of
+// boundaries ≤ it (binary search), which is monotone in lexicographic
+// order, so the router is order-preserving and the chain cursor's
+// single-shard scan bypass applies. Where the boundaries come from decides
+// the balance.
 //
-// The router starts untrained when built without a sample
-// (NewSampledRouter, the "sampled" RouterByName mode): every key then
-// routes to shard 0, which is trivially order-preserving. Index.BulkLoad
-// trains an untrained router from the insert stream before partitioning —
-// but only when the index is still empty, so keys placed under the
-// untrained (or a previous) boundary table are never stranded in a shard
-// the new table would not route to. Training is atomic and first-wins;
-// Route always reads a consistent boundary table. The empty-index check
-// assumes no writer races the first bulk load (see Index.BulkLoad); when
-// that cannot be guaranteed, build the router pre-trained with
+// Untrained (NewSampledRouter, the "range" RouterByName mode), the table
+// is the prefix split: boundary i is i·2^64/shards as an 8-byte big-endian
+// prefix, so a key's shard is the top log2(shards) bits of its first 8
+// bytes, zero-padded. That balances uniform keys only — keys sharing a
+// common prefix pile onto one shard. Trained, the table holds the keys at
+// the n-1 evenly spaced quantiles of a sorted key sample, so each shard
+// owns roughly the same fraction of the SAMPLED distribution, balanced for
+// any key distribution (az/reddit-style skew included).
+//
+// Index.BulkLoad trains an untrained router from the insert stream before
+// partitioning — but only when the index is still empty, so keys placed
+// under the prefix (or a previous) table are never stranded in a shard the
+// new table would not route to. Training is atomic and first-wins; Route
+// always reads a consistent boundary table. The empty-index check assumes
+// no writer races the first bulk load (see Index.BulkLoad); when that
+// cannot be guaranteed, build the router pre-trained with
 // NewSampledRouterFromSample.
 type SampledRouter struct {
 	shards     int
-	boundaries atomic.Pointer[[][]byte] // nil until trained; len = shards-1
+	boundaries atomic.Pointer[[][]byte] // len = shards-1
+	untrained  *[][]byte                // the prefix table; boundaries holds it until Train
 }
 
-// NewSampledRouter returns an untrained sampled-boundary range router for a
-// power-of-two shard count: all keys route to shard 0 until Train (or the
-// first bulk load into an empty index) installs a boundary table.
+// NewSampledRouter returns a range router for a power-of-two shard count
+// that splits by key prefix until Train (or the first bulk load into an
+// empty index) installs sampled boundaries.
 func NewSampledRouter(shards int) Router {
-	return &SampledRouter{shards: shards}
+	r := &SampledRouter{shards: shards}
+	b := prefixBoundaries(shards)
+	r.untrained = &b
+	r.boundaries.Store(&b)
+	return r
 }
 
 // NewSampledRouterFromSample returns a RouterMaker whose routers are
@@ -145,14 +115,32 @@ func NewSampledRouter(shards int) Router {
 // construction time (e.g. a server preloading a known dataset).
 func NewSampledRouterFromSample(sample [][]byte) RouterMaker {
 	return func(shards int) Router {
-		r := &SampledRouter{shards: shards}
+		r := NewSampledRouter(shards).(*SampledRouter)
 		r.Train(sample)
 		return r
 	}
 }
 
-// Trained reports whether a boundary table is installed.
-func (r *SampledRouter) Trained() bool { return r.boundaries.Load() != nil }
+// prefixBoundaries returns the untrained table: boundary i is the 8-byte
+// big-endian encoding of i<<(64-log2(shards)), trimmed of trailing zero
+// bytes. Trimming makes "key ≥ boundary" agree with comparing the key's
+// zero-padded 8-byte prefix: a key shorter than the untrimmed boundary
+// but equal to its nonzero head must route to the boundary's shard.
+func prefixBoundaries(shards int) [][]byte {
+	bits := uint(0)
+	for 1<<bits < shards {
+		bits++
+	}
+	bounds := make([][]byte, 0, shards-1)
+	for i := 1; i < shards; i++ {
+		b := binary.BigEndian.AppendUint64(nil, uint64(i)<<(64-bits))
+		bounds = append(bounds, bytes.TrimRight(b, "\x00"))
+	}
+	return bounds
+}
+
+// Trained reports whether a sampled boundary table is installed.
+func (r *SampledRouter) Trained() bool { return r.boundaries.Load() != r.untrained }
 
 // Train derives the boundary table from sample and installs it, once: the
 // first successful Train wins and later calls are no-ops, so concurrent
@@ -163,7 +151,7 @@ func (r *SampledRouter) Train(sample [][]byte) {
 		return
 	}
 	b := pickBoundaries(sample, r.shards)
-	r.boundaries.CompareAndSwap(nil, &b)
+	r.boundaries.CompareAndSwap(r.untrained, &b)
 }
 
 // pickBoundaries sorts (a strided sample of) keys and returns the shards-1
@@ -193,13 +181,9 @@ func pickBoundaries(keys [][]byte, shards int) [][]byte {
 // Route returns the number of boundaries ≤ key: keys below the first
 // boundary land on shard 0, keys at or above the last on shard n-1.
 func (r *SampledRouter) Route(key []byte) int {
-	bp := r.boundaries.Load()
-	if bp == nil {
-		return 0
-	}
-	b := *bp
+	b := *r.boundaries.Load()
 	return sort.Search(len(b), func(i int) bool { return bytes.Compare(key, b[i]) < 0 })
 }
 
 func (r *SampledRouter) Ordered() bool { return true }
-func (r *SampledRouter) Name() string  { return "sampled" }
+func (r *SampledRouter) Name() string  { return "range" }

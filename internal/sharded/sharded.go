@@ -7,10 +7,10 @@
 // across keys, then across cores).
 //
 // Key→shard routing is pluggable (see Router): the default hash router
-// spreads any key distribution evenly, the range (prefix) router preserves
-// key order across shards, and the sampled router preserves order AND
-// balances any distribution by picking shard boundaries from a key sample
-// (see SampledRouter). MultiGet/MultiSet scatter the batch
+// spreads any key distribution evenly, and the range router preserves key
+// order across shards — split by key prefix until its first bulk load into
+// an empty index picks balanced boundaries from that key stream (see
+// SampledRouter). MultiGet/MultiSet scatter the batch
 // into per-shard sub-batches run on a bounded worker pool, with scratch
 // buffers pooled and results written back into the caller's slices in
 // caller order. Ordered operations (Scan, Cursor) depend on the router:

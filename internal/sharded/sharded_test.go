@@ -51,24 +51,24 @@ func TestConformanceSharded(t *testing.T) {
 	}
 }
 
-// TestConformanceShardedRange runs the same suite with the range (prefix)
+// TestConformanceShardedRange runs the same suite with the untrained range
 // router: ordered iteration comes from the chain cursor instead of the
-// k-way merge, and the partition is skewed for any non-uniform key
+// k-way merge, and the prefix split is skewed for any non-uniform key
 // distribution — correctness must not depend on balance.
 func TestConformanceShardedRange(t *testing.T) {
 	for name, mk := range factories() {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			indextest.Run(t, func(c int) index.Index {
-				return sharded.NewWithRouter(4, c, mk, sharded.NewPrefixRouter)
+				return sharded.NewWithRouter(4, c, mk, sharded.NewSampledRouter)
 			}, indextest.Options{})
 		})
 	}
 }
 
 // sampledTestRouter returns a RouterMaker pre-trained on indextest's key
-// distribution (random 1–20-byte keys), so the conformance suite genuinely
-// spreads keys across sampled shards instead of degenerating to shard 0.
+// distribution (random 1–20-byte keys), so the conformance suite runs over
+// quantile boundaries rather than the prefix split.
 func sampledTestRouter() sharded.RouterMaker {
 	rng := rand.New(rand.NewSource(99))
 	sample := make([][]byte, 1024)
@@ -83,9 +83,9 @@ func sampledTestRouter() sharded.RouterMaker {
 // TestConformanceShardedSampled runs the full suite with the sampled
 // router: ordered iteration rides the chain cursor over sample-derived
 // boundaries. Every engine runs with a pre-trained router; CuckooTrie also
-// runs with an UNTRAINED router (the RouterByName "sampled" mode), where
-// incremental construction degenerates to shard 0 and the suite's
-// BulkLoad case covers train-on-first-load equivalence.
+// runs with an UNTRAINED router (the RouterByName "range" mode), where
+// incremental construction uses the prefix split and the suite's BulkLoad
+// case covers train-on-first-load equivalence.
 func TestConformanceShardedSampled(t *testing.T) {
 	for name, mk := range factories() {
 		mk := mk
@@ -105,7 +105,7 @@ func TestConformanceShardedSampled(t *testing.T) {
 // TestRouterByName: every registered routing mode resolves, reports its
 // own name, and unknown modes fail.
 func TestRouterByName(t *testing.T) {
-	for _, name := range []string{"hash", "range", "sampled"} {
+	for _, name := range []string{"hash", "range"} {
 		mk, ok := sharded.RouterByName(name)
 		if !ok {
 			t.Fatalf("RouterByName(%q) not resolved", name)
@@ -114,8 +114,76 @@ func TestRouterByName(t *testing.T) {
 			t.Fatalf("RouterByName(%q).Name() = %q", name, got)
 		}
 	}
-	if _, ok := sharded.RouterByName("nope"); ok {
-		t.Fatal("RouterByName resolved an unknown mode")
+	for _, name := range []string{"sampled", "nope"} {
+		if _, ok := sharded.RouterByName(name); ok {
+			t.Fatalf("RouterByName resolved the unknown mode %q", name)
+		}
+	}
+}
+
+// prefixShard is the prefix split an untrained range router must
+// reproduce: the top log2(shards) bits of the key's first 8 bytes,
+// zero-padded.
+func prefixShard(key []byte, shards int) int {
+	bits := 0
+	for 1<<bits < shards {
+		bits++
+	}
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(key) {
+			p |= uint64(key[i])
+		}
+	}
+	return int(p >> (64 - bits)) // bits == 0: shard 0
+}
+
+// TestUntrainedRouterIsPrefixSplit: before training, the range router
+// routes every key by its zero-padded 8-byte prefix. Keys shorter than a
+// boundary and keys ending in zero bytes are where an untrimmed boundary
+// table would disagree.
+func TestUntrainedRouterIsPrefixSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	keys := [][]byte{nil, {}, {0x00}, {0x80}, {0x80, 0x00}, {0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	for i := 0; i < 20000; i++ {
+		k := make([]byte, rng.Intn(13))
+		rng.Read(k)
+		if len(k) > 0 && i%2 == 0 {
+			k[len(k)-1] = 0x00
+		}
+		if len(k) > 0 && i%3 == 0 {
+			k[0] &= 0xf0 // land on and next to the boundaries of every split
+		}
+		keys = append(keys, k)
+	}
+	for shards := 1; shards <= 16; shards *= 2 {
+		r := sharded.NewSampledRouter(shards)
+		for _, k := range keys {
+			if got, want := r.Route(k), prefixShard(k, shards); got != want {
+				t.Fatalf("%d shards: Route(%x) = %d, prefix split says %d", shards, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRangeRouterBalanceBySet: a range-routed index filled only by Set,
+// never trained, still spreads uniform keys over every shard.
+func TestRangeRouterBalanceBySet(t *testing.T) {
+	const shards, n = 4, 10000
+	ix := sharded.NewWithRouter(shards, n, factories()["SkipList"], sharded.NewSampledRouter)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < n; i++ {
+		k := make([]byte, 8)
+		rng.Read(k)
+		if _, err := ix.Set(k, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s, l := range ix.ShardLens() {
+		if l < n*15/100 {
+			t.Fatalf("shard %d holds %d of %d keys, want ≥ 15%% (lens %v)", s, l, ix.Len(), ix.ShardLens())
+		}
 	}
 }
 
@@ -345,7 +413,7 @@ func spyFactory(t *testing.T, shards int, mk sharded.RouterMaker) (*sharded.Inde
 func TestRangeScanSingleShardBypass(t *testing.T) {
 	// 4 range shards partition on the top 2 bits of the first byte:
 	// [0x00,0x40) → 0, [0x40,0x80) → 1, [0x80,0xc0) → 2, [0xc0,∞) → 3.
-	ix, opens := spyFactory(t, 4, sharded.NewPrefixRouter)
+	ix, opens := spyFactory(t, 4, sharded.NewSampledRouter)
 	for b := 0; b < 256; b++ {
 		for j := 0; j < 4; j++ {
 			k := []byte{byte(b), byte(j)}
@@ -431,10 +499,11 @@ func maxMeanRatio(lens []int) float64 {
 
 // TestSampledRouterBalanceSkewed is the balance acceptance test: on the
 // skewed datasets (az keys share a long "B..." prefix; reddit usernames
-// cluster in the lowercase range), the prefix router's first-byte
-// partition piles keys onto a hot shard (max/mean well above 1.25 at 8
-// shards), while the sampled router's quantile boundaries must keep
-// max/mean ≤ 1.25 — order-preserving routing without the hot shard.
+// cluster in the lowercase range), the untrained range router's prefix
+// split piles Set-loaded keys onto a hot shard (max/mean well above 1.25
+// at 8 shards), while the same router trained by a BulkLoad into the empty
+// index must keep max/mean ≤ 1.25 — order-preserving routing without the
+// hot shard.
 func TestSampledRouterBalanceSkewed(t *testing.T) {
 	const shards = 8
 	for _, ds := range []dataset.Name{dataset.AZ, dataset.Reddit} {
@@ -445,22 +514,31 @@ func TestSampledRouterBalanceSkewed(t *testing.T) {
 			for i := range vals {
 				vals[i] = uint64(i)
 			}
-			load := func(mk sharded.RouterMaker) []int {
-				ix := sharded.NewWithRouter(shards, len(keys), factories()["SkipList"], mk)
-				if _, err := ix.BulkLoad(keys, vals); err != nil {
+			newIndex := func() *sharded.Index {
+				return sharded.NewWithRouter(shards, len(keys), factories()["SkipList"], sharded.NewSampledRouter)
+			}
+			untrained := newIndex()
+			for i, k := range keys {
+				if _, err := untrained.Set(k, vals[i]); err != nil {
 					t.Fatal(err)
 				}
-				return ix.ShardLens()
 			}
-			prefix := maxMeanRatio(load(sharded.NewPrefixRouter))
-			sampled := maxMeanRatio(load(sharded.NewSampledRouter))
+			trained := newIndex()
+			if _, err := trained.BulkLoad(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+			if !trained.Router().(*sharded.SampledRouter).Trained() {
+				t.Fatal("BulkLoad into an empty index did not train the router")
+			}
+			prefix := maxMeanRatio(untrained.ShardLens())
+			sampled := maxMeanRatio(trained.ShardLens())
 			if prefix <= 1.25 {
-				t.Fatalf("prefix router balanced %s (max/mean %.2f) — dataset not skewed enough to prove anything", ds, prefix)
+				t.Fatalf("prefix split balanced %s (max/mean %.2f) — dataset not skewed enough to prove anything", ds, prefix)
 			}
 			if sampled > 1.25 {
-				t.Fatalf("sampled router max/mean = %.2f on %s, want <= 1.25 (prefix: %.2f)", sampled, ds, prefix)
+				t.Fatalf("trained router max/mean = %.2f on %s, want <= 1.25 (prefix: %.2f)", sampled, ds, prefix)
 			}
-			t.Logf("%s at %d shards: prefix max/mean %.2f, sampled %.2f", ds, shards, prefix, sampled)
+			t.Logf("%s at %d shards: prefix max/mean %.2f, trained %.2f", ds, shards, prefix, sampled)
 		})
 	}
 }
@@ -468,7 +546,7 @@ func TestSampledRouterBalanceSkewed(t *testing.T) {
 // TestSampledScanSingleShardBypass: the chain cursor's single-shard scan
 // fast path must survive the router swap — under a trained sampled router,
 // a scan whose range lives inside one sampled boundary interval opens ONLY
-// that shard's cursor, exactly like the prefix router's bypass.
+// that shard's cursor, exactly like the prefix split's bypass.
 func TestSampledScanSingleShardBypass(t *testing.T) {
 	// Train on the exact key population: 1024 two-byte keys, so the 4-shard
 	// quantile boundaries are {0x40,0x00}, {0x80,0x00}, {0xc0,0x00} and
@@ -480,7 +558,7 @@ func TestSampledScanSingleShardBypass(t *testing.T) {
 		}
 	}
 	ix, opens := spyFactory(t, 4, sharded.NewSampledRouterFromSample(sample))
-	if !ix.Router().Ordered() || ix.Router().Name() != "sampled" {
+	if !ix.Router().Ordered() || ix.Router().Name() != "range" {
 		t.Fatalf("router = %s ordered=%v", ix.Router().Name(), ix.Router().Ordered())
 	}
 	for _, k := range sample {
@@ -527,9 +605,9 @@ func TestSampledScanSingleShardBypass(t *testing.T) {
 }
 
 // TestSampledTrainOnce: training happens exactly once, and only into an
-// empty index — keys placed before training (all on shard 0 under the
-// untrained table) must never be stranded by a later retrain, and a second
-// bulk load must reuse the first load's boundaries.
+// empty index — keys placed before training (under the prefix split) must
+// never be stranded by a later retrain, and a second bulk load must reuse
+// the first load's boundaries.
 func TestSampledTrainOnce(t *testing.T) {
 	mkIndex := func() *sharded.Index {
 		return sharded.NewWithRouter(4, 1<<10, factories()["SkipList"], sharded.NewSampledRouter)
@@ -573,9 +651,9 @@ func TestSampledTrainOnce(t *testing.T) {
 
 	// Set-before-BulkLoad: the index is non-empty when the load arrives, so
 	// training must be skipped — under a trained table the load's duplicate
-	// of the pre-load key would route to a DIFFERENT shard than the copy
-	// already sitting in shard 0, leaving a stale duplicate behind.
-	pre := []byte{0x80, 0xff, 0xee}
+	// of the pre-load key would route to shard 0, not to the prefix split's
+	// shard 1 where the copy already sits, leaving a stale duplicate behind.
+	pre := []byte{0x40, 0x00, 0xee}
 	ix2 := mkIndex()
 	if _, err := ix2.Set(pre, 7); err != nil {
 		t.Fatal(err)
@@ -615,7 +693,7 @@ func TestPooledCursorReuse(t *testing.T) {
 		mk   sharded.RouterMaker
 	}{
 		{"hash", sharded.NewHashRouter},
-		{"range", sharded.NewPrefixRouter},
+		{"range", sharded.NewSampledRouter},
 		{"sampled", sharded.NewSampledRouterFromSample(singleByteKeys())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -685,7 +763,7 @@ func allRouters() []struct {
 		mk   sharded.RouterMaker
 	}{
 		{"hash", sharded.NewHashRouter},
-		{"range", sharded.NewPrefixRouter},
+		{"range", sharded.NewSampledRouter},
 		{"sampled", sharded.NewSampledRouterFromSample(singleByteKeys())},
 	}
 }
@@ -777,8 +855,11 @@ func TestShardedBulkLoadLengthContract(t *testing.T) {
 
 // TestBulkLoadPartitioned: the sharded BulkLoad must agree with the
 // incremental path on a stream with duplicates, under every router —
-// including an untrained sampled router, which derives its boundaries from
-// this very stream — and report per-shard added counts summed correctly.
+// including the untrained range router, which derives its boundaries from
+// this very stream while the incremental copy keeps the prefix split — and
+// report per-shard added counts summed correctly. In the sampled-untrained
+// case both copies already hold a key, so the bulk load must not train and
+// the two copies must also agree shard by shard.
 func TestBulkLoadPartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 20000
@@ -801,11 +882,20 @@ func TestBulkLoadPartitioned(t *testing.T) {
 	for _, tc := range routers {
 		t.Run(tc.name, func(t *testing.T) {
 			bulk := sharded.NewWithRouter(8, n, factories()["CuckooTrie"], tc.mk)
+			incr := sharded.NewWithRouter(8, n, factories()["CuckooTrie"], tc.mk)
+			untrained := tc.name == "sampled-untrained"
+			if untrained {
+				held := bytes.Repeat([]byte{0x80}, 13) // longer than any stream key
+				for _, ix := range []*sharded.Index{bulk, incr} {
+					if _, err := ix.Set(held, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			added, err := bulk.BulkLoad(keys, vals)
 			if err != nil {
 				t.Fatalf("BulkLoad: %v", err)
 			}
-			incr := sharded.NewWithRouter(8, n, factories()["CuckooTrie"], tc.mk)
 			wantAdded := 0
 			for i, k := range keys {
 				a, err := incr.Set(k, vals[i])
@@ -832,6 +922,14 @@ func TestBulkLoadPartitioned(t *testing.T) {
 				if found[i] != wfound[i] || got[i] != want[i] {
 					t.Fatalf("key %x: bulk %d,%v incremental %d,%v",
 						keys[i], got[i], found[i], want[i], wfound[i])
+				}
+			}
+			if untrained {
+				if bulk.Router().(*sharded.SampledRouter).Trained() {
+					t.Fatal("BulkLoad into a non-empty index trained the router")
+				}
+				if b, i := bulk.ShardLens(), incr.ShardLens(); fmt.Sprint(b) != fmt.Sprint(i) {
+					t.Fatalf("shard lens: bulk %v, incremental %v", b, i)
 				}
 			}
 		})
@@ -884,14 +982,14 @@ func TestBulkLoadFirstErrorShardOrder(t *testing.T) {
 	errShard1 := fmt.Errorf("shard-1 failure")
 	errShard2 := fmt.Errorf("shard-2 failure")
 	bad := map[string]error{
-		"\x50bad": errShard1, // first byte 0x50 → prefix shard 1 of 4
-		"\x90bad": errShard2, // first byte 0x90 → prefix shard 2 of 4
+		"\x50bad": errShard1, // sorts second of the 4 keys → trained shard 1 of 4
+		"\x90bad": errShard2, // sorts third → trained shard 2 of 4
 	}
 	inner := factories()["SkipList"]
 	for i := 0; i < 10; i++ { // repeat: completion order varies per run
 		ix := sharded.NewWithRouter(4, 1<<10, func(c int) index.Index {
 			return failManyIndex{inner(c), bad}
-		}, sharded.NewPrefixRouter)
+		}, sharded.NewSampledRouter)
 		// Stream order puts the HIGHER shard's bad key first: stream order
 		// must not matter, only shard order.
 		keys := [][]byte{{0x90, 'b', 'a', 'd'}, {0x00, 'a'}, {0x50, 'b', 'a', 'd'}, {0xd0, 'c'}}
@@ -912,7 +1010,7 @@ func TestBulkLoadPropagatesError(t *testing.T) {
 	inner := factories()["SkipList"]
 	ix := sharded.NewWithRouter(4, 1<<10, func(c int) index.Index {
 		return failAfterIndex{inner(c), "\x10bad"}
-	}, sharded.NewPrefixRouter)
+	}, sharded.NewSampledRouter)
 	keys := [][]byte{{0x10, 'a'}, []byte("\x10bad"), {0x90, 'b'}, {0xd0, 'c'}}
 	vals := []uint64{1, 2, 3, 4}
 	added, err := ix.BulkLoad(keys, vals)
@@ -939,7 +1037,7 @@ func BenchmarkShardedScan(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		mk   sharded.RouterMaker
-	}{{"hash", sharded.NewHashRouter}, {"range", sharded.NewPrefixRouter}} {
+	}{{"hash", sharded.NewHashRouter}, {"range", sharded.NewSampledRouter}} {
 		b.Run(tc.name, func(b *testing.B) {
 			ix := sharded.NewWithRouter(8, 1<<16, factories()["CuckooTrie"], tc.mk)
 			rng := rand.New(rand.NewSource(7))
