@@ -180,6 +180,29 @@ func BenchmarkMultiGetDRAM(b *testing.B) {
 	benchMultiGet(b, t, ks, 1, 2, 8, 64)
 }
 
+// BenchmarkBulkLoadDRAM is the writer-side twin of BenchmarkMultiGetDRAM:
+// one iteration bulk-loads the same 1M rand-8 keys into a fresh trie sized
+// with CapacityHint 2x. allocs/op and B/op cover the whole load, the table
+// included; divide by the reported keys for per-key figures.
+func BenchmarkBulkLoadDRAM(b *testing.B) {
+	const n = 1_000_000
+	ks := dataset.Generate(dataset.Rand8, n, 3)
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := cuckootrie.New(cuckootrie.Config{CapacityHint: 2 * n, AutoResize: true})
+		if added, err := index.BulkLoad(t, ks, vals); err != nil || added != n {
+			b.Fatalf("bulk load: added %d of %d: %v", added, n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+	b.ReportMetric(n, "keys")
+}
+
 func BenchmarkTrieGetParallel(b *testing.B) {
 	t, ks := newLoadedTrie(1 << 18)
 	b.ReportAllocs()

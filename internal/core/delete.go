@@ -82,16 +82,12 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	var pred predLeaf
 	var predFound bool
 	if !tr.cfg.DisableLeafList {
-		var vbuf [8]entryRef
-		vset := vbuf[:0]
 		var ok bool
-		pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms, &vset)
+		pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms)
 		if !ok {
 			return insRetry, path
 		}
-		for _, r := range vset {
-			p.addRef(r)
-		}
+		p.addPred(&pred, predFound)
 	}
 
 	// Subtree-max rule: ancestors whose max was L now have pred as max.
@@ -196,15 +192,11 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 				// to the new location. If kc < k, C's own predecessor is
 				// found above P.
 				if s > s2 && !tr.cfg.DisableLeafList {
-					var vbuf [8]entryRef
-					vset := vbuf[:0]
-					prevC, prevFound, ok := t.predViaAncestors(path[:len(path)-2], syms, &vset)
+					prevC, prevFound, ok := t.predViaAncestors(path[:len(path)-2], syms)
 					if !ok {
 						return insRetry, path
 					}
-					for _, r := range vset {
-						p.addRef(r)
-					}
+					p.addPred(&prevC, prevFound)
 					if prevFound {
 						if prevC.ref.slotRef != cRef.slotRef {
 							pv := p.modify(prevC.ref, prevC.ent)

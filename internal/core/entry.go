@@ -89,7 +89,7 @@ func (e *entry) encode() (w0, w1, w2 uint64) {
 func decodeEntry(w0, w1, w2 uint64) entry {
 	return entry{
 		kind:         rawKind(w0),
-		tag:          uint8(w0 >> 2 & 0xf),
+		tag:          rawTag(w0),
 		primary:      w0&primaryBit != 0,
 		lastSym:      byte(w0 >> 7 & 0x3f),
 		color:        rawColor(w0),
@@ -112,6 +112,7 @@ func decodeEntry(w0, w1, w2 uint64) entry {
 const primaryBit = 1 << 6
 
 func rawKind(w0 uint64) uint8       { return uint8(w0 & 3) }
+func rawTag(w0 uint64) uint8        { return uint8(w0 >> 2 & 0xf) }
 func rawColor(w0 uint64) uint8      { return uint8(w0 >> 13 & 7) }
 func rawDirty(w0 uint64) bool       { return w0>>19&1 != 0 }
 func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
@@ -125,6 +126,12 @@ func rawJumpSymbol(w1 uint64, i int) byte {
 
 // jumpSymbol returns the i'th compressed symbol of a jump node.
 func (e *entry) jumpSymbol(i int) byte { return rawJumpSymbol(e.w1, i) }
+
+// jumpSymbolRange returns symbols [from, to) of a jump node's word 1, packed
+// as a word 1 of their own.
+func jumpSymbolRange(w1 uint64, from, to int) uint64 {
+	return w1 >> (6 * uint(from)) & (1<<(6*uint(to-from)) - 1)
+}
 
 // packJumpSymbols packs syms (len ≤ maxJumpSymbols) into a word-1 value.
 func packJumpSymbols(syms []byte) uint64 {

@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Cuckoo relocations. When both candidate buckets of a new entry are full, a
 // chain of entries is relocated, each to its alternate bucket, to free a
@@ -14,94 +18,103 @@ import "sync/atomic"
 // (§5: "if there is a concurrent relocation, the node will eventually be
 // found in a later iteration").
 
+// kickEdge moves the entry read as w0, w1, w2 from slot from to its
+// alternate bucket to. The words are checked against the slot at apply time;
+// the moved entry is the same words with the primary bit flipped.
 type kickEdge struct {
-	from     slotRef
-	w0       uint64 // expected encoded entry (identity check at apply time)
-	w1, w2   uint64
-	to       uint64
-	newEntry entry
+	from       slotRef
+	w0, w1, w2 uint64
+	to         uint64
 }
+
+type bfsNode struct {
+	bucket uint64
+	parent int // index into nodes; -1 for roots
+	edge   kickEdge
+}
+
+// evictScratch is one eviction search's working memory. Searches run on
+// every insert that finds both buckets full and on every rebuild placement
+// that does, so the node queue, the seen set and the chain are pooled like
+// plans instead of allocated per search.
+type evictScratch struct {
+	nodes []bfsNode
+	seen  map[uint64]struct{}
+	chain []kickEdge
+}
+
+var evictPool = sync.Pool{New: func() any {
+	return &evictScratch{seen: map[uint64]struct{}{}}
+}}
 
 // makeRoom tries to free a slot in one of the candidate buckets of hash h.
 func (tr *Trie) makeRoom(t *table, h uint64) bool {
 	for attempt := 0; attempt < 8; attempt++ {
-		chain, ok := t.findEvictionChain(h, tr.cfg.MaxKicks)
-		if !ok {
+		found, applied := t.evict(h, tr.cfg.MaxKicks)
+		if !found {
 			return false
 		}
-		if t.applyChain(chain) {
+		if applied {
 			return true
 		}
 	}
 	return false
 }
 
-// findEvictionChain BFS-searches buckets reachable by relocation from the two
+// evict searches for an eviction chain that frees a slot in one of the
+// candidate buckets of hash h, within maxNodes buckets, and applies it.
+// found is false when the search found no chain; applied is false when a
+// concurrent writer invalidated the chain it found.
+func (t *table) evict(h uint64, maxNodes int) (found, applied bool) {
+	s := evictPool.Get().(*evictScratch)
+	defer evictPool.Put(s)
+	chain, found := s.search(t, h, maxNodes)
+	return found, found && t.applyChain(chain)
+}
+
+// search BFS-searches buckets reachable by relocation from the two
 // candidate buckets of h until a bucket with a free slot is found. Returns
-// the move sequence ordered root-to-free; the caller applies it in reverse.
-func (t *table) findEvictionChain(h uint64, maxNodes int) ([]kickEdge, bool) {
-	b1, b2, _ := t.bucketsOf(h)
+// the move sequence ordered root-to-free, in s's memory; the caller applies
+// it in reverse.
+func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, bool) {
+	b1, b2, _ := t.bucketsOf(h) // b1 != b2: kick offsets are nonzero
+	s.nodes = append(s.nodes[:0], bfsNode{bucket: b1, parent: -1}, bfsNode{bucket: b2, parent: -1})
+	clear(s.seen)
+	s.seen[b1], s.seen[b2] = struct{}{}, struct{}{}
 
-	type bfsNode struct {
-		bucket uint64
-		parent int // index into nodes; -1 for roots
-		edge   kickEdge
-	}
-	nodes := make([]bfsNode, 0, maxNodes)
-	nodes = append(nodes, bfsNode{bucket: b1, parent: -1})
-	if b2 != b1 {
-		nodes = append(nodes, bfsNode{bucket: b2, parent: -1})
-	}
-	seen := map[uint64]bool{b1: true, b2: true}
-
-	for qi := 0; qi < len(nodes) && len(nodes) < maxNodes; qi++ {
-		b := nodes[qi].bucket
-		snap, ok := t.readBucket(b)
-		if !ok {
+	var ws [entriesPerBucket * 3]uint64
+	for qi := 0; qi < len(s.nodes) && len(s.nodes) < maxNodes; qi++ {
+		b := s.nodes[qi].bucket
+		if _, ok := t.loadSlots(b, ws[:]); !ok {
 			continue
 		}
-		if snap.freeSlot() >= 0 && nodes[qi].parent != -1 {
-			// Collect the chain root→...→here.
-			var chain []kickEdge
-			for i := qi; nodes[i].parent != -1; i = nodes[i].parent {
-				chain = append(chain, nodes[i].edge)
-			}
-			// Reverse to root-to-free order.
-			for l, r := 0, len(chain)-1; l < r; l, r = l+1, r-1 {
-				chain[l], chain[r] = chain[r], chain[l]
-			}
-			return chain, true
+		free := false
+		for slot := 0; slot < entriesPerBucket && !free; slot++ {
+			free = rawKind(ws[3*slot]) == kindEmpty
 		}
-		if snap.freeSlot() >= 0 && nodes[qi].parent == -1 {
-			// A root already has space; nothing to do.
-			return nil, true
+		if free {
+			// Collect the chain here→...→root, then reverse it. A root
+			// with space needs no chain at all.
+			s.chain = s.chain[:0]
+			for i := qi; s.nodes[i].parent != -1; i = s.nodes[i].parent {
+				s.chain = append(s.chain, s.nodes[i].edge)
+			}
+			slices.Reverse(s.chain)
+			return s.chain, true
 		}
 		for slot := 0; slot < entriesPerBucket; slot++ {
-			e := snap.entries[slot]
-			if e.kind == kindEmpty {
+			w0 := ws[3*slot]
+			alt := t.altBucket(b, rawTag(w0), w0&primaryBit != 0)
+			if _, dup := s.seen[alt]; dup {
 				continue
 			}
-			alt := t.altBucket(b, e.tag, e.primary)
-			if seen[alt] {
-				continue
-			}
-			seen[alt] = true
-			moved := e
-			moved.primary = !e.primary
-			w0, w1, w2 := e.encode()
-			nodes = append(nodes, bfsNode{
+			s.seen[alt] = struct{}{}
+			s.nodes = append(s.nodes, bfsNode{
 				bucket: alt,
 				parent: qi,
-				edge: kickEdge{
-					from:     slotRef{b, slot},
-					w0:       w0,
-					w1:       w1,
-					w2:       w2,
-					to:       alt,
-					newEntry: moved,
-				},
+				edge:   kickEdge{slotRef{b, slot}, w0, ws[3*slot+1], ws[3*slot+2], alt},
 			})
-			if len(nodes) >= maxNodes {
+			if len(s.nodes) >= maxNodes {
 				break
 			}
 		}
@@ -157,7 +170,7 @@ func (t *table) applyMove(e *kickEdge) bool {
 			}
 		}
 		if free >= 0 {
-			t.writeSlot(tb, free, e.newEntry)
+			t.storeSlot(tb, free, e.w0^primaryBit, e.w1, e.w2)
 			t.clearSlot(fb, e.from.slot)
 			ok = true
 		}

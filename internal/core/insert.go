@@ -175,16 +175,12 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 	var pred predLeaf
 	var predFound bool
 	if !tr.cfg.DisableLeafList {
-		var vbuf [8]entryRef
-		vset := vbuf[:0]
 		var ok bool
-		pred, predFound, ok = p.t.predViaAncestors(path, syms, &vset)
+		pred, predFound, ok = p.t.predViaAncestors(path, syms)
 		if !ok {
 			return false
 		}
-		for _, r := range vset {
-			p.addRef(r)
-		}
+		p.addPred(&pred, predFound)
 	}
 
 	rec := tr.recs.alloc(k, v)
@@ -313,15 +309,11 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 
 	// Leaf-list wiring. pred(min(k, oldKey)) is found by walking L's
 	// ancestors; the two new leaves are adjacent in key order.
-	var vbuf [8]entryRef
-	vset := vbuf[:0]
-	prev, prevFound, ok := p.t.predViaAncestors(path[:len(path)-1], syms, &vset)
+	prev, prevFound, ok := p.t.predViaAncestors(path[:len(path)-1], syms)
 	if !ok {
 		return false
 	}
-	for _, r := range vset {
-		p.addRef(r)
-	}
+	p.addPred(&prev, prevFound)
 
 	newLeaf := p.entOf(liNew)
 	oldLeaf := p.entOf(liOld)
@@ -484,7 +476,7 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 		rColor = rLoc.color
 		jm := p.modify(J.ref, J.ent)
 		jm.jumpLen = uint8(off)
-		jm.w1 = packJumpSymbols(symsOfJump(&J.ent, 0, off))
+		jm.w1 = jumpSymbolRange(J.ent.w1, 0, off)
 		jm.childColor = rColor
 	}
 
@@ -495,7 +487,7 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 			lastSym:     sOld,
 			parentColor: rColor,
 			jumpLen:     uint8(m - off - 1),
-			w1:          packJumpSymbols(symsOfJump(&J.ent, off+1, m)),
+			w1:          jumpSymbolRange(J.ent.w1, off+1, m),
 			childColor:  J.ent.childColor,
 			hasLoc:      oldHasLoc,
 			locHash:     oldMaxLoc.hash,
@@ -564,28 +556,15 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 		predFound = true
 		p.addRef(pred.ref)
 	} else {
-		var vbuf [8]entryRef
-		vset := vbuf[:0]
 		var ok bool
-		pred, predFound, ok = p.t.predViaAncestors(path[:len(path)-1], syms, &vset)
+		pred, predFound, ok = p.t.predViaAncestors(path[:len(path)-1], syms)
 		if !ok {
 			return false
 		}
-		for _, r := range vset {
-			p.addRef(r)
-		}
+		p.addPred(&pred, predFound)
 	}
 
 	matchLoc := oldMaxLoc
 	matchValid := sNew > sOld // ancestors tracking the old subtree max
 	return tr.linkLeaf(p, path[:len(path)-1], li, lloc, pred, predFound, matchLoc, matchValid)
-}
-
-// symsOfJump extracts jump symbols [from, to) of e into a fresh slice.
-func symsOfJump(e *entry, from, to int) []byte {
-	out := make([]byte, 0, to-from)
-	for i := from; i < to; i++ {
-		out = append(out, e.jumpSymbol(i))
-	}
-	return out
 }

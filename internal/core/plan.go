@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // A plan accumulates a writer's intended changes — new entries to place and
 // existing entries to overwrite — computed optimistically from consistent
@@ -20,14 +23,14 @@ type plannedMod struct {
 	ent entry
 }
 
+// snapCacheEnt is a plan's copy of word 0 of each slot of one bucket, read
+// under the seqlock at the version the plan registered for the bucket.
+// Word 0 holds every field a placement decides on: kind, tag, primacy and
+// color. Each placement writes its own word 0 into the copy, so later
+// placements of the same plan see the slot taken and the color used.
 type snapCacheEnt struct {
-	b    uint64
-	snap bucketSnap
-}
-
-type colorUse struct {
-	hash uint64
-	mask uint8
+	b  uint64
+	w0 [entriesPerBucket]uint64
 }
 
 type plan struct {
@@ -38,9 +41,7 @@ type plan struct {
 	writes []plannedWrite
 	mods   []plannedMod
 
-	snaps     []snapCacheEnt
-	colorUses []colorUse
-	taken     []slotRef // slots consumed by earlier placements in this plan
+	snaps []snapCacheEnt
 
 	minUpdate bool
 	newMin    locator
@@ -72,8 +73,6 @@ func (p *plan) reset(t *table) {
 	p.writes = p.writes[:0]
 	p.mods = p.mods[:0]
 	p.snaps = p.snaps[:0]
-	p.colorUses = p.colorUses[:0]
-	p.taken = p.taken[:0]
 	p.minUpdate = false
 	p.minClear = false
 	p.needRoom = false
@@ -81,27 +80,36 @@ func (p *plan) reset(t *table) {
 	p.failed = false
 }
 
-// snapshot returns a cached consistent snapshot of bucket b, registering its
-// version for lock-time validation. The snapshot is returned by value: the
-// cache slice may grow and relocate.
-func (p *plan) snapshot(b uint64) (bucketSnap, bool) {
+// snapshot returns the index in p.snaps of bucket b's word-0 snapshot,
+// reading and caching it on first use and registering its version for
+// lock-time validation. An index, not a pointer: the cache may relocate.
+func (p *plan) snapshot(b uint64) (int, bool) {
 	for i := range p.snaps {
 		if p.snaps[i].b == b {
-			return p.snaps[i].snap, true
+			return i, true
 		}
 	}
-	s, ok := p.t.readBucket(b)
+	s := snapCacheEnt{b: b}
+	ver, ok := p.t.loadSlots(b, s.w0[:])
 	if !ok {
 		p.failed = true
-		return bucketSnap{}, false
+		return -1, false
 	}
-	p.snaps = append(p.snaps, snapCacheEnt{b, s})
-	p.locks.add(b, s.ver)
-	return s, true
+	p.snaps = append(p.snaps, s)
+	p.locks.add(b, ver)
+	return len(p.snaps) - 1, true
 }
 
 // addRef registers an already-read entry's bucket version for validation.
 func (p *plan) addRef(ref entryRef) { p.locks.add(ref.bucket, ref.ver) }
+
+// addPred registers what a predecessor walk read, when it found a leaf.
+func (p *plan) addPred(pred *predLeaf, found bool) {
+	if found {
+		p.addRef(pred.via)
+		p.addRef(pred.ref)
+	}
+}
 
 func (p *plan) markDirty(b uint64) {
 	for _, d := range p.dirty {
@@ -112,48 +120,36 @@ func (p *plan) markDirty(b uint64) {
 	p.dirty = append(p.dirty, b)
 }
 
-func (p *plan) slotTaken(b uint64, slot int) bool {
-	for _, s := range p.taken {
-		if s.bucket == b && s.slot == slot {
-			return true
+// tagPrimaryMask selects the word-0 fields that, with the bucket, name an
+// entry's hash: its tag and its primacy.
+const tagPrimaryMask = uint64(0xf)<<2 | primaryBit
+
+// scanSlots reads the word 0s of one candidate bucket of a hash with the
+// given tag, primary for its primary bucket: used is the set (as a bitmask)
+// of colors its live entries of that hash hold, free its first empty slot
+// (-1 if none). Placements in a plan and in the rebuilder both use it.
+func scanSlots(w0s *[entriesPerBucket]uint64, tag uint8, primary bool) (used uint8, free int) {
+	want := uint64(tag) << 2
+	if primary {
+		want |= primaryBit
+	}
+	free = -1
+	for i, w := range w0s {
+		switch {
+		case rawKind(w) == kindEmpty:
+			if free < 0 {
+				free = i
+			}
+		case w&tagPrimaryMask == want:
+			used |= 1 << rawColor(w)
 		}
 	}
-	return false
+	return used, free
 }
 
-// usedColors returns the set (as a bitmask) of colors already used by live
-// entries with the given hash, across both candidate buckets, including
-// colors assigned by this plan.
-func (p *plan) usedColors(h uint64) (uint8, bool) {
-	b1, b2, tag := p.t.bucketsOf(h)
-	var mask uint8
-	s1, ok := p.snapshot(b1)
-	if !ok {
-		return 0, false
-	}
-	for i := range s1.entries {
-		e := &s1.entries[i]
-		if e.kind != kindEmpty && e.tag == tag && e.primary {
-			mask |= 1 << e.color
-		}
-	}
-	s2, ok := p.snapshot(b2)
-	if !ok {
-		return 0, false
-	}
-	for i := range s2.entries {
-		e := &s2.entries[i]
-		if e.kind != kindEmpty && e.tag == tag && !e.primary {
-			mask |= 1 << e.color
-		}
-	}
-	for _, cu := range p.colorUses {
-		if cu.hash == h {
-			mask |= cu.mask
-		}
-	}
-	return mask, true
-}
+// freeColor returns the lowest color not in used, or numColors when every
+// color is taken.
+func freeColor(used uint8) uint8 { return uint8(bits.TrailingZeros8(^used)) }
 
 // place allocates a slot and a color for a new entry with hash h and
 // registers the write. The prototype's identity fields (tag, primary, color)
@@ -164,44 +160,29 @@ func (p *plan) place(h uint64, proto entry) (int, locator) {
 	if p.failed || p.needRoom {
 		return -1, locator{}
 	}
-	used, ok := p.usedColors(h)
+	b1, b2, tag := p.t.bucketsOf(h)
+	i1, ok := p.snapshot(b1)
 	if !ok {
 		return -1, locator{}
 	}
-	var color uint8 = 0xff
-	for c := uint8(0); c < numColors; c++ {
-		if used&(1<<c) == 0 {
-			color = c
-			break
-		}
+	i2, ok := p.snapshot(b2)
+	if !ok {
+		return -1, locator{}
 	}
-	if color == 0xff {
+	s1, s2 := &p.snaps[i1], &p.snaps[i2]
+	used1, free1 := scanSlots(&s1.w0, tag, true)
+	used2, free2 := scanSlots(&s2.w0, tag, false)
+	color := freeColor(used1 | used2)
+	if color == numColors {
 		// All colors for this hash are taken. Relocation cannot help (colors
 		// are per-hash across both buckets); only a resize — with its new
 		// geometry and hash values — resolves this.
 		p.colorsFull = true
 		return -1, locator{}
 	}
-	b1, b2, tag := p.t.bucketsOf(h)
-	s1, ok1 := p.snapshot(b1)
-	s2, ok2 := p.snapshot(b2)
-	if !ok1 || !ok2 {
-		return -1, locator{}
-	}
-	bsel, slot, primary := uint64(0), -1, true
-	for i := range s1.entries {
-		if s1.entries[i].kind == kindEmpty && !p.slotTaken(b1, i) {
-			bsel, slot, primary = b1, i, true
-			break
-		}
-	}
+	s, slot, primary := s1, free1, true
 	if slot < 0 {
-		for i := range s2.entries {
-			if s2.entries[i].kind == kindEmpty && !p.slotTaken(b2, i) {
-				bsel, slot, primary = b2, i, false
-				break
-			}
-		}
+		s, slot, primary = s2, free2, false
 	}
 	if slot < 0 {
 		p.needRoom = true
@@ -211,9 +192,8 @@ func (p *plan) place(h uint64, proto entry) (int, locator) {
 	proto.tag = tag
 	proto.primary = primary
 	proto.color = color
-	p.taken = append(p.taken, slotRef{bsel, slot})
-	p.colorUses = append(p.colorUses, colorUse{h, 1 << color})
-	p.writes = append(p.writes, plannedWrite{bsel, slot, proto})
+	s.w0[slot], _, _ = proto.encode()
+	p.writes = append(p.writes, plannedWrite{s.b, slot, proto})
 	return len(p.writes) - 1, locator{h, color}
 }
 

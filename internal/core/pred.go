@@ -8,10 +8,14 @@ import "math/bits"
 // locator skips the whole down-traversal, which could otherwise not be
 // parallelized (the max leaf's key is unknown).
 
-// predLeaf describes a predecessor leaf found by the walk.
+// predLeaf describes a predecessor leaf found by the walk. via is the entry
+// the walk reached it through (the ancestor's sibling subtree, or the leaf
+// itself); with ref it is everything the walk read that a writer must
+// validate, and plan.addPred registers both.
 type predLeaf struct {
 	ent  entry
 	ref  entryRef
+	via  entryRef
 	hash uint64
 }
 
@@ -29,12 +33,11 @@ func maxSetBitBelow(w uint64, s byte) int {
 // predViaAncestors finds the predecessor of the key whose branch symbols are
 // syms, walking up the recorded ancestors nodes[0..len). For each regular
 // ancestor at depth d the branch symbol is syms[d]; jump ancestors cannot
-// branch and are skipped. Buckets examined along the way are appended to
-// vset for validation by the caller.
+// branch and are skipped.
 //
 // Returns found=false when the key has no predecessor (it would be the
 // global minimum), ok=false on concurrent conflict (restart the operation).
-func (t *table) predViaAncestors(nodes []pathNode, syms []byte, vset *[]entryRef) (p predLeaf, found, ok bool) {
+func (t *table) predViaAncestors(nodes []pathNode, syms []byte) (p predLeaf, found, ok bool) {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := &nodes[i]
 		if n.ent.kind != kindInternal {
@@ -50,9 +53,8 @@ func (t *table) predViaAncestors(nodes []pathNode, syms []byte, vset *[]entryRef
 		if !cok {
 			return predLeaf{}, false, false
 		}
-		*vset = append(*vset, ref)
 		if child.kind == kindLeaf {
-			return predLeaf{ent: child, ref: ref, hash: hs}, true, true
+			return predLeaf{ent: child, ref: ref, via: ref, hash: hs}, true, true
 		}
 		// Follow the sibling's subtree-max locator to the predecessor leaf.
 		ml := child.maxLeafLoc()
@@ -63,8 +65,7 @@ func (t *table) predViaAncestors(nodes []pathNode, syms []byte, vset *[]entryRef
 		if leaf.kind != kindLeaf {
 			return predLeaf{}, false, false
 		}
-		*vset = append(*vset, lref)
-		return predLeaf{ent: leaf, ref: lref, hash: ml.hash}, true, true
+		return predLeaf{ent: leaf, ref: lref, via: ref, hash: ml.hash}, true, true
 	}
 	return predLeaf{}, false, true
 }
@@ -77,5 +78,5 @@ func (t *table) maxLeafOf(n *pathNode) (predLeaf, bool) {
 	if !ok || leaf.kind != kindLeaf {
 		return predLeaf{}, false
 	}
-	return predLeaf{ent: leaf, ref: lref, hash: ml.hash}, true
+	return predLeaf{ent: leaf, ref: lref, via: lref, hash: ml.hash}, true
 }

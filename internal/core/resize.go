@@ -201,33 +201,13 @@ func (b *rebuilder) copyNode(old entry, oldHash, newHash uint64, parentLoc locat
 func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 	t := b.dst
 	b1, b2, tag := t.bucketsOf(h)
-	var used uint8
-	scan := func(bk uint64, primary bool) int {
-		free := -1
-		for s := 0; s < entriesPerBucket; s++ {
-			ee := b.rawEntry(bk, s)
-			if ee.kind == kindEmpty {
-				if free < 0 {
-					free = s
-				}
-				continue
-			}
-			if ee.tag == tag && ee.primary == primary {
-				used |= 1 << ee.color
-			}
-		}
-		return free
-	}
-	f1 := scan(b1, true)
-	f2 := scan(b2, false)
-	color := uint8(0xff)
-	for c := uint8(0); c < numColors; c++ {
-		if used&(1<<c) == 0 {
-			color = c
-			break
-		}
-	}
-	if color == 0xff {
+	var w1s, w2s [entriesPerBucket]uint64
+	t.loadSlots(b1, w1s[:])
+	t.loadSlots(b2, w2s[:])
+	used1, f1 := scanSlots(&w1s, tag, true)
+	used2, f2 := scanSlots(&w2s, tag, false)
+	color := freeColor(used1 | used2)
+	if color == numColors {
 		return 0, ErrTableFull
 	}
 	e.tag = tag
@@ -242,46 +222,45 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 		t.writeSlot(b2, f2, e)
 		return color, nil
 	}
-	chain, ok := t.findEvictionChain(h, 512)
-	if !ok || !t.applyChain(chain) {
+	if found, applied := t.evict(h, 512); !found || !applied {
 		return 0, ErrTableFull
 	}
 	return b.insertEntry(h, e)
 }
 
-func (b *rebuilder) rawEntry(bk uint64, slot int) entry {
-	t := b.dst
-	base := bk*bucketWords + 1 + uint64(slot)*3
-	return decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-}
-
-func (b *rebuilder) patch(l locator, f func(*entry)) {
+// patch rewrites the new-table entry at l as f returns it. f takes and
+// returns the entry by value so that it stays off the heap.
+func (b *rebuilder) patch(l locator, f func(entry) entry) {
 	e, ref, ok := b.dst.lockedFind(l)
 	if !ok {
 		panic("cuckootrie: rebuild patch target missing")
 	}
-	f(&e)
-	b.dst.writeSlot(ref.bucket, ref.slot, e)
+	b.dst.writeSlot(ref.bucket, ref.slot, f(e))
 }
 
 func (b *rebuilder) patchLoc(l locator, target locator, has bool) {
-	b.patch(l, func(e *entry) {
+	b.patch(l, func(e entry) entry {
 		e.hasLoc = has
 		if has {
 			e.setLoc(target)
 		}
+		return e
 	})
 }
 
 func (b *rebuilder) patchNext(l locator, target locator) {
-	b.patch(l, func(e *entry) {
+	b.patch(l, func(e entry) entry {
 		e.hasNext = true
 		e.setLoc(target)
+		return e
 	})
 }
 
 func (b *rebuilder) patchChildColor(l locator, c uint8) {
-	b.patch(l, func(e *entry) { e.childColor = c })
+	b.patch(l, func(e entry) entry {
+		e.childColor = c
+		return e
+	})
 }
 
 // lockedFind* read a quiesced (or unpublished) table directly, without

@@ -46,11 +46,10 @@ func (tr *Trie) seekLeaf(t *table, k []byte, syms []byte) (leafPos, bool, bool) 
 			// The lone key sharing our prefix is ≥ k: it is the successor.
 			return leafPos{term.ent, term.ref, term.hash}, true, true
 		}
-		pred, predFound = predLeaf{term.ent, term.ref, term.hash}, true
+		pred, predFound = predLeaf{ent: term.ent, ref: term.ref, hash: term.hash}, true
 	case soMissing:
-		var vset []entryRef
 		var ok bool
-		pred, predFound, ok = t.predViaAncestors(path, syms, &vset)
+		pred, predFound, ok = t.predViaAncestors(path, syms)
 		if !ok {
 			return leafPos{}, false, false
 		}
@@ -65,9 +64,8 @@ func (tr *Trie) seekLeaf(t *table, k []byte, syms []byte) (leafPos, bool, bool) 
 			}
 			predFound = true
 		} else {
-			var vset []entryRef
 			var ok bool
-			pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms, &vset)
+			pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms)
 			if !ok {
 				return leafPos{}, false, false
 			}
@@ -339,19 +337,17 @@ func (tr *Trie) Predecessor(k []byte) (key []byte, val uint64, ok bool) {
 		case soLeaf:
 			rec := tr.recs.key(term.ent.recIdx)
 			if bytes.Compare(rec, k) <= 0 {
-				pred, found = predLeaf{term.ent, term.ref, term.hash}, true
+				pred, found = predLeaf{ent: term.ent, ref: term.ref, hash: term.hash}, true
 			} else {
-				var vset []entryRef
 				var pok bool
-				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms, &vset)
+				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms)
 				if !pok {
 					continue
 				}
 			}
 		case soMissing:
-			var vset []entryRef
 			var pok bool
-			pred, found, pok = t.predViaAncestors(path, syms, &vset)
+			pred, found, pok = t.predViaAncestors(path, syms)
 			if !pok {
 				continue
 			}
@@ -365,9 +361,8 @@ func (tr *Trie) Predecessor(k []byte) (key []byte, val uint64, ok bool) {
 				}
 				found = true
 			} else {
-				var vset []entryRef
 				var pok bool
-				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms, &vset)
+				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms)
 				if !pok {
 					continue
 				}

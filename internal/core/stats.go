@@ -39,13 +39,13 @@ func (tr *Trie) Stats() Stats {
 	s.Keys = int(tr.count.Load())
 	s.Buckets = t.buckets
 	s.SlotsTotal = int(t.buckets) * entriesPerBucket
+	var w0s [entriesPerBucket]uint64
 	for b := uint64(0); b < t.buckets; b++ {
-		snap, ok := t.readBucket(b)
-		if !ok {
+		if _, ok := t.loadSlots(b, w0s[:]); !ok {
 			continue
 		}
-		for i := range snap.entries {
-			switch snap.entries[i].kind {
+		for _, w := range w0s {
+			switch rawKind(w) {
 			case kindInternal:
 				s.InternalNodes++
 			case kindJump:

@@ -89,37 +89,32 @@ func (t *table) scanBucket(b, want, mask uint64) (w0, w1, w2 uint64, slot int, v
 	return 0, 0, 0, -1, 0
 }
 
-// bucketSnap is a consistent snapshot of one bucket.
-type bucketSnap struct {
-	ver     uint64
-	entries [entriesPerBucket]entry
-}
-
-// readBucket snapshots a whole bucket for writers' plans, evictions and
-// stats, waiting out a held seqlock like scanBucket.
-func (t *table) readBucket(b uint64) (bucketSnap, bool) {
+// loadSlots snapshots bucket b for writers' plans, evictions and stats under
+// the seqlock, waiting out a held lock like scanBucket. ws receives the
+// first len(ws)/entriesPerBucket words of every slot: word 0 alone, which
+// holds every field a placement decides on, or all three, which a
+// relocation moves.
+func (t *table) loadSlots(b uint64, ws []uint64) (ver uint64, ok bool) {
+	n := len(ws) / entriesPerBucket
+	bw := t.words[b*bucketWords : (b+1)*bucketWords]
 	for spin := 0; spin < readSpins; spin++ {
-		v := t.loadVersion(b)
+		v := atomic.LoadUint64(&bw[0])
 		if v&1 != 0 {
 			if spin > yieldAfter {
 				runtime.Gosched()
 			}
 			continue
 		}
-		var s bucketSnap
-		s.ver = v
-		base := b*bucketWords + 1
 		for i := 0; i < entriesPerBucket; i++ {
-			w0 := atomic.LoadUint64(&t.words[base+uint64(i)*3])
-			w1 := atomic.LoadUint64(&t.words[base+uint64(i)*3+1])
-			w2 := atomic.LoadUint64(&t.words[base+uint64(i)*3+2])
-			s.entries[i] = decodeEntry(w0, w1, w2)
+			for j := 0; j < n; j++ {
+				ws[i*n+j] = atomic.LoadUint64(&bw[1+3*i+j])
+			}
 		}
-		if t.loadVersion(b) == v {
-			return s, true
+		if atomic.LoadUint64(&bw[0]) == v {
+			return v, true
 		}
 	}
-	return bucketSnap{}, false
+	return 0, false
 }
 
 // writeSlot stores an entry into a slot. The caller must hold the bucket's
@@ -127,16 +122,19 @@ func (t *table) readBucket(b uint64) (bucketSnap, bool) {
 // no torn words (they will discard the read anyway when the version check
 // fails).
 func (t *table) writeSlot(b uint64, slot int, e entry) {
-	base := b*bucketWords + 1 + uint64(slot)*3
 	w0, w1, w2 := e.encode()
+	t.storeSlot(b, slot, w0, w1, w2)
+}
+
+// storeSlot is writeSlot for an entry already in raw words.
+func (t *table) storeSlot(b uint64, slot int, w0, w1, w2 uint64) {
+	base := b*bucketWords + 1 + uint64(slot)*3
 	atomic.StoreUint64(&t.words[base], w0)
 	atomic.StoreUint64(&t.words[base+1], w1)
 	atomic.StoreUint64(&t.words[base+2], w2)
 }
 
-func (t *table) clearSlot(b uint64, slot int) {
-	t.writeSlot(b, slot, entry{})
-}
+func (t *table) clearSlot(b uint64, slot int) { t.storeSlot(b, slot, 0, 0, 0) }
 
 // tryLock CAS-locks bucket b, validating that its version still equals ver.
 func (t *table) tryLock(b uint64, ver uint64) bool {
@@ -154,15 +152,6 @@ func (t *table) unlock(b uint64, ver uint64, bump bool) {
 	} else {
 		atomic.StoreUint64(t.versionAddr(b), ver)
 	}
-}
-
-func (s *bucketSnap) freeSlot() int {
-	for i := range s.entries {
-		if s.entries[i].kind == kindEmpty {
-			return i
-		}
-	}
-	return -1
 }
 
 // lockSet acquires a set of bucket seqlocks in sorted order, validating each

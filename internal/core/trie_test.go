@@ -285,35 +285,56 @@ func TestScanCount(t *testing.T) {
 	}
 }
 
+// TestResizeGrowth grows a trie from a tiny table through many resizes.
+// Every rebuild places entries through the eviction search, so the
+// invariants are checked after each resize, not only at the end.
 func TestResizeGrowth(t *testing.T) {
 	tr := New(Config{CapacityHint: 8, AutoResize: true})
 	model := map[string]uint64{}
 	rng := rand.New(rand.NewSource(3))
+	gen := tr.gen.Load()
 	for i := 0; i < 3000; i++ {
 		k := randKey(rng, 1+rng.Intn(16))
 		model[string(k)] = uint64(i)
 		mustSet(t, tr, k, uint64(i))
+		if g := tr.gen.Load(); g != gen {
+			gen = g
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("after resize %d (key %d): %v", g, i, err)
+			}
+		}
 	}
 	verifyModel(t, tr, model)
-	if g := tr.gen.Load(); g == 0 {
+	if gen == 0 {
 		t.Fatal("expected at least one resize")
 	}
 }
 
+// TestTableFullWithoutResize fills a fixed-size table until an insert fails.
+// The failing insert has run makeRoom's eviction chains; none may be left
+// half applied, so every key accepted before it still reads back and the
+// invariants hold.
 func TestTableFullWithoutResize(t *testing.T) {
 	tr := New(Config{CapacityHint: 8, AutoResize: false})
+	model := map[string]uint64{}
 	rng := rand.New(rand.NewSource(4))
 	var sawFull bool
 	for i := 0; i < 5000; i++ {
-		_, err := tr.Set(randKey(rng, 8), uint64(i))
+		k := randKey(rng, 8)
+		_, err := tr.Set(k, uint64(i))
 		if err == ErrTableFull {
 			sawFull = true
 			break
 		}
 		must(t, err)
+		model[string(k)] = uint64(i)
 	}
 	if !sawFull {
 		t.Fatal("expected ErrTableFull on a fixed-size table")
+	}
+	verifyModel(t, tr, model)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
