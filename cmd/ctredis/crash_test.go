@@ -207,7 +207,8 @@ func groupCommitCrashDrill(t *testing.T, execMode string, conns int) {
 
 // TestFlagValues: -fsync takes Redis's three appendfsync values plus
 // group, another spelling of always, and -router takes hash and range; the
-// deleted async and sampled modes are refused at boot.
+// deleted async and sampled modes are refused at boot, and so is -capacity
+// (sets grow from the engine default).
 func TestFlagValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs a real server process")
@@ -242,13 +243,20 @@ func TestFlagValues(t *testing.T) {
 			t.Fatalf("%v: INFO persistence = %q, %v; want appendfsync:%s", tc.args, info, ierr, tc.fsync)
 		}
 	}
-	for _, args := range [][]string{{"-fsync", "async"}, {"-shards", "2", "-router", "sampled"}} {
+	for _, tc := range []struct {
+		args []string
+		name string // what the refusal must name
+	}{
+		{[]string{"-fsync", "async"}, "async"},
+		{[]string{"-shards", "2", "-router", "sampled"}, "sampled"},
+		{[]string{"-capacity", "1024"}, "capacity"},
+	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, args...)...).CombinedOutput()
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, tc.args...)...).CombinedOutput()
 		timedOut := ctx.Err() != nil
 		cancel()
-		if err == nil || timedOut || !strings.Contains(string(out), args[len(args)-1]) {
-			t.Fatalf("%v: exit %v, output %q; want a refusal naming %q", args, err, out, args[len(args)-1])
+		if err == nil || timedOut || !strings.Contains(string(out), tc.name) {
+			t.Fatalf("%v: exit %v, output %q; want a refusal naming %q", tc.args, err, out, tc.name)
 		}
 	}
 }

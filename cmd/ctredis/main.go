@@ -43,7 +43,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
 	engine := flag.String("engine", "CuckooTrie", "sorted-set engine: CuckooTrie|ARTOLC|HOT|Wormhole|STX|SkipList")
-	capacity := flag.Int("capacity", 1<<20, "expected keys per sorted set")
 	shards := flag.Int("shards", 1, "shards per sorted set (>1 enables scatter-gather across cores)")
 	router := flag.String("router", "hash", "key→shard routing for sharded sets: hash|range (range keeps scans single-shard when possible; it splits by key prefix until the first bulk load into an empty set derives balanced boundaries from that stream)")
 	preload := flag.Int("preload", 0, "bulk-load N random 8-byte keys into set 'bench' before serving (partitioned load for sharded sets; trains the range router's boundaries)")
@@ -90,7 +89,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := miniredis.NewServerExec(f, *capacity, mode)
+	// Sets start at the engine's default size and grow; recovery, full sync
+	// and -preload size a set from its key count instead.
+	srv := miniredis.NewServerExec(f, 0, mode)
 	if srv.Mode() != mode {
 		log.Printf("-exec %s needs a concurrent-safe engine and %s is not: running -exec %s", mode, *engine, srv.Mode())
 	}

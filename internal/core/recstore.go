@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -36,21 +37,23 @@ const (
 	recPosBits    = 20
 )
 
-// Chunks are allocated at full fixed length and filled by copy, never by
-// append: reassigning a slice header that readers load concurrently would
-// itself be a race.
+// Chunks and the slot array are allocated at full fixed length and filled
+// by copy, never by append: reassigning a slice header that readers load
+// concurrently would itself be a race. The slot array is replaced only when
+// it is full (grow).
 type recordStore struct {
 	mu     sync.Mutex
 	slots  atomic.Pointer[[]uint64]
+	grows  atomic.Uint64 // odd while grow copies the slot array
 	chunks atomic.Pointer[[][]byte]
 	free   []uint32 // freed slot indices (under mu)
-	used   int      // live slot count (under mu)
+	used   int      // slots ever handed out, live or freed (under mu)
 	curPos int      // fill position in the active chunk (under mu)
 }
 
 func newRecordStore(capHint int) *recordStore {
 	rs := &recordStore{}
-	slots := make([]uint64, 0, recSlotStride*max(capHint, 64))
+	slots := make([]uint64, recSlotStride*max(capHint, 64))
 	rs.slots.Store(&slots)
 	chunks := make([][]byte, 0, 8)
 	rs.chunks.Store(&chunks)
@@ -86,24 +89,33 @@ func (rs *recordStore) alloc(key []byte, value uint64) uint32 {
 		idx = rs.free[n-1]
 		rs.free = rs.free[:n-1]
 	} else {
-		slots := *rs.slots.Load()
-		if len(slots)+recSlotStride > cap(slots) {
-			grown := make([]uint64, len(slots), 2*cap(slots)+recSlotStride*64)
-			copy(grown, slots)
-			rs.slots.Store(&grown)
-			slots = grown
+		if recSlotStride*(rs.used+1) > len(*rs.slots.Load()) {
+			rs.grow()
 		}
-		slots = slots[:len(slots)+recSlotStride]
-		rs.slots.Store(&slots)
-		idx = uint32(len(slots)/recSlotStride - 1)
+		idx = uint32(rs.used)
+		rs.used++
 	}
 	sl := *rs.slots.Load()
 	base := int(idx) * recSlotStride
 	meta := chunkIdx<<(recPosBits+recLenBits) | pos<<recLenBits | uint64(len(key))
 	atomic.StoreUint64(&sl[base+1], value)
 	atomic.StoreUint64(&sl[base], meta)
-	rs.used++
 	return idx
+}
+
+// grow replaces the full slot array with one twice its size (under mu).
+// setValue does not take mu, so an update may store into the old array
+// after the copy has read that word. grows is odd for the whole copy, which
+// tells setValue to store again into the array published here.
+func (rs *recordStore) grow() {
+	old := *rs.slots.Load()
+	grown := make([]uint64, 2*len(old)+recSlotStride*64)
+	rs.grows.Add(1)
+	for i := range old {
+		grown[i] = atomic.LoadUint64(&old[i])
+	}
+	rs.slots.Store(&grown)
+	rs.grows.Add(1)
 }
 
 // release returns a slot to the free list. Key bytes are not reclaimed until
@@ -113,7 +125,6 @@ func (rs *recordStore) alloc(key []byte, value uint64) uint32 {
 func (rs *recordStore) release(idx uint32) {
 	rs.mu.Lock()
 	rs.free = append(rs.free, idx)
-	rs.used--
 	rs.mu.Unlock()
 }
 
@@ -141,13 +152,24 @@ func (rs *recordStore) key(idx uint32) []byte {
 	return c[pos : pos+klen : pos+klen]
 }
 
+// value returns record idx's value. A value read from an array that grow
+// has since replaced is read again from the new one: an update that
+// overlapped the grow may have stored only into the new array.
 func (rs *recordStore) value(idx uint32) uint64 {
-	sl := *rs.slots.Load()
 	base := int(idx) * recSlotStride
-	if base+1 >= len(sl) {
-		return 0
+	p := rs.slots.Load()
+	for {
+		sl := *p
+		if base+1 >= len(sl) {
+			return 0
+		}
+		v := atomic.LoadUint64(&sl[base+1])
+		q := rs.slots.Load()
+		if q == p {
+			return v
+		}
+		p = q
 	}
-	return atomic.LoadUint64(&sl[base+1])
 }
 
 // prefetchSlot hints record idx's slot (meta word and value share one line)
@@ -167,13 +189,30 @@ func (rs *recordStore) prefetchKey(idx uint32) {
 	prefetchBytes(rs.key(idx))
 }
 
+// setValue updates record idx's value in place. The caller holds the
+// leaf's bucket lock, so updates of one record never overlap each other,
+// but they do overlap alloc's grow: a store that lands in the old array
+// after the copy read the word would be lost. So the store counts only if
+// no grow was in flight when the array was loaded and none started before
+// the store finished; otherwise it waits the grow out and stores again into
+// the array the grow published.
 func (rs *recordStore) setValue(idx uint32, v uint64) {
-	sl := *rs.slots.Load()
 	base := int(idx) * recSlotStride
-	if base+1 >= len(sl) {
-		return
+	for {
+		g := rs.grows.Load()
+		if g&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		sl := *rs.slots.Load()
+		if base+1 >= len(sl) {
+			return
+		}
+		atomic.StoreUint64(&sl[base+1], v)
+		if rs.grows.Load() == g {
+			return
+		}
 	}
-	atomic.StoreUint64(&sl[base+1], v)
 }
 
 // memoryBytes reports the store's slot-metadata footprint (the "pointers to
@@ -185,5 +224,5 @@ func (rs *recordStore) memoryBytes() (slotBytes, keyBytes int64) {
 	slots := *rs.slots.Load()
 	chunks := *rs.chunks.Load()
 	keyBytes = int64(len(chunks)) * recChunkSize
-	return int64(cap(slots)) * 8, keyBytes
+	return int64(len(slots)) * 8, keyBytes
 }

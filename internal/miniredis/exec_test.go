@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	cuckootrie "repro"
 	"repro/internal/persist"
 )
 
@@ -403,5 +405,118 @@ func TestManyConnectionsSoak(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestStripedConnSetGrowth: a set created by ZADD on a capacity-0 server
+// starts at the engine's default size, so under striped-conn one
+// connection's inserts resize the table and grow its record slots while
+// another connection updates members in place. No update may be lost and
+// no insert dropped: afterwards every ZSCORE and the set's size are exact.
+func TestStripedConnSetGrowth(t *testing.T) {
+	srv := NewServerExec(trieFactory, 0, ExecStripedConn)
+	if srv.Mode() != ExecStripedConn {
+		t.Fatalf("Mode() = %v, want %v", srv.Mode(), ExecStripedConn)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	dial := func() *Client {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	updater, inserter := dial(), dial()
+	const owned, fresh, batch = 32, 24_000, 400
+
+	var done atomic.Bool
+	last := make([]int, owned)
+	updated := make(chan error, 1)
+	go func() {
+		cmds := make([][][]byte, owned)
+		for round := 1; ; round++ {
+			stop := done.Load()
+			for i := range cmds {
+				cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("u%02d", i)), []byte(fmt.Sprint(round*owned + i))}
+			}
+			out, err := updater.Pipeline(cmds)
+			if err != nil {
+				updated <- err
+				return
+			}
+			want := int64(0) // an update
+			if round == 1 {
+				want = 1
+			}
+			for i, r := range out {
+				if r != want {
+					updated <- fmt.Errorf("round %d: ZADD u%02d = %v, want %d", round, i, r, want)
+					return
+				}
+				last[i] = round*owned + i
+			}
+			if stop {
+				updated <- nil
+				return
+			}
+		}
+	}()
+	for lo := 0; lo < fresh; lo += batch {
+		cmds := make([][][]byte, batch)
+		for i := range cmds {
+			cmds[i] = [][]byte{[]byte("ZADD"), []byte("s"), []byte(fmt.Sprintf("f%05d", lo+i)), []byte(fmt.Sprint(lo + i))}
+		}
+		out, err := inserter.Pipeline(cmds)
+		if err != nil {
+			done.Store(true)
+			<-updated
+			t.Fatal(err)
+		}
+		for i, r := range out {
+			if r != int64(1) {
+				done.Store(true)
+				<-updated
+				t.Fatalf("ZADD f%05d = %v, want 1", lo+i, r)
+			}
+		}
+	}
+	done.Store(true)
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+
+	var cmds [][][]byte
+	var want []string
+	for i := range last {
+		cmds = append(cmds, [][]byte{[]byte("ZSCORE"), []byte("s"), []byte(fmt.Sprintf("u%02d", i))})
+		want = append(want, fmt.Sprint(last[i]))
+	}
+	for i := 0; i < fresh; i++ {
+		cmds = append(cmds, [][]byte{[]byte("ZSCORE"), []byte("s"), []byte(fmt.Sprintf("f%05d", i))})
+		want = append(want, fmt.Sprint(i))
+	}
+	out, err := inserter.Pipeline(cmds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out {
+		if b, ok := r.([]byte); !ok || string(b) != want[i] {
+			t.Fatalf("%s %s = %v, want %s", cmds[i][0], cmds[i][2], r, want[i])
+		}
+	}
+	// DBSIZE is the set's cardinality: the server holds this one set.
+	if r, err := inserter.Do([]byte("DBSIZE")); err != nil || r != int64(owned+fresh) {
+		t.Fatalf("DBSIZE = %v, %v, want %d", r, err, owned+fresh)
+	}
+	ix, _ := srv.ks.lookup([]byte("s"))
+	st := ix.(*cuckootrie.Trie).Stats()
+	if def := cuckootrie.New(cuckootrie.Config{}).Stats(); st.Buckets < 8*def.Buckets || st.RecordPtrBytes < 4*def.RecordPtrBytes {
+		t.Fatalf("set grew to %d buckets and %d B of record slots from %d and %d: want several resizes and slot grows",
+			st.Buckets, st.RecordPtrBytes, def.Buckets, def.RecordPtrBytes)
 	}
 }

@@ -293,6 +293,8 @@ type Server struct {
 // the server runs ExecSerial, the one strategy that is safe for every
 // engine; Mode reports the outcome. The keyspace is striped in both modes,
 // so set resolution never serializes connections on a single lock.
+// capacityHint sizes each set a command creates; 0 lets the set grow from
+// the engine default.
 func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Server {
 	s := &Server{
 		create:   func() index.Index { return factory(capacityHint) },
@@ -559,8 +561,9 @@ func (s *Server) LastBGSaveError() error {
 
 // Preload bulk-loads keys[i] → vals[i] into the named sorted set through
 // the engine's bulk-load path (index.BulkLoad) — the partitioned
-// concurrent ingest for sharded engines — creating the set if needed. It
-// is meant for warming a server before benchmarking, off the RESP path.
+// concurrent ingest for sharded engines — creating the set, sized for
+// len(keys), if needed. It is meant for warming a server before
+// benchmarking, off the RESP path.
 func (s *Server) Preload(set string, keys [][]byte, vals []uint64) (int, error) {
 	if s.isReplica() {
 		return 0, errors.New("miniredis: cannot preload a replica (its keyspace mirrors the primary)")
@@ -571,7 +574,8 @@ func (s *Server) Preload(set string, keys [][]byte, vals []uint64) (int, error) 
 	// half-loaded keyspace.
 	s.bulkMu.RLock()
 	defer s.bulkMu.RUnlock()
-	n, err := index.BulkLoad(s.set([]byte(set)), keys, vals)
+	ix := s.ks.get([]byte(set), func() index.Index { return s.newSet(len(keys)) })
+	n, err := index.BulkLoad(ix, keys, vals)
 	if err == nil && s.repl != nil {
 		// Preloaded keys bypass the WAL, so no replica state from before
 		// this point can catch up through the log alone: fence partial

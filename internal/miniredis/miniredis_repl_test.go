@@ -290,6 +290,31 @@ func TestLoadSnapshotSizesFromKeyCount(t *testing.T) {
 	}
 }
 
+// TestPreloadSizesFromKeyCount: Preload creates an absent set sized for
+// the keys it loads, so a capacity-0 server does not grow a preloaded set
+// through one resize per doubling; a preload into an existing set and a
+// set a command creates keep the server's hint.
+func TestPreloadSizesFromKeyCount(t *testing.T) {
+	const capacity = 256
+	var hints []int
+	srv := NewServerExec(func(c int) index.Index {
+		hints = append(hints, c)
+		return skiplistFactory(c)
+	}, capacity, ExecSerial)
+	defer srv.Close()
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	vals := []uint64{1, 2, 3}
+	for range 2 {
+		if added, err := srv.Preload("big", keys, vals); err != nil {
+			t.Fatalf("Preload = %d, %v", added, err)
+		}
+	}
+	srv.set([]byte("small"))
+	if !reflect.DeepEqual(hints, []int{len(keys), capacity}) {
+		t.Fatalf("factory hints = %v, want [%d %d] (the preload's key count once, then capacity for a command's set)", hints, len(keys), capacity)
+	}
+}
+
 // TestReplicationFallBehindFullSync re-attaches a replica whose LSN has
 // been compacted out of the primary's WAL retention (tiny segments + a SAVE
 // removed the segments it would need): the primary must answer with a fresh
