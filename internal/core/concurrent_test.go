@@ -322,7 +322,7 @@ func TestLookupsWaitOutHeldSeqlock(t *testing.T) {
 		}
 		return st.terminal().ref
 	}
-	_, rootRef, ok := tr.tryFindRoot(tbl)
+	_, _, _, rootBucket, _, _, ok := tr.rootNode(tbl)
 	if !ok {
 		t.Fatal("root not found")
 	}
@@ -332,7 +332,7 @@ func TestLookupsWaitOutHeldSeqlock(t *testing.T) {
 	i := 1
 	for ; i < len(sorted); i++ {
 		b := leafOf(sorted[i]).bucket
-		if b != rootRef.bucket && b != leafOf(sorted[i-1]).bucket {
+		if b != rootBucket && b != leafOf(sorted[i-1]).bucket {
 			break
 		}
 	}
@@ -383,6 +383,72 @@ func TestLookupsWaitOutHeldSeqlock(t *testing.T) {
 		case !r.hit || r.val != want:
 			t.Errorf("%s = (%d, %v), want (%d, true)", r.op, r.val, r.hit, want)
 		}
+	}
+}
+
+// symKey returns the 8-byte key whose leading 5-bit groups are d, the rest
+// zero: its symbols are d[i]+1, then 1s, then the terminator.
+func symKey(d ...uint64) []byte {
+	var v uint64
+	for i, x := range d {
+		v |= x << (59 - 5*i)
+	}
+	return keys.Uint64Key(v)
+}
+
+// staleDescent returns a trie and a descent for k = (3,5,8) that an insert
+// has since outdated. The trie holds (1), (3,5,10), (3,5,12) and (3,7); the
+// descent ends at node (3,5), which lacks k's symbol. Then x = (3,2) is set:
+// x is a new child of node (3), whose copy on the path lacks it, and leaf
+// (1) now links to x. x is the true floor of k, and x < k.
+func staleDescent(t *testing.T) (tr *Trie, tbl *table, k, syms []byte, st searchState) {
+	t.Helper()
+	tr = New(Config{CapacityHint: 1 << 10})
+	for i, key := range [][]byte{symKey(1), symKey(3, 5, 10), symKey(3, 5, 12), symKey(3, 7)} {
+		mustSet(t, tr, key, uint64(i))
+	}
+	k = symKey(3, 5, 8)
+	syms = keys.AppendSymbols(nil, k)
+	tbl = tr.tbl.Load()
+	_, st = tr.searchPath(tbl, syms, nil)
+	if st.outcome != soMissing {
+		t.Fatalf("descent for %x: outcome %d, want soMissing", k, st.outcome)
+	}
+	mustSet(t, tr, symKey(3, 2), 9)
+	return tr, tbl, k, syms, st
+}
+
+// TestInsertPlanRejectsStalePath: an insert planned on an outdated descent
+// must not commit. Read through node (3)'s stale bitmap, k's predecessor
+// looks like (1), whose next leaf is now x: committed, the plan would link
+// (1) → k → x with x < k.
+func TestInsertPlanRejectsStalePath(t *testing.T) {
+	tr, tbl, k, syms, st := staleDescent(t)
+	p := newPlan(tbl)
+	defer p.recycle()
+	if tr.planInsert(p, &st, syms, k, 1) && p.apply(tr) {
+		tr.count.Add(1)
+		t.Error("an insert planned on a stale path committed")
+	}
+	checkInv(t, tr)
+}
+
+// TestSeekRejectsStalePath: the floor search on an outdated descent must
+// ask for a retry. Read through node (3)'s stale bitmap, k's floor looks
+// like (1): the search would answer (1) as the largest key ≤ k, and (1)'s
+// next leaf x as the smallest key ≥ k.
+func TestSeekRejectsStalePath(t *testing.T) {
+	tr, tbl, k, syms, st := staleDescent(t)
+	for _, after := range []bool{false, true} {
+		if leaf, found, ok := tr.seekOnPath(tbl, &st, k, syms, after); ok {
+			t.Errorf("after=%v: answered %x (found %v) from a stale path", after, tr.recs.key(rawRecIdx(leaf.w0)), found)
+		}
+	}
+	if got, _, _ := tr.Predecessor(k); !bytes.Equal(got, symKey(3, 2)) {
+		t.Errorf("Predecessor(%x) = %x, want %x", k, got, symKey(3, 2))
+	}
+	if got, _, _ := tr.Successor(k); !bytes.Equal(got, symKey(3, 5, 10)) {
+		t.Errorf("Successor(%x) = %x, want %x", k, got, symKey(3, 5, 10))
 	}
 }
 

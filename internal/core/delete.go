@@ -57,19 +57,19 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 		return insFull, path
 	}
 	L := &path[len(path)-1]
-	if !bytes.Equal(tr.recs.key(L.ent.recIdx), k) {
+	if !bytes.Equal(tr.recs.key(rawRecIdx(L.w0)), k) {
 		if t.loadVersion(L.ref.bucket) != L.ref.ver {
 			return insRetry, path // stale record read
 		}
 		return insFull, path
 	}
 	P := &path[len(path)-2]
-	if P.ent.kind != kindInternal {
+	if rawKind(P.w0) != kindInternal {
 		// A leaf's parent is always regular (jump children are never
 		// leaves); a mismatch means a torn read.
 		return insRetry, path
 	}
-	s := L.ent.lastSym
+	s := syms[L.depth-1]
 	lLoc := L.loc()
 
 	p := newPlan(t)
@@ -94,21 +94,17 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	if !tr.cfg.DisableLeafList {
 		for i := range path[:len(path)-1] {
 			n := &path[i]
-			if n.ent.kind == kindLeaf || !n.ent.hasLoc {
+			if rawKind(n.w0) == kindLeaf || !rawHasLoc(n.w0) || rawLoc(n.w0, n.w2) != lLoc {
 				continue
 			}
-			if n.ent.maxLeafLoc() != lLoc {
-				continue
-			}
-			m := p.modify(n.ref, n.ent)
+			m := p.modify(n)
 			if predFound {
 				m.setLoc(pred.loc())
 			} else {
 				// Only a now-empty subtree can lose its max with no
 				// predecessor anywhere; that happens only at the root.
 				m.hasLoc = false
-				m.locHash = 0
-				m.locColor = 0
+				m.setLoc(locator{})
 			}
 		}
 	}
@@ -116,16 +112,13 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	// Unlink from the leaf list.
 	if !tr.cfg.DisableLeafList {
 		if predFound {
-			pm := p.modify(pred.ref, pred.ent)
-			pm.hasNext = L.ent.hasNext
-			pm.locHash = L.ent.locHash
-			pm.locColor = L.ent.locColor
+			p.modify(&pred.pathNode).takeNext(L)
 		} else {
 			if _, ok := p.snapshot(0); !ok {
 				return insRetry, path
 			}
-			if L.ent.hasNext {
-				p.setMin(L.ent.nextLeafLoc())
+			if rawHasNext(L.w0) {
+				p.setMin(rawLoc(L.w0, L.w2))
 			} else {
 				p.clearMin()
 			}
@@ -133,128 +126,106 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	}
 
 	// Structural update around the parent.
-	pm := p.modify(P.ref, P.ent)
+	pm := p.modify(P)
 	pm.w1 = bitmapClear(pm.w1, s)
 
 	var moved bool
 	var cOldLoc, cNewLoc locator
-	if len(path) > 2 { // P is not the root
-		remaining := pm.w1
-		if popcount33(remaining) == 1 {
-			s2 := byte(lowestSetBit(remaining))
-			hC := t.step(P.hash, s2)
-			C, cRef, ok := t.searchChildOfRegular(hC, s2, P.ref, P.ent.color)
-			if !ok {
-				return insRetry, path
+	if len(path) > 2 && bits.OnesCount64(pm.w1) == 1 { // P is not the root
+		s2 := byte(bits.TrailingZeros64(pm.w1))
+		hC := t.step(P.hash, s2)
+		C, ok := asNode(t.childOf(P.w0, P.ref.bucket, P.ref.ver, hC, s2))
+		if !ok {
+			return insRetry, path
+		}
+		C.hash = hC
+		p.addRef(C.ref)
+		if rawKind(C.w0) == kindLeaf {
+			// Hoist C to the shallowest position above P whose parent
+			// is not a jump node.
+			hostIdx := len(path) - 2
+			for hostIdx > 1 && rawKind(path[hostIdx-1].w0) == kindJump {
+				hostIdx--
 			}
-			p.addRef(cRef)
-			if C.kind == kindLeaf {
-				// Hoist C to the shallowest position above P whose parent
-				// is not a jump node.
-				hostIdx := len(path) - 2
-				for hostIdx > 1 && path[hostIdx-1].ent.kind == kindJump {
-					hostIdx--
-				}
-				host := &path[hostIdx]
-				cOldLoc = locator{hC, C.color}
-				cNewLoc = host.loc()
-				moved = true
+			host := &path[hostIdx]
+			cOldLoc = C.loc()
+			cNewLoc = host.loc()
+			moved = true
 
-				hm := p.modify(host.ref, host.ent)
-				keep := *hm // after any subtree-max rule edits
-				hm.kind = kindLeaf
-				hm.tag = keep.tag
-				hm.primary = keep.primary
-				hm.lastSym = keep.lastSym
-				hm.color = keep.color
-				hm.parentColor = keep.parentColor
-				hm.parentIsJump = keep.parentIsJump
-				hm.dirty = false
-				hm.jumpLen = 0
-				hm.childColor = 0
-				hm.hasLoc = false
-				hm.w1 = 0
-				hm.recIdx = C.recIdx
-				if C.hasNext && C.nextLeafLoc() == lLoc {
-					// C's successor was the deleted leaf: skip over it.
-					hm.hasNext = L.ent.hasNext
-					hm.locHash = L.ent.locHash
-					hm.locColor = L.ent.locColor
+			// The host keeps its identity (tag, primacy, name, colors)
+			// and becomes C's leaf.
+			hm := p.modify(host)
+			hm.kind = kindLeaf
+			hm.jumpLen = 0
+			hm.childColor = 0
+			hm.hasLoc = false
+			hm.w1 = 0
+			hm.recIdx = rawRecIdx(C.w0)
+			if rawHasNext(C.w0) && rawLoc(C.w0, C.w2) == lLoc {
+				// C's successor was the deleted leaf: skip over it.
+				hm.takeNext(L)
+			} else {
+				hm.takeNext(&C)
+			}
+
+			// The leaf pointing at C must be retargeted. If k < kc the
+			// pointer is pred→L→C and the pred.next update above already
+			// routes to C (via L.next == C); translation below fixes it
+			// to the new location. If kc < k, C's own predecessor is
+			// found above P.
+			if s > s2 && !tr.cfg.DisableLeafList {
+				prevC, prevFound, ok := t.predViaAncestors(path[:len(path)-2], syms)
+				if !ok {
+					return insRetry, path
+				}
+				p.addPred(&prevC, prevFound)
+				if prevFound {
+					if prevC.ref.slotRef != C.ref.slotRef {
+						pv := p.modify(&prevC.pathNode)
+						pv.setLoc(cNewLoc)
+						pv.hasNext = true
+					}
 				} else {
-					hm.hasNext = C.hasNext
-					hm.locHash = C.locHash
-					hm.locColor = C.locColor
-				}
-
-				// The leaf pointing at C must be retargeted. If k < kc the
-				// pointer is pred→L→C and the pred.next update above already
-				// routes to C (via L.next == C); translation below fixes it
-				// to the new location. If kc < k, C's own predecessor is
-				// found above P.
-				if s > s2 && !tr.cfg.DisableLeafList {
-					prevC, prevFound, ok := t.predViaAncestors(path[:len(path)-2], syms)
-					if !ok {
+					if _, ok := p.snapshot(0); !ok {
 						return insRetry, path
 					}
-					p.addPred(&prevC, prevFound)
-					if prevFound {
-						if prevC.ref.slotRef != cRef.slotRef {
-							pv := p.modify(prevC.ref, prevC.ent)
-							pv.setLoc(cNewLoc)
-							pv.hasNext = true
-						}
-					} else {
-						if _, ok := p.snapshot(0); !ok {
-							return insRetry, path
-						}
-						p.setMin(cNewLoc)
-					}
-				}
-
-				// Ancestors above the host whose subtree-max was C must
-				// track it to its new position.
-				if !tr.cfg.DisableLeafList {
-					for i := 0; i < hostIdx; i++ {
-						n := &path[i]
-						if n.ent.kind == kindLeaf || !n.ent.hasLoc {
-							continue
-						}
-						if n.ent.maxLeafLoc() == cOldLoc {
-							m := p.modify(n.ref, n.ent)
-							m.setLoc(cNewLoc)
-						}
-					}
-				}
-
-				// Remove the tail: everything strictly between host and L,
-				// plus C's old slot.
-				for i := hostIdx + 1; i < len(path)-1; i++ {
-					p.clearEntry(path[i].ref)
-				}
-				p.clearEntry(cRef)
-			} else {
-				// Convert P into a jump node toward C; merge if C is a
-				// short jump.
-				pm.kind = kindJump
-				if C.kind == kindJump && 1+int(C.jumpLen) <= maxJumpSymbols {
-					symsM := make([]byte, 0, maxJumpSymbols)
-					symsM = append(symsM, s2)
-					for i := 0; i < int(C.jumpLen); i++ {
-						symsM = append(symsM, C.jumpSymbol(i))
-					}
-					pm.jumpLen = uint8(len(symsM))
-					pm.w1 = packJumpSymbols(symsM)
-					pm.childColor = C.childColor
-					p.clearEntry(cRef)
-				} else {
-					pm.jumpLen = 1
-					pm.w1 = packJumpSymbols([]byte{s2})
-					pm.childColor = C.color
-					cm := p.modify(cRef, C)
-					cm.parentIsJump = true
-					cm.parentColor = 0
+					p.setMin(cNewLoc)
 				}
 			}
+
+			// Ancestors above the host whose subtree-max was C must
+			// track it to its new position.
+			if !tr.cfg.DisableLeafList {
+				for i := 0; i < hostIdx; i++ {
+					n := &path[i]
+					if rawKind(n.w0) != kindLeaf && rawHasLoc(n.w0) && rawLoc(n.w0, n.w2) == cOldLoc {
+						p.modify(n).setLoc(cNewLoc)
+					}
+				}
+			}
+
+			// Remove the tail: everything strictly between host and L,
+			// plus C's old slot.
+			for i := hostIdx + 1; i < len(path)-1; i++ {
+				p.clearEntry(path[i].ref)
+			}
+			p.clearEntry(C.ref)
+		} else if n := rawJumpLen(C.w0); rawKind(C.w0) == kindJump && 1+n <= maxJumpSymbols {
+			// Convert P into a jump node toward C's child, merging C.
+			pm.kind = kindJump
+			pm.jumpLen = uint8(1 + n)
+			pm.w1 = uint64(s2) | jumpSymbolRange(C.w1, 0, n)<<6
+			pm.childColor = rawChildColor(C.w0)
+			p.clearEntry(C.ref)
+		} else {
+			// Convert P into a jump node toward C.
+			pm.kind = kindJump
+			pm.jumpLen = 1
+			pm.w1 = uint64(s2)
+			pm.childColor = rawColor(C.w0)
+			cm := p.modify(&C)
+			cm.parentIsJump = true
+			cm.parentColor = 0
 		}
 	}
 
@@ -264,8 +235,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	// Translate every reference to C's old locator (the hoist moved it).
 	if moved {
 		for i := range p.mods {
-			e := &p.mods[i].ent
-			translateLoc(e, cOldLoc, cNewLoc)
+			translateLoc(&p.mods[i].ent, cOldLoc, cNewLoc)
 		}
 		for i := range p.writes {
 			translateLoc(&p.writes[i].ent, cOldLoc, cNewLoc)
@@ -281,24 +251,18 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	if !p.apply(tr) {
 		return insRetry, path
 	}
-	tr.recs.release(L.ent.recIdx)
+	tr.recs.release(rawRecIdx(L.w0))
 	tr.count.Add(-1)
 	return insDone, path
 }
 
 // translateLoc rewrites e's locator word if it references from.
 func translateLoc(e *entry, from, to locator) {
-	switch e.kind {
-	case kindLeaf:
-		if e.hasNext && e.nextLeafLoc() == from {
-			e.setLoc(to)
-		}
-	case kindInternal, kindJump:
-		if e.hasLoc && e.maxLeafLoc() == from {
-			e.setLoc(to)
-		}
+	linked := e.hasLoc // internal and jump nodes: subtree-max
+	if e.kind == kindLeaf {
+		linked = e.hasNext
+	}
+	if linked && e.locHash == from.hash && e.locColor == from.color {
+		e.setLoc(to)
 	}
 }
-
-func popcount33(w uint64) int   { return bits.OnesCount64(w) }
-func lowestSetBit(w uint64) int { return bits.TrailingZeros64(w) }

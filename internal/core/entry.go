@@ -98,8 +98,8 @@ func decodeEntry(w0, w1, w2 uint64) entry {
 		jumpLen:      uint8(rawJumpLen(w0)),
 		locColor:     uint8(w0 >> 24 & 7),
 		childColor:   rawChildColor(w0),
-		hasNext:      w0>>30&1 != 0,
-		hasLoc:       w0>>31&1 != 0,
+		hasNext:      rawHasNext(w0),
+		hasLoc:       rawHasLoc(w0),
 		parentIsJump: w0>>32&1 != 0,
 		recIdx:       rawRecIdx(w0),
 		w1:           w1,
@@ -118,6 +118,8 @@ func rawDirty(w0 uint64) bool       { return w0>>19&1 != 0 }
 func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
 func rawChildColor(w0 uint64) uint8 { return uint8(w0 >> 27 & 7) }
 func rawRecIdx(w0 uint64) uint32    { return uint32(w0 >> 33 & 0x7fffffff) }
+func rawHasNext(w0 uint64) bool     { return w0>>30&1 != 0 }
+func rawHasLoc(w0 uint64) bool      { return w0>>31&1 != 0 }
 
 // rawJumpSymbol returns the i'th compressed symbol of a jump node's word 1.
 func rawJumpSymbol(w1 uint64, i int) byte {
@@ -155,10 +157,18 @@ type locator struct {
 	color uint8
 }
 
-func (e *entry) maxLeafLoc() locator  { return locator{e.locHash, e.locColor} }
-func (e *entry) nextLeafLoc() locator { return locator{e.locHash, e.locColor} }
+// rawLoc reads the locator of a node's words: its subtree-max leaf
+// (internal/jump) or its next leaf (leaf).
+func rawLoc(w0, w2 uint64) locator { return locator{w2, uint8(w0 >> 24 & 7)} }
 
 func (e *entry) setLoc(l locator) {
 	e.locHash = l.hash
 	e.locColor = l.color
+}
+
+// takeNext gives leaf e node n's successor link, splicing e into the leaf
+// list where n's link pointed.
+func (e *entry) takeNext(n *pathNode) {
+	e.hasNext = rawHasNext(n.w0)
+	e.setLoc(rawLoc(n.w0, n.w2))
 }

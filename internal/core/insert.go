@@ -77,13 +77,13 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 	term := st.terminal()
 
 	if st.outcome == soLeaf {
-		old := tr.recs.key(term.ent.recIdx)
+		old := tr.recs.key(rawRecIdx(term.w0))
 		if bytes.Equal(old, k) {
 			// Update in place: lock the leaf's bucket to pin the record.
 			if !t.tryLock(term.ref.bucket, term.ref.ver) {
 				return insRetry, false, 0, path
 			}
-			tr.recs.setValue(term.ent.recIdx, v)
+			tr.recs.setValue(rawRecIdx(term.w0), v)
 			t.unlock(term.ref.bucket, term.ref.ver, false)
 			return insDone, false, 0, path
 		}
@@ -91,15 +91,7 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 
 	p := newPlan(t)
 	defer p.recycle()
-	var ok bool
-	switch st.outcome {
-	case soMissing:
-		ok = tr.planSimpleLeaf(p, path, syms, st.idx, k, v)
-	case soLeaf:
-		ok = tr.planLeafSplit(p, path, syms, k, v)
-	case soJumpMismatch:
-		ok = tr.planJumpSplit(p, path, syms, st.idx, st.jumpOff, k, v)
-	}
+	ok := tr.planInsert(p, &st, syms, k, v)
 	if p.colorsFull {
 		return insFull, false, 0, path
 	}
@@ -116,6 +108,21 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 	return insDone, true, 0, path
 }
 
+// planInsert plans the insertion of k at the end of descent st. The plan
+// validates the whole descent path, not only the nodes it writes: what an
+// ancestor held when it was read (its child bitmap, say) decides the
+// predecessor the new leaf is linked after.
+func (tr *Trie) planInsert(p *plan, st *searchState, syms, k []byte, v uint64) bool {
+	p.check(st.path)
+	switch st.outcome {
+	case soMissing:
+		return tr.planSimpleLeaf(p, st.path, syms, st.idx, k, v)
+	case soLeaf:
+		return tr.planLeafSplit(p, st.path, syms, k, v)
+	}
+	return tr.planJumpSplit(p, st.path, syms, st.idx, st.jumpOff, k, v)
+}
+
 // linkLeaf wires the new leaf (write index li, locator lloc) into the sorted
 // leaf list after predecessor pred (or as the new minimum when absent), and
 // applies the subtree-max update rule to the path: every ancestor whose
@@ -128,10 +135,8 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 	}
 	leaf := p.entOf(li)
 	if predFound {
-		leaf.hasNext = pred.ent.hasNext
-		leaf.locHash = pred.ent.locHash
-		leaf.locColor = pred.ent.locColor
-		pm := p.modify(pred.ref, pred.ent)
+		leaf.takeNext(&pred.pathNode)
+		pm := p.modify(&pred.pathNode)
 		pm.hasNext = true
 		pm.setLoc(lloc)
 	} else {
@@ -148,18 +153,17 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 	}
 	for i := range ancestors {
 		n := &ancestors[i]
-		if n.ent.kind == kindLeaf {
+		if rawKind(n.w0) == kindLeaf {
 			continue
 		}
 		switch {
-		case !n.ent.hasLoc:
+		case !rawHasLoc(n.w0):
 			// Only the root of an empty trie lacks a subtree-max.
-			m := p.modify(n.ref, n.ent)
+			m := p.modify(n)
 			m.hasLoc = true
 			m.setLoc(lloc)
-		case matchValid && n.ent.maxLeafLoc() == matchLoc:
-			m := p.modify(n.ref, n.ent)
-			m.setLoc(lloc)
+		case matchValid && rawLoc(n.w0, n.w2) == matchLoc:
+			p.modify(n).setLoc(lloc)
 		}
 	}
 	return true
@@ -187,7 +191,7 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 	li, lloc := p.place(hLeaf, entry{
 		kind:        kindLeaf,
 		lastSym:     s,
-		parentColor: term.ent.color,
+		parentColor: rawColor(term.w0),
 		recIdx:      rec,
 	})
 	if li < 0 {
@@ -195,7 +199,7 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 		return false
 	}
 
-	pm := p.modify(term.ref, term.ent)
+	pm := p.modify(term)
 	pm.w1 = bitmapSet(pm.w1, s)
 
 	return tr.linkLeaf(p, path, li, lloc, pred, predFound, pred.loc(), predFound)
@@ -207,7 +211,7 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v uint64) bool {
 	L := &path[len(path)-1]
 	j := L.depth
-	oldKey := tr.recs.key(L.ent.recIdx)
+	oldKey := tr.recs.key(rawRecIdx(L.w0))
 	var obuf [96]byte
 	osyms := keys.AppendSymbols(obuf[:0], oldKey)
 
@@ -229,11 +233,9 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	}
 
 	// Branch node R at depth d. If d == j it reuses L's entry identity.
-	var rIdx = -1
 	var rColor uint8
-	var rIsMod bool
 	if d == j {
-		rm := p.modify(L.ref, L.ent)
+		rm := p.modify(L)
 		rm.kind = kindInternal
 		rm.recIdx = 0
 		rm.hasNext = false
@@ -241,11 +243,10 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 		rm.w1 = bitmapSet(rm.w1, sNew)
 		rm.w1 = bitmapSet(rm.w1, sOld)
 		rm.jumpLen = 0
-		rColor = L.ent.color
-		rIsMod = true
+		rColor = rawColor(L.w0)
 	} else {
 		var ok bool
-		rIdx, rColor, ok = tr.placeChain(p, path, syms, j, d, hD, sNew, sOld)
+		rColor, ok = tr.placeChain(p, path, syms, j, d, hD, sNew, sOld)
 		if !ok {
 			return false
 		}
@@ -259,49 +260,30 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 		kind: kindLeaf, lastSym: sNew, parentColor: rColor, recIdx: rec,
 	})
 	liOld, locOld := p.place(hOldLeaf, entry{
-		kind: kindLeaf, lastSym: sOld, parentColor: rColor, recIdx: L.ent.recIdx,
+		kind: kindLeaf, lastSym: sOld, parentColor: rColor, recIdx: rawRecIdx(L.w0),
 	})
 	if liNew < 0 || liOld < 0 {
 		tr.recs.release(rec)
 		return false
 	}
 
-	bigLoc, bigIdx := locNew, liNew
+	bigLoc := locNew
 	if sOld > sNew {
-		bigLoc, bigIdx = locOld, liOld
+		bigLoc = locOld
 	}
-	_ = bigIdx
 
-	// Patch the chain's subtree-max locators.
-	if rIsMod {
-		for i := range p.mods {
-			if p.mods[i].ref.slotRef == L.ref.slotRef {
-				p.mods[i].ent.hasLoc = true
-				p.mods[i].ent.setLoc(bigLoc)
-			}
-		}
-	} else {
-		// All chain entries (jumps + R) were placed with a deferred locator.
-		for i := range p.writes {
-			w := &p.writes[i]
-			if w.ent.kind != kindLeaf && !w.ent.hasLoc {
-				w.ent.hasLoc = true
-				w.ent.setLoc(bigLoc)
-			}
-		}
-		// The chain head reuses L's entry: set its locator too.
-		for i := range p.mods {
-			if p.mods[i].ref.slotRef == L.ref.slotRef {
-				p.mods[i].ent.hasLoc = true
-				p.mods[i].ent.setLoc(bigLoc)
-			}
+	// Patch the chain's subtree-max locators: L's entry heads the chain (or
+	// is R), and every other node placed so far but the two leaves is chain,
+	// placed with the locator deferred to here.
+	for i := range p.writes {
+		if w := &p.writes[i].ent; w.kind != kindLeaf {
+			w.hasLoc = true
+			w.setLoc(bigLoc)
 		}
 	}
-	if rIdx >= 0 {
-		r := p.entOf(rIdx)
-		r.hasLoc = true
-		r.setLoc(bigLoc)
-	}
+	lm := p.modify(L)
+	lm.hasLoc = true
+	lm.setLoc(bigLoc)
 
 	if tr.cfg.DisableLeafList {
 		return true
@@ -318,25 +300,19 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	newLeaf := p.entOf(liNew)
 	oldLeaf := p.entOf(liOld)
 	var firstLoc locator
-	var firstIdx int
 	if sOld < sNew { // oldKey < k: prev → old → new → L.next
 		oldLeaf.hasNext = true
 		oldLeaf.setLoc(locNew)
-		newLeaf.hasNext = L.ent.hasNext
-		newLeaf.locHash = L.ent.locHash
-		newLeaf.locColor = L.ent.locColor
-		firstLoc, firstIdx = locOld, liOld
+		newLeaf.takeNext(L)
+		firstLoc = locOld
 	} else { // k < oldKey: prev → new → old → L.next
 		newLeaf.hasNext = true
 		newLeaf.setLoc(locOld)
-		oldLeaf.hasNext = L.ent.hasNext
-		oldLeaf.locHash = L.ent.locHash
-		oldLeaf.locColor = L.ent.locColor
-		firstLoc, firstIdx = locNew, liNew
+		oldLeaf.takeNext(L)
+		firstLoc = locNew
 	}
-	_ = firstIdx
 	if prevFound {
-		pm := p.modify(prev.ref, prev.ent)
+		pm := p.modify(&prev.pathNode)
 		pm.hasNext = true
 		pm.setLoc(firstLoc)
 	} else {
@@ -350,11 +326,11 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	oldLLoc := L.loc()
 	for i := range path[:len(path)-1] {
 		n := &path[i]
-		if n.ent.kind == kindLeaf {
+		if rawKind(n.w0) == kindLeaf {
 			continue
 		}
-		if !n.ent.hasLoc || n.ent.maxLeafLoc() == oldLLoc {
-			m := p.modify(n.ref, n.ent)
+		if !rawHasLoc(n.w0) || rawLoc(n.w0, n.w2) == oldLLoc {
+			m := p.modify(n)
 			m.hasLoc = true
 			m.setLoc(bigLoc)
 		}
@@ -364,9 +340,8 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 
 // placeChain converts L (path's terminal leaf, name k[:j]) into the head of
 // a chain of jump nodes covering symbols syms[j..d), ending at a new regular
-// branch node R at depth d with child bits {sNew, sOld}. Returns R's write
-// index and color.
-func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD uint64, sNew, sOld byte) (int, uint8, bool) {
+// branch node R at depth d with child bits {sNew, sOld}. Returns R's color.
+func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD uint64, sNew, sOld byte) (uint8, bool) {
 	L := &path[len(path)-1]
 
 	// R is placed first so jump nodes can reference child colors; jumps are
@@ -381,7 +356,7 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 		w1:           rBitmap,
 	})
 	if rIdx < 0 {
-		return -1, 0, false
+		return 0, false
 	}
 
 	// Segment [j, d) into jump groups of ≤ maxJumpSymbols, bottom-up.
@@ -410,7 +385,7 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 			childColor:   childColor,
 		})
 		if idx < 0 {
-			return -1, 0, false
+			return 0, false
 		}
 		childColor = loc.color
 	}
@@ -418,7 +393,7 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 	if headEnd > d {
 		headEnd = d
 	}
-	hm := p.modify(L.ref, L.ent)
+	hm := p.modify(L)
 	hm.kind = kindJump
 	hm.recIdx = 0
 	hm.hasNext = false
@@ -426,7 +401,7 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 	hm.jumpLen = uint8(headEnd - j)
 	hm.w1 = packJumpSymbols(syms[j:headEnd])
 	hm.childColor = childColor
-	return rIdx, rLoc.color, true
+	return rLoc.color, true
 }
 
 // planJumpSplit handles soJumpMismatch: jump node J (depth j, jumpLen m)
@@ -434,8 +409,8 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off int, k []byte, v uint64) bool {
 	J := &path[len(path)-1]
 	j := J.depth
-	m := int(J.ent.jumpLen)
-	sOld := J.ent.jumpSymbol(off)
+	m := rawJumpLen(J.w0)
+	sOld := rawJumpSymbol(J.w1, off)
 	sNew := syms[idx]
 
 	// Hash of k[:idx] — step through the matched jump prefix.
@@ -446,8 +421,8 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	hOld := p.t.step(hR, sOld)
 	hNew := p.t.step(hR, sNew)
 
-	oldMaxLoc := J.ent.maxLeafLoc()
-	oldHasLoc := J.ent.hasLoc
+	oldMaxLoc := rawLoc(J.w0, J.w2)
+	oldHasLoc := rawHasLoc(J.w0)
 
 	// Branch node R.
 	var rBitmap uint64
@@ -456,12 +431,12 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	var rIdx = -1
 	var rColor uint8
 	if off == 0 {
-		rm := p.modify(J.ref, J.ent)
+		rm := p.modify(J)
 		rm.kind = kindInternal
 		rm.jumpLen = 0
 		rm.childColor = 0
 		rm.w1 = rBitmap
-		rColor = J.ent.color
+		rColor = rawColor(J.w0)
 	} else {
 		var rLoc locator
 		rIdx, rLoc = p.place(hR, entry{
@@ -474,9 +449,9 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 			return false
 		}
 		rColor = rLoc.color
-		jm := p.modify(J.ref, J.ent)
+		jm := p.modify(J)
 		jm.jumpLen = uint8(off)
-		jm.w1 = jumpSymbolRange(J.ent.w1, 0, off)
+		jm.w1 = jumpSymbolRange(J.w1, 0, off)
 		jm.childColor = rColor
 	}
 
@@ -487,8 +462,8 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 			lastSym:     sOld,
 			parentColor: rColor,
 			jumpLen:     uint8(m - off - 1),
-			w1:          jumpSymbolRange(J.ent.w1, off+1, m),
-			childColor:  J.ent.childColor,
+			w1:          jumpSymbolRange(J.w1, off+1, m),
+			childColor:  rawChildColor(J.w0),
 			hasLoc:      oldHasLoc,
 			locHash:     oldMaxLoc.hash,
 			locColor:    oldMaxLoc.color,
@@ -499,11 +474,11 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	} else {
 		// J's original child becomes R's direct child: its parentColor
 		// becomes meaningful.
-		oc, ocRef, ok := p.t.childByColor(hOld, sOld, J.ent.childColor, J.ref)
+		oc, ok := asNode(p.t.childOf(J.w0, J.ref.bucket, J.ref.ver, hOld, sOld))
 		if !ok {
 			return false
 		}
-		om := p.modify(ocRef, oc)
+		om := p.modify(&oc)
 		om.parentColor = rColor
 		om.parentIsJump = false
 	}
@@ -527,14 +502,10 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 		r := p.entOf(rIdx)
 		r.hasLoc = true
 		r.setLoc(bigLoc)
-		jm := p.modify(J.ref, J.ent) // returns existing mod
-		jm.hasLoc = true
-		jm.setLoc(bigLoc)
-	} else {
-		rm := p.modify(J.ref, J.ent)
-		rm.hasLoc = true
-		rm.setLoc(bigLoc)
 	}
+	jm := p.modify(J) // returns the mod registered above
+	jm.hasLoc = true
+	jm.setLoc(bigLoc)
 
 	if tr.cfg.DisableLeafList {
 		return true

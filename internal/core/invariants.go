@@ -23,10 +23,11 @@ import (
 //  6. the number of leaves equals Len().
 func (tr *Trie) CheckInvariants() error {
 	t := tr.tbl.Load()
-	root, rootRef, ok := tr.tryFindRoot(t)
+	w0, w1, w2, b, slot, ver, ok := tr.rootNode(t)
 	if !ok {
 		return fmt.Errorf("root not found")
 	}
+	root, rootRef := decodeEntry(w0, w1, w2), entryRef{slotRef{b, slot}, ver}
 	c := &checker{tr: tr, t: t}
 	maxLoc, hasMax, err := c.walk(root, rootRef, 0, nil)
 	if err != nil {
@@ -36,7 +37,7 @@ func (tr *Trie) CheckInvariants() error {
 		if root.hasLoc != hasMax {
 			return fmt.Errorf("root hasLoc=%v but subtree max present=%v", root.hasLoc, hasMax)
 		}
-		if hasMax && root.maxLeafLoc() != maxLoc {
+		if hasMax && rawLoc(w0, w2) != maxLoc {
 			return fmt.Errorf("root subtree-max locator mismatch")
 		}
 	}
@@ -101,7 +102,7 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 			return locator{}, false, err
 		}
 		if !c.tr.cfg.DisableLeafList {
-			if !hm || !e.hasLoc || e.maxLeafLoc() != ml {
+			if !hm || !e.hasLoc || (locator{e.locHash, e.locColor}) != ml {
 				return locator{}, false, fmt.Errorf("jump subtree-max mismatch")
 			}
 		}
@@ -136,7 +137,7 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 			return locator{}, false, fmt.Errorf("non-root internal node with %d children", nchild)
 		}
 		if !isRoot && !c.tr.cfg.DisableLeafList {
-			if !e.hasLoc || !hasMax || e.maxLeafLoc() != maxLoc {
+			if !e.hasLoc || !hasMax || (locator{e.locHash, e.locColor}) != maxLoc {
 				return locator{}, false, fmt.Errorf("internal subtree-max mismatch (nchild=%d)", nchild)
 			}
 		}
@@ -187,7 +188,7 @@ func (c *checker) checkLeafList() error {
 			}
 			return nil
 		}
-		cur = e.nextLeafLoc()
+		cur = locator{e.locHash, e.locColor}
 	}
 }
 

@@ -43,6 +43,11 @@ type plan struct {
 
 	snaps []snapCacheEnt
 
+	// checks are buckets the plan read but does not write: the rest of a
+	// writer's descent path. apply re-reads their versions once it holds
+	// its locks.
+	checks []entryRef
+
 	minUpdate bool
 	newMin    locator
 	minClear  bool
@@ -73,6 +78,7 @@ func (p *plan) reset(t *table) {
 	p.writes = p.writes[:0]
 	p.mods = p.mods[:0]
 	p.snaps = p.snaps[:0]
+	p.checks = p.checks[:0]
 	p.minUpdate = false
 	p.minClear = false
 	p.needRoom = false
@@ -200,23 +206,56 @@ func (p *plan) place(h uint64, proto entry) (int, locator) {
 // entOf returns a mutable pointer to a placed entry for field patching.
 func (p *plan) entOf(writeIdx int) *entry { return &p.writes[writeIdx].ent }
 
-// modify registers (or returns the already-registered) overwrite of an
-// existing entry. The returned pointer is mutated by the caller.
-func (p *plan) modify(ref entryRef, cur entry) *entry {
+// modify registers (or returns the already-registered) overwrite of node
+// n, decoding n's words on its first edit. The returned pointer is mutated
+// by the caller.
+func (p *plan) modify(n *pathNode) *entry {
+	if e := p.modOf(n.ref); e != nil {
+		return e
+	}
+	p.mods = append(p.mods, plannedMod{n.ref, decodeEntry(n.w0, n.w1, n.w2)})
+	return &p.mods[len(p.mods)-1].ent
+}
+
+// modOf registers ref for validation and returns its overwrite, if any.
+func (p *plan) modOf(ref entryRef) *entry {
 	p.addRef(ref)
 	for i := range p.mods {
 		if p.mods[i].ref.slotRef == ref.slotRef {
 			return &p.mods[i].ent
 		}
 	}
-	p.mods = append(p.mods, plannedMod{ref, cur})
-	return &p.mods[len(p.mods)-1].ent
+	return nil
 }
 
 // clearEntry registers removal of an existing entry.
 func (p *plan) clearEntry(ref entryRef) {
-	e := p.modify(ref, entry{})
-	*e = entry{}
+	if e := p.modOf(ref); e != nil {
+		*e = entry{}
+		return
+	}
+	p.mods = append(p.mods, plannedMod{ref: ref})
+}
+
+// check registers path's nodes as validate-only reads: a descent's nodes
+// decide what a plan writes (an ancestor's bitmap picks the predecessor) even
+// where the plan does not write them, so a node changed since it was read
+// aborts the plan.
+func (p *plan) check(path []pathNode) {
+	for i := range path {
+		p.checks = append(p.checks, path[i].ref)
+	}
+}
+
+// checked reports whether every validate-only read is unchanged. It runs
+// with the plan's locks held; a bucket the plan holds reads its own lock.
+func (p *plan) checked() bool {
+	for _, r := range p.checks {
+		if v := p.t.loadVersion(r.bucket); v != r.ver && !(v == r.ver+1 && p.locks.holds(r.bucket)) {
+			return false
+		}
+	}
+	return true
 }
 
 // setMin schedules an update of the trie's min-leaf locator. The caller must
@@ -231,6 +270,10 @@ func (p *plan) apply(tr *Trie) bool {
 		return false
 	}
 	if !p.locks.acquire(p.t) {
+		return false
+	}
+	if !p.checked() {
+		p.locks.release(p.t, false)
 		return false
 	}
 	for i := range p.writes {

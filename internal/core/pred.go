@@ -8,18 +8,14 @@ import "math/bits"
 // locator skips the whole down-traversal, which could otherwise not be
 // parallelized (the max leaf's key is unknown).
 
-// predLeaf describes a predecessor leaf found by the walk. via is the entry
+// predLeaf describes a predecessor leaf found by the walk. via is the node
 // the walk reached it through (the ancestor's sibling subtree, or the leaf
-// itself); with ref it is everything the walk read that a writer must
-// validate, and plan.addPred registers both.
+// itself); with the leaf's ref it is everything the walk read that a writer
+// must validate, and plan.addPred registers both.
 type predLeaf struct {
-	ent  entry
-	ref  entryRef
-	via  entryRef
-	hash uint64
+	pathNode
+	via entryRef
 }
-
-func (p *predLeaf) loc() locator { return locator{p.hash, p.ent.color} }
 
 // maxSetBitBelow returns the largest symbol < s present in bitmap w, or -1.
 func maxSetBitBelow(w uint64, s byte) int {
@@ -40,32 +36,25 @@ func maxSetBitBelow(w uint64, s byte) int {
 func (t *table) predViaAncestors(nodes []pathNode, syms []byte) (p predLeaf, found, ok bool) {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := &nodes[i]
-		if n.ent.kind != kindInternal {
+		if rawKind(n.w0) != kindInternal {
 			continue
 		}
-		s := syms[n.depth]
-		sib := maxSetBitBelow(n.ent.w1, s)
+		sib := maxSetBitBelow(n.w1, syms[n.depth])
 		if sib < 0 {
 			continue
 		}
 		hs := t.step(n.hash, byte(sib))
-		child, ref, cok := t.searchChildOfRegular(hs, byte(sib), n.ref, n.ent.color)
+		child, cok := asNode(t.childOf(n.w0, n.ref.bucket, n.ref.ver, hs, byte(sib)))
 		if !cok {
 			return predLeaf{}, false, false
 		}
-		if child.kind == kindLeaf {
-			return predLeaf{ent: child, ref: ref, via: ref, hash: hs}, true, true
+		child.hash = hs
+		if rawKind(child.w0) == kindLeaf {
+			return predLeaf{child, child.ref}, true, true
 		}
 		// Follow the sibling's subtree-max locator to the predecessor leaf.
-		ml := child.maxLeafLoc()
-		leaf, lref, lok := t.followLocator(ml, ref)
-		if !lok {
-			return predLeaf{}, false, false
-		}
-		if leaf.kind != kindLeaf {
-			return predLeaf{}, false, false
-		}
-		return predLeaf{ent: leaf, ref: lref, via: ref, hash: ml.hash}, true, true
+		leaf, lok := t.followLocator(rawLoc(child.w0, child.w2), child.ref)
+		return predLeaf{leaf, child.ref}, lok, lok
 	}
 	return predLeaf{}, false, true
 }
@@ -73,10 +62,6 @@ func (t *table) predViaAncestors(nodes []pathNode, syms []byte) (p predLeaf, fou
 // maxLeafOf resolves node's subtree-max locator to its leaf. node must be an
 // internal or jump node with a valid locator.
 func (t *table) maxLeafOf(n *pathNode) (predLeaf, bool) {
-	ml := n.ent.maxLeafLoc()
-	leaf, lref, ok := t.followLocator(ml, n.ref)
-	if !ok || leaf.kind != kindLeaf {
-		return predLeaf{}, false
-	}
-	return predLeaf{ent: leaf, ref: lref, via: lref, hash: ml.hash}, true
+	leaf, ok := t.followLocator(rawLoc(n.w0, n.w2), n.ref)
+	return predLeaf{leaf, leaf.ref}, ok
 }

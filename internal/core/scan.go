@@ -13,99 +13,93 @@ import (
 // current leaf detects concurrent structural changes, after which the
 // iterator resynchronizes with a fresh search from the root (§5).
 
-// leafPos is a resolved position on the leaf list.
-type leafPos struct {
-	ent  entry
-	ref  entryRef
-	hash uint64
+// seekLeaf finds the leaf with the smallest key ≥ k, or with after=false
+// the largest key ≤ k. found=false means no such key; ok=false asks the
+// caller to retry on a fresh table pointer.
+func (tr *Trie) seekLeaf(t *table, k, syms []byte, after bool) (leaf pathNode, found, ok bool) {
+	var pbuf [32]pathNode
+	_, st := tr.searchPath(t, syms, pbuf[:0])
+	if st.outcome == soRestart {
+		return pathNode{}, false, false
+	}
+	return tr.seekOnPath(t, &st, k, syms, after)
 }
 
-// seekLeaf finds the leaf with the smallest key ≥ k. found=false means no
-// such key; ok=false asks the caller to retry on a fresh table pointer.
-func (tr *Trie) seekLeaf(t *table, k []byte, syms []byte) (leafPos, bool, bool) {
-	if tr.count.Load() == 0 {
-		return leafPos{}, false, true
-	}
-	var pbuf [32]pathNode
-	path, st := tr.searchPath(t, syms, pbuf[:0])
-	if st.outcome == soRestart {
-		return leafPos{}, false, false
-	}
-	term := st.terminal()
-
-	var pred predLeaf
-	var predFound bool
+// seekOnPath is the floor search both directions share, on the recorded
+// descent st for k. The leaf the descent reached is the answer when its key
+// equals k, or exceeds it and after is set. Otherwise the floor — the
+// largest leaf below k — is found from the path (§4.4): it is the answer
+// when !after, and its next leaf (the minimum when there is no floor) is
+// the answer when after. Every path node is re-validated after the answer's
+// last read: an ancestor that gained a child since the descent read it may
+// hide a leaf between the floor and k.
+func (tr *Trie) seekOnPath(t *table, st *searchState, k, syms []byte, after bool) (leaf pathNode, found, ok bool) {
+	path, term := st.path, st.terminal()
+	var floor predLeaf
 	switch st.outcome {
 	case soLeaf:
-		rec := tr.recs.key(term.ent.recIdx)
-		ge := bytes.Compare(rec, k) >= 0
-		if t.loadVersion(term.ref.bucket) != term.ref.ver {
-			return leafPos{}, false, false // stale record read
+		c := bytes.Compare(tr.recs.key(rawRecIdx(term.w0)), k)
+		if c == 0 || c > 0 && after {
+			return *term, true, t.unchanged(path)
 		}
-		if ge {
-			// The lone key sharing our prefix is ≥ k: it is the successor.
-			return leafPos{term.ent, term.ref, term.hash}, true, true
-		}
-		pred, predFound = predLeaf{ent: term.ent, ref: term.ref, hash: term.hash}, true
-	case soMissing:
-		var ok bool
-		pred, predFound, ok = t.predViaAncestors(path, syms)
-		if !ok {
-			return leafPos{}, false, false
-		}
-	case soJumpMismatch:
-		sOld := term.ent.jumpSymbol(st.jumpOff)
-		sNew := syms[st.idx]
-		if sNew > sOld {
-			var ok bool
-			pred, ok = t.maxLeafOf(term)
-			if !ok {
-				return leafPos{}, false, false
-			}
-			predFound = true
+		if c < 0 {
+			floor, found, ok = predLeaf{*term, term.ref}, true, true
 		} else {
-			var ok bool
-			pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms)
-			if !ok {
-				return leafPos{}, false, false
-			}
+			floor, found, ok = t.predViaAncestors(path[:len(path)-1], syms)
+		}
+	case soMissing:
+		floor, found, ok = t.predViaAncestors(path, syms)
+	case soJumpMismatch:
+		if syms[st.idx] > rawJumpSymbol(term.w1, st.jumpOff) {
+			floor, ok = t.maxLeafOf(term)
+			found = ok
+		} else {
+			floor, found, ok = t.predViaAncestors(path[:len(path)-1], syms)
 		}
 	}
+	leaf = floor.pathNode
+	switch {
+	case !ok || !after:
+	case !found:
+		leaf, found, ok = tr.minLeaf(t)
+	case rawHasNext(floor.w0):
+		leaf, ok = t.followLocator(rawLoc(floor.w0, floor.w2), floor.ref)
+	default:
+		found = false
+	}
+	return leaf, found, ok && t.unchanged(path)
+}
 
-	if !predFound {
-		// k is below the minimum: start at the minimum leaf.
-		packed := tr.minLoc.Load()
-		minLoc, valid := unpackMinLoc(packed)
-		if !valid {
-			return leafPos{}, false, true
-		}
-		e, ref, ok := t.findByLocator(minLoc)
-		// Guard against locator reuse: the minimum changing implies the
-		// resolved entry may be unrelated.
-		if tr.minLoc.Load() != packed {
-			return leafPos{}, false, false
-		}
-		if !ok || e.kind != kindLeaf {
-			return leafPos{}, false, false
-		}
-		return leafPos{e, ref, minLoc.hash}, true, true
+// minLeaf resolves the trie minimum's locator to its leaf. found=false means
+// the trie is empty; ok=false asks for a retry: the resolution failed, or
+// the minimum moved meanwhile, so the resolved entry may be unrelated.
+func (tr *Trie) minLeaf(t *table) (leaf pathNode, found, ok bool) {
+	packed := tr.minLoc.Load()
+	l, valid := unpackMinLoc(packed)
+	if !valid {
+		return pathNode{}, false, true
 	}
-	if !pred.ent.hasNext {
-		return leafPos{}, false, true
-	}
-	nl := pred.ent.nextLeafLoc()
-	e, ref, ok := t.followLocator(nl, pred.ref)
-	if !ok || e.kind != kindLeaf {
-		return leafPos{}, false, false
-	}
-	return leafPos{e, ref, nl.hash}, true, true
+	leaf, ok = asNode(t.locate(l))
+	leaf.hash = l.hash
+	ok = ok && rawKind(leaf.w0) == kindLeaf && tr.minLoc.Load() == packed
+	return leaf, ok, ok
+}
+
+// leafRecord appends leaf n's key to dst and reads its value, then
+// re-validates the leaf: one deleted mid-read may have had its record slot
+// reused, and ok is false.
+func (tr *Trie) leafRecord(t *table, n *pathNode, dst []byte) (key []byte, val uint64, ok bool) {
+	idx := rawRecIdx(n.w0)
+	key = append(dst, tr.recs.key(idx)...)
+	val = tr.recs.value(idx)
+	return key, val, t.loadVersion(n.ref.bucket) == n.ref.ver
 }
 
 // Iterator walks keys in ascending order.
 type Iterator struct {
 	tr      *Trie
 	t       *table
-	pos     leafPos
+	pos     pathNode // the current leaf
 	key     []byte
 	scratch []byte
 	val     uint64
@@ -126,30 +120,10 @@ func (tr *Trie) Seek(start []byte) (*Iterator, error) {
 func (it *Iterator) seek(start []byte) {
 	tr := it.tr
 	var sbuf [96]byte
+	syms := keys.AppendSymbols(sbuf[:0], start)
 	for {
-		t := tr.tbl.Load()
-		it.t = t
-		if start == nil {
-			packed := tr.minLoc.Load()
-			minLoc, valid := unpackMinLoc(packed)
-			if !valid {
-				it.valid = false
-				return
-			}
-			e, ref, ok := t.findByLocator(minLoc)
-			if tr.minLoc.Load() != packed {
-				continue
-			}
-			if !ok || e.kind != kindLeaf {
-				continue
-			}
-			if !it.loadPos(leafPos{e, ref, minLoc.hash}) {
-				continue
-			}
-			return
-		}
-		syms := keys.AppendSymbols(sbuf[:0], start)
-		pos, found, ok := tr.seekLeaf(t, start, syms)
+		it.t = tr.tbl.Load()
+		pos, found, ok := tr.seekLeaf(it.t, start, syms, true)
 		if !ok {
 			continue
 		}
@@ -157,10 +131,9 @@ func (it *Iterator) seek(start []byte) {
 			it.valid = false
 			return
 		}
-		if !it.loadPos(pos) {
-			continue
+		if it.loadPos(pos) {
+			return
 		}
-		return
 	}
 }
 
@@ -168,15 +141,13 @@ func (it *Iterator) seek(start []byte) {
 // re-validating the leaf's bucket version: the record read may be stale if
 // the leaf was deleted mid-copy. On failure the iterator's previous state is
 // preserved so callers can resynchronize from the last valid key.
-func (it *Iterator) loadPos(pos leafPos) bool {
-	key := it.tr.recs.key(pos.ent.recIdx)
-	it.scratch = append(it.scratch[:0], key...)
-	val := it.tr.recs.value(pos.ent.recIdx)
-	if it.t.loadVersion(pos.ref.bucket) != pos.ref.ver {
+func (it *Iterator) loadPos(pos pathNode) bool {
+	var ok bool
+	it.scratch, it.val, ok = it.tr.leafRecord(it.t, &pos, it.scratch[:0])
+	if !ok {
 		return false
 	}
 	it.key = append(it.key[:0], it.scratch...)
-	it.val = val
 	it.pos = pos
 	it.valid = true
 	return true
@@ -222,13 +193,12 @@ func (it *Iterator) Next() bool {
 	if !it.valid {
 		return false
 	}
-	if !it.pos.ent.hasNext {
+	if !rawHasNext(it.pos.w0) {
 		it.valid = false
 		return false
 	}
-	nl := it.pos.ent.nextLeafLoc()
-	e, ref, ok := it.t.followLocator(nl, it.pos.ref)
-	if !ok || e.kind != kindLeaf || !it.loadPos(leafPos{e, ref, nl.hash}) {
+	next, ok := it.t.followLocator(rawLoc(it.pos.w0, it.pos.w2), it.pos.ref)
+	if !ok || !it.loadPos(next) {
 		// The current leaf changed under us (or the table was resized):
 		// resynchronize by searching for the first key > the last valid one.
 		cur := append([]byte(nil), it.key...)
@@ -255,24 +225,15 @@ func (tr *Trie) Min() (key []byte, val uint64, ok bool) {
 	}
 	for {
 		t := tr.tbl.Load()
-		packed := tr.minLoc.Load()
-		minLoc, valid := unpackMinLoc(packed)
-		if !valid {
+		leaf, found, ok := tr.minLeaf(t)
+		if ok && !found {
 			return nil, 0, false
 		}
-		e, ref, lok := t.findByLocator(minLoc)
-		if !lok || e.kind != kindLeaf {
-			continue
+		if ok {
+			if key, val, ok = tr.leafRecord(t, &leaf, nil); ok {
+				return key, val, true
+			}
 		}
-		k := append([]byte(nil), tr.recs.key(e.recIdx)...)
-		v := tr.recs.value(e.recIdx)
-		// The locator and the leaf must both be unchanged: a minimum
-		// deleted and re-inserted keeps its locator, but its old record
-		// slot may now hold another key.
-		if tr.minLoc.Load() != packed || t.loadVersion(ref.bucket) != ref.ver {
-			continue
-		}
-		return k, v, true
 	}
 }
 
@@ -283,24 +244,20 @@ func (tr *Trie) Max() (key []byte, val uint64, ok bool) {
 	}
 	for {
 		t := tr.tbl.Load()
-		root, ref, rok := tr.tryFindRoot(t)
-		if !rok {
+		root, ok := asNode(tr.rootNode(t))
+		if !ok {
 			continue
 		}
-		if !root.hasLoc {
+		if !rawHasLoc(root.w0) {
 			return nil, 0, false
 		}
-		leaf, lref, lok := t.followLocator(root.maxLeafLoc(), ref)
-		if !lok || leaf.kind != kindLeaf {
+		leaf, ok := t.followLocator(rawLoc(root.w0, root.w2), root.ref)
+		if !ok {
 			continue
 		}
-		k := append([]byte(nil), tr.recs.key(leaf.recIdx)...)
-		v := tr.recs.value(leaf.recIdx)
-		// A leaf deleted mid-read may have had its record slot reused.
-		if t.loadVersion(lref.bucket) != lref.ver {
-			continue
+		if key, val, ok = tr.leafRecord(t, &leaf, nil); ok {
+			return key, val, true
 		}
-		return k, v, true
 	}
 }
 
@@ -322,61 +279,15 @@ func (tr *Trie) Predecessor(k []byte) (key []byte, val uint64, ok bool) {
 	syms := keys.AppendSymbols(sbuf[:0], k)
 	for {
 		t := tr.tbl.Load()
-		if tr.count.Load() == 0 {
+		leaf, found, ok := tr.seekLeaf(t, k, syms, false)
+		if ok && !found {
 			return nil, 0, false
 		}
-		var pbuf [32]pathNode
-		path, st := tr.searchPath(t, syms, pbuf[:0])
-		if st.outcome == soRestart {
-			continue
-		}
-		term := st.terminal()
-		var pred predLeaf
-		var found bool
-		switch st.outcome {
-		case soLeaf:
-			rec := tr.recs.key(term.ent.recIdx)
-			if bytes.Compare(rec, k) <= 0 {
-				pred, found = predLeaf{ent: term.ent, ref: term.ref, hash: term.hash}, true
-			} else {
-				var pok bool
-				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms)
-				if !pok {
-					continue
-				}
-			}
-		case soMissing:
-			var pok bool
-			pred, found, pok = t.predViaAncestors(path, syms)
-			if !pok {
-				continue
-			}
-		case soJumpMismatch:
-			sOld := term.ent.jumpSymbol(st.jumpOff)
-			if syms[st.idx] > sOld {
-				var pok bool
-				pred, pok = t.maxLeafOf(term)
-				if !pok {
-					continue
-				}
-				found = true
-			} else {
-				var pok bool
-				pred, found, pok = t.predViaAncestors(path[:len(path)-1], syms)
-				if !pok {
-					continue
-				}
+		if ok {
+			if key, val, ok = tr.leafRecord(t, &leaf, nil); ok {
+				return key, val, true
 			}
 		}
-		if !found {
-			return nil, 0, false
-		}
-		key = append([]byte(nil), tr.recs.key(pred.ent.recIdx)...)
-		val = tr.recs.value(pred.ent.recIdx)
-		if t.loadVersion(pred.ref.bucket) != pred.ref.ver {
-			continue
-		}
-		return key, val, true
 	}
 }
 

@@ -14,21 +14,41 @@ const (
 	soRestart             // concurrent conflict; restart with a fresh table pointer
 )
 
-// pathNode is one node on the root-to-terminal descent path.
+// pathNode is one trie node as a descent read it: its raw words, the slot
+// and bucket version they were read under, and its name's length and hash.
+// Reads branch on the words in place; a plan decodes a node only when it
+// first edits it.
 type pathNode struct {
-	ent   entry
-	ref   entryRef
-	depth int    // name length in symbols
-	hash  uint64 // H(name)
+	w0, w1, w2 uint64
+	ref        entryRef
+	depth      int    // name length in symbols (set on descent paths only)
+	hash       uint64 // H(name)
 }
 
-func (p *pathNode) loc() locator { return locator{p.hash, p.ent.color} }
+// asNode carries a probe's raw result as a node; the caller fills in depth
+// and hash.
+func asNode(w0, w1, w2, b uint64, slot int, ver uint64, ok bool) (pathNode, bool) {
+	return pathNode{w0: w0, w1: w1, w2: w2, ref: entryRef{slotRef{b, slot}, ver}}, ok
+}
+
+func (n *pathNode) loc() locator { return locator{n.hash, rawColor(n.w0)} }
+
+// unchanged reports whether every node of path still has the bucket version
+// it was read under.
+func (t *table) unchanged(path []pathNode) bool {
+	for i := range path {
+		if t.loadVersion(path[i].ref.bucket) != path[i].ref.ver {
+			return false
+		}
+	}
+	return true
+}
 
 // searchState is the result of a path-recording descent.
 type searchState struct {
 	path    []pathNode
 	outcome int
-	idx     int // symbol index where the descent stopped (soMissing/soJumpMismatch)
+	idx     int // symbol index where the descent stopped; for soLeaf, the leaf's depth
 	jumpOff int // offset within the terminal jump node (soJumpMismatch)
 }
 
@@ -67,15 +87,6 @@ func (t *table) probe(h, want, mask uint64) (w0, w1, w2, b uint64, slot int, ver
 	return 0, 0, 0, 0, -1, 0, false
 }
 
-// decodeFound turns a raw lookup result into an entry and its reference, for
-// the callers that keep one.
-func decodeFound(w0, w1, w2, b uint64, slot int, ver uint64, ok bool) (entry, entryRef, bool) {
-	if !ok {
-		return entry{}, entryRef{}, false
-	}
-	return decodeEntry(w0, w1, w2), entryRef{slotRef{b, slot}, ver}, true
-}
-
 // probeChild is the one child search: it finds the entry of hash h matching
 // want under mask as the child of the parent read from bucket pb at version
 // pver, re-checking that version after every probe, so a match is returned
@@ -111,24 +122,6 @@ func (t *table) childOf(pw0, pb, pver, h uint64, s byte) (w0, w1, w2, b uint64, 
 		return t.probeChild(h, matchByColor(s, rawChildColor(pw0)), matchMaskByColor, pb, pver)
 	}
 	return t.probeChild(h, matchByParent(s, rawColor(pw0)), matchMaskByParent, pb, pver)
-}
-
-// findChild is childOf for writers, which keep decoded path nodes.
-func (t *table) findChild(cur *pathNode, h uint64, s byte) (entry, entryRef, bool) {
-	pw0, _, _ := cur.ent.encode()
-	return decodeFound(t.childOf(pw0, cur.ref.bucket, cur.ref.ver, h, s))
-}
-
-// childByColor finds the child of the jump node read under parent by the
-// child's color.
-func (t *table) childByColor(h uint64, lastSym byte, color uint8, parent entryRef) (entry, entryRef, bool) {
-	return decodeFound(t.probeChild(h, matchByColor(lastSym, color), matchMaskByColor, parent.bucket, parent.ver))
-}
-
-// searchChildOfRegular finds the child of the regular node read under parent
-// by the parent's color.
-func (t *table) searchChildOfRegular(h uint64, lastSym byte, parent entryRef, parentColor uint8) (entry, entryRef, bool) {
-	return decodeFound(t.probeChild(h, matchByParent(lastSym, parentColor), matchMaskByParent, parent.bucket, parent.ver))
 }
 
 // Outcomes of matchNode.
@@ -172,52 +165,45 @@ func matchNode(w0, w1 uint64, depth int, syms []byte) (at, outcome int) {
 }
 
 // searchPath descends the trie for the symbol sequence syms, recording every
-// node visited. This is Algorithm 1 with path recording for writers.
+// node visited: getOnce's descent (Algorithm 1) with path recording, for
+// writers and ordered reads.
 func (tr *Trie) searchPath(t *table, syms []byte, path []pathNode) ([]pathNode, searchState) {
-	root, rootRef, ok := tr.tryFindRoot(t)
+	root, ok := asNode(tr.rootNode(t))
 	if !ok {
 		return path, searchState{outcome: soRestart}
 	}
-	path = path[:0]
-	path = append(path, pathNode{ent: root, ref: rootRef, depth: 0, hash: 0})
-	cur := &path[0]
-	h := uint64(0)
-	for i := 0; i < len(syms); {
-		s := syms[i]
-		h = t.step(h, s)
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
-				return path, searchState{path: path, outcome: soMissing, idx: i}
-			}
-		case kindJump:
-			off := i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				return path, searchState{path: path, outcome: soJumpMismatch, idx: i, jumpOff: off}
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				i++
-				continue
-			}
-		default:
-			// Reached a node that is no longer internal/jump: concurrent
-			// modification slipped past a version check window; restart.
+	path = append(path[:0], root)
+	for {
+		cur := &path[len(path)-1]
+		at, m := matchNode(cur.w0, cur.w1, cur.depth, syms)
+		switch m {
+		case nodeTorn:
 			return path, searchState{outcome: soRestart}
+		case nodeMiss:
+			st := searchState{path: path, outcome: soMissing, idx: cur.depth}
+			if rawKind(cur.w0) == kindJump {
+				st.outcome = soJumpMismatch
+				for rawJumpSymbol(cur.w1, st.jumpOff) == syms[st.idx] {
+					st.idx++
+					st.jumpOff++
+				}
+			}
+			return path, st
 		}
-		child, ref, ok := t.findChild(cur, h, s)
+		h := cur.hash
+		for d := cur.depth; d <= at; d++ {
+			h = t.step(h, syms[d])
+		}
+		child, ok := asNode(t.childOf(cur.w0, cur.ref.bucket, cur.ref.ver, h, syms[at]))
 		if !ok {
 			return path, searchState{outcome: soRestart}
 		}
-		path = append(path, pathNode{ent: child, ref: ref, depth: i + 1, hash: h})
-		cur = &path[len(path)-1]
-		i++
-		if child.kind == kindLeaf {
-			return path, searchState{path: path, outcome: soLeaf, idx: i}
+		child.depth, child.hash = at+1, h
+		path = append(path, child)
+		if rawKind(child.w0) == kindLeaf {
+			return path, searchState{path: path, outcome: soLeaf, idx: at + 1}
 		}
 	}
-	// The terminator symbol cannot have children, so a complete consumption
-	// of syms without reaching a leaf indicates a torn read; restart.
-	return path, searchState{outcome: soRestart}
 }
 
 // rootNode locates the root's raw words with bounded retries.
@@ -228,11 +214,6 @@ func (tr *Trie) rootNode(t *table) (w0, w1, w2, b uint64, slot int, ver uint64, 
 		}
 	}
 	return 0, 0, 0, 0, -1, 0, false
-}
-
-// tryFindRoot is rootNode for callers that keep the root's entry.
-func (tr *Trie) tryFindRoot(t *table) (entry, entryRef, bool) {
-	return decodeFound(tr.rootNode(t))
 }
 
 // Get looks up key k and returns its value. This is the paper's lookup: a

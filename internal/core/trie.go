@@ -137,34 +137,31 @@ func (t *table) locate(l locator) (w0, w1, w2, b uint64, slot int, ver uint64, f
 	return t.probe(l.hash, uint64(l.color&7)<<13, matchMaskByLoc)
 }
 
-// findByLocator is locate for callers that keep the entry.
-func (t *table) findByLocator(l locator) (entry, entryRef, bool) {
-	return decodeFound(t.locate(l))
-}
-
-// followLocator resolves a locator, retrying across concurrent relocations.
-// src is the entry the locator was read from. The source's bucket version is
-// re-checked after every resolution attempt — including successful ones:
-// a (hash, color) pair can be freed and reused by unrelated keys, so a
-// locator is only trustworthy while its source is unchanged (§5: following a
-// next pointer re-reads the version of the source leaf). Invariant: while
-// src is unchanged, the target exists and is current (every writer that
+// followLocator resolves a locator to its leaf, retrying across concurrent
+// relocations. src is the entry the locator was read from. The source's
+// bucket version is re-checked after every resolution attempt — including
+// successful ones: a (hash, color) pair can be freed and reused by unrelated
+// keys, so a locator is only trustworthy while its source is unchanged (§5:
+// following a next pointer re-reads the version of the source leaf).
+// Invariant: while src is unchanged, the target exists, is current and is a
+// leaf (locators name subtree-max and next leaves, and every writer that
 // moves or deletes a node updates all locators referencing it in the same
-// critical section).
-func (t *table) followLocator(l locator, src entryRef) (entry, entryRef, bool) {
+// critical section), so anything else is a conflict.
+func (t *table) followLocator(l locator, src entryRef) (pathNode, bool) {
 	for spin := 0; ; spin++ {
-		e, ref, ok := t.findByLocator(l)
+		n, ok := asNode(t.locate(l))
 		if t.loadVersion(src.bucket) != src.ver {
-			return entry{}, entryRef{}, false
+			return pathNode{}, false
 		}
 		if ok {
-			return e, ref, true
+			n.hash = l.hash
+			return n, rawKind(n.w0) == kindLeaf
 		}
 		if spin > 1024 {
 			// Table likely swapped under us (resize poisons old buckets as
 			// locked, but src might be in a still-even bucket). Fail so the
 			// caller reloads the table pointer.
-			return entry{}, entryRef{}, false
+			return pathNode{}, false
 		}
 	}
 }
