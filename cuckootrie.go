@@ -83,10 +83,10 @@ func (t *Trie) Set(key []byte, value uint64) (added bool, err error) { return t.
 func (t *Trie) Get(key []byte) (uint64, bool) { return t.t.Get(key) }
 
 // MultiGet looks up a batch of keys as a staged prefetch pipeline: every
-// memory access of every key's descent (bucket lines, record slot, key
-// bytes) is prefetched one round before it is read, so the batch's
-// independent DRAM misses overlap instead of serializing. vals and found
-// must each have at least len(keys) elements.
+// memory access of every key's descent (bucket lines, then the value slot
+// and any long key's bytes) is prefetched one round before it is read, so
+// the batch's independent DRAM misses overlap instead of serializing. vals
+// and found must each have at least len(keys) elements.
 func (t *Trie) MultiGet(keys [][]byte, vals []uint64, found []bool) {
 	t.t.MultiGet(keys, vals, found)
 }
@@ -151,8 +151,8 @@ func (t *Trie) MemoryOverheadBytes() int64 {
 
 // LookupLevels returns the cache-line addresses a lookup of k would touch,
 // one slice per trie level (two candidate buckets each, plus the record
-// line). The benchmark's structural counts and `ctbench table3`'s
-// lines-per-lookup are computed from it.
+// lines when the lookup reads the record). The benchmark's structural
+// counts and `ctbench table3`'s lines-per-lookup are computed from it.
 func (t *Trie) LookupLevels(k []byte) [][]uint64 { return t.t.LookupLevels(k) }
 
 // Name identifies the index in benchmark output.

@@ -49,12 +49,21 @@ func TestConcurrentInserts(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadWrite races readers, scanners and churning writers, in
+// both key forms: the 8-byte keys held in their leaves and the 16-byte keys
+// held in chunks.
 func TestConcurrentReadWrite(t *testing.T) {
+	for _, f := range keyForms {
+		t.Run(f.name, func(t *testing.T) { testConcurrentReadWrite(t, f.key) })
+	}
+}
+
+func testConcurrentReadWrite(t *testing.T, key func(uint64) []byte) {
 	tr := New(Config{CapacityHint: 1 << 14, AutoResize: true})
 	// Stable keys that are never touched by writers.
 	const stable = 2000
 	for i := 0; i < stable; i++ {
-		mustSet(t, tr, keys.Uint64Key(uint64(i)*2+1), uint64(i))
+		mustSet(t, tr, key(uint64(i)*2+1), uint64(i))
 	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -70,14 +79,14 @@ func TestConcurrentReadWrite(t *testing.T) {
 			for !stop.Load() {
 				if len(mine) == 0 || rng.Intn(2) == 0 {
 					v := uint64(w+1)<<50 | uint64(rng.Int63n(1<<30))*2
-					if _, err := tr.Set(keys.Uint64Key(v), v); err != nil {
+					if _, err := tr.Set(key(v), v); err != nil {
 						t.Errorf("Set: %v", err)
 						return
 					}
 					mine = append(mine, v)
 				} else {
 					i := rng.Intn(len(mine))
-					tr.Delete(keys.Uint64Key(mine[i]))
+					tr.Delete(key(mine[i]))
 					mine[i] = mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
 				}
@@ -95,7 +104,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(200 + r)))
 			for !stop.Load() {
 				i := rng.Intn(stable)
-				v, ok := tr.Get(keys.Uint64Key(uint64(i)*2 + 1))
+				v, ok := tr.Get(key(uint64(i)*2 + 1))
 				if !ok || v != uint64(i) {
 					errs <- errFmt("stable key %d: got %d,%v", i, v, ok)
 					return
@@ -142,7 +151,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 	}
 	// Let the workers churn for a bit of wall time.
 	for i := 0; i < 50; i++ {
-		if _, ok := tr.Get(keys.Uint64Key(3)); !ok {
+		if _, ok := tr.Get(key(3)); !ok {
 			t.Fatal("stable key lost")
 		}
 		runtime.Gosched()
@@ -156,20 +165,26 @@ func TestConcurrentReadWrite(t *testing.T) {
 	}
 	checkInv(t, tr)
 	for i := 0; i < stable; i++ {
-		if v, ok := tr.Get(keys.Uint64Key(uint64(i)*2 + 1)); !ok || v != uint64(i) {
+		if v, ok := tr.Get(key(uint64(i)*2 + 1)); !ok || v != uint64(i) {
 			t.Fatalf("stable key %d lost after churn", i)
 		}
 	}
 }
 
 func TestConcurrentDisjointDeletes(t *testing.T) {
+	for _, f := range keyForms {
+		t.Run(f.name, func(t *testing.T) { testConcurrentDisjointDeletes(t, f.key) })
+	}
+}
+
+func testConcurrentDisjointDeletes(t *testing.T, key func(uint64) []byte) {
 	tr := New(Config{CapacityHint: 1 << 14, AutoResize: true})
 	n := 20000
 	if testing.Short() {
 		n = 4000
 	}
 	for i := 0; i < n; i++ {
-		mustSet(t, tr, keys.Uint64Key(uint64(i)), uint64(i))
+		mustSet(t, tr, key(uint64(i)), uint64(i))
 	}
 	workers := 8
 	var wg sync.WaitGroup
@@ -178,7 +193,7 @@ func TestConcurrentDisjointDeletes(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += workers {
-				if !tr.Delete(keys.Uint64Key(uint64(i))) {
+				if !tr.Delete(key(uint64(i))) {
 					t.Errorf("delete %d failed", i)
 					return
 				}
@@ -421,13 +436,11 @@ func staleDescent(t *testing.T) (tr *Trie, tbl *table, k, syms []byte, st search
 // TestInsertPlanRejectsStalePath: an insert planned on an outdated descent
 // must not commit. Read through node (3)'s stale bitmap, k's predecessor
 // looks like (1), whose next leaf is now x: committed, the plan would link
-// (1) → k → x with x < k.
+// (1) → k → x with x < k. The aborted plan must give back the record slot
+// it took, which CheckInvariants counts.
 func TestInsertPlanRejectsStalePath(t *testing.T) {
 	tr, tbl, k, syms, st := staleDescent(t)
-	p := newPlan(tbl)
-	defer p.recycle()
-	if tr.planInsert(p, &st, syms, k, 1) && p.apply(tr) {
-		tr.count.Add(1)
+	if status, _ := tr.insertPlanned(tbl, &st, syms, k, 1); status == insDone {
 		t.Error("an insert planned on a stale path committed")
 	}
 	checkInv(t, tr)
@@ -441,7 +454,8 @@ func TestSeekRejectsStalePath(t *testing.T) {
 	tr, tbl, k, syms, st := staleDescent(t)
 	for _, after := range []bool{false, true} {
 		if leaf, found, ok := tr.seekOnPath(tbl, &st, k, syms, after); ok {
-			t.Errorf("after=%v: answered %x (found %v) from a stale path", after, tr.recs.key(rawRecIdx(leaf.w0)), found)
+			var kbuf [inlineKeyMax]byte
+			t.Errorf("after=%v: answered %x (found %v) from a stale path", after, tr.recs.leafKey(leaf.w0, leaf.w1, &kbuf), found)
 		}
 	}
 	if got, _, _ := tr.Predecessor(k); !bytes.Equal(got, symKey(3, 2)) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/bits"
 
 	"repro/internal/keys"
@@ -57,10 +56,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 		return insFull, path
 	}
 	L := &path[len(path)-1]
-	if !bytes.Equal(tr.recs.key(rawRecIdx(L.w0)), k) {
-		if t.loadVersion(L.ref.bucket) != L.ref.ver {
-			return insRetry, path // stale record read
-		}
+	if !tr.recs.leafKeyIs(L.w0, L.w1, k) {
 		return insFull, path
 	}
 	P := &path[len(path)-2]
@@ -153,13 +149,13 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			moved = true
 
 			// The host keeps its identity (tag, primacy, name, colors)
-			// and becomes C's leaf.
+			// and becomes C's leaf, with C's key and record.
 			hm := p.modify(host)
 			hm.kind = kindLeaf
-			hm.jumpLen = 0
+			hm.jumpLen = uint8(rawKeyCode(C.w0))
 			hm.childColor = 0
 			hm.hasLoc = false
-			hm.w1 = 0
+			hm.w1 = C.w1
 			hm.recIdx = rawRecIdx(C.w0)
 			if rawHasNext(C.w0) && rawLoc(C.w0, C.w2) == lLoc {
 				// C's successor was the deleted leaf: skip over it.

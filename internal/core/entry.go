@@ -14,8 +14,10 @@ package core
 //	bits  7-12  lastSymbol: final symbol of this node's name
 //	bits 13-15  color: unique among live entries with the same hash
 //	bits 16-18  parentColor: color of the parent entry (regular nodes)
-//	bit   19    dirty: leaf made transiently inconsistent / deleted (§5)
-//	bits 20-23  jumpLen: number of compressed symbols (jump nodes)
+//	bit   19    unused
+//	bits 20-23  jumpLen: number of compressed symbols (jump nodes); for a
+//	            leaf, its key's length code: len+1 for a key of ≤ 8 bytes
+//	            held inline in word 1, 0 for a longer key held in a chunk
 //	bits 24-26  locColor: color half of the locator in word 2
 //	bits 27-29  childColor: color of a jump node's sole child
 //	bit   30    hasNext: leaf has a successor (word 2 locator valid)
@@ -27,7 +29,10 @@ package core
 //	bits 33-63  record index (leaves)
 //
 // Word 1: child bitmap (internal, 33 bits) | packed jump symbols (jump,
-// 6 bits each) | unused (leaf).
+// 6 bits each) | key word (leaf): a key of ≤ 8 bytes packed little-endian
+// and zero-padded, or a longer key's chunk<<33 | offset<<13 | len triple
+// (recstore.go). A leaf's words thus hold its whole key, so a lookup
+// decides the key from the same seqlock read that found the leaf.
 //
 // Word 2: locator hash — subtree-max leaf for internal/jump nodes, next leaf
 // in key order for leaves. A locator is (hash, color): it survives cuckoo
@@ -46,15 +51,14 @@ type entry struct {
 	lastSym      byte
 	color        uint8
 	parentColor  uint8
-	dirty        bool
-	jumpLen      uint8
+	jumpLen      uint8 // jump: symbol count; leaf: key length code
 	locColor     uint8
 	childColor   uint8
 	hasNext      bool
 	hasLoc       bool
 	parentIsJump bool
 	recIdx       uint32
-	w1           uint64 // bitmap | jump symbols
+	w1           uint64 // bitmap | jump symbols | key word
 	locHash      uint64 // subtree-max (internal/jump) or next-leaf (leaf) hash
 }
 
@@ -67,9 +71,6 @@ func (e *entry) encode() (w0, w1, w2 uint64) {
 	w0 |= uint64(e.lastSym&0x3f) << 7
 	w0 |= uint64(e.color&7) << 13
 	w0 |= uint64(e.parentColor&7) << 16
-	if e.dirty {
-		w0 |= 1 << 19
-	}
 	w0 |= uint64(e.jumpLen&0xf) << 20
 	w0 |= uint64(e.locColor&7) << 24
 	w0 |= uint64(e.childColor&7) << 27
@@ -94,7 +95,6 @@ func decodeEntry(w0, w1, w2 uint64) entry {
 		lastSym:      byte(w0 >> 7 & 0x3f),
 		color:        rawColor(w0),
 		parentColor:  uint8(w0 >> 16 & 7),
-		dirty:        rawDirty(w0),
 		jumpLen:      uint8(rawJumpLen(w0)),
 		locColor:     uint8(w0 >> 24 & 7),
 		childColor:   rawChildColor(w0),
@@ -114,8 +114,8 @@ const primaryBit = 1 << 6
 func rawKind(w0 uint64) uint8       { return uint8(w0 & 3) }
 func rawTag(w0 uint64) uint8        { return uint8(w0 >> 2 & 0xf) }
 func rawColor(w0 uint64) uint8      { return uint8(w0 >> 13 & 7) }
-func rawDirty(w0 uint64) bool       { return w0>>19&1 != 0 }
 func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
+func rawKeyCode(w0 uint64) int      { return rawJumpLen(w0) } // a leaf's jumpLen bits
 func rawChildColor(w0 uint64) uint8 { return uint8(w0 >> 27 & 7) }
 func rawRecIdx(w0 uint64) uint32    { return uint32(w0 >> 33 & 0x7fffffff) }
 func rawHasNext(w0 uint64) bool     { return w0>>30&1 != 0 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"bytes"
-
-	"repro/internal/keys"
-)
+import "repro/internal/keys"
 
 // Insertion (§4.5). A descent finds the final node from which the search can
 // no longer advance:
@@ -75,37 +71,38 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 		return insRetry, false, 0, path
 	}
 	term := st.terminal()
-
-	if st.outcome == soLeaf {
-		old := tr.recs.key(rawRecIdx(term.w0))
-		if bytes.Equal(old, k) {
-			// Update in place: lock the leaf's bucket to pin the record.
-			if !t.tryLock(term.ref.bucket, term.ref.ver) {
-				return insRetry, false, 0, path
-			}
-			tr.recs.setValue(rawRecIdx(term.w0), v)
-			t.unlock(term.ref.bucket, term.ref.ver, false)
-			return insDone, false, 0, path
+	if st.outcome == soLeaf && tr.recs.leafKeyIs(term.w0, term.w1, k) {
+		// Update in place: lock the leaf's bucket to pin the record.
+		if !t.tryLock(term.ref.bucket, term.ref.ver) {
+			return insRetry, false, 0, path
 		}
+		tr.recs.setValue(rawRecIdx(term.w0), v)
+		t.unlock(term.ref.bucket, term.ref.ver, false)
+		return insDone, false, 0, path
 	}
+	status, roomHash := tr.insertPlanned(t, &st, syms, k, v)
+	return status, status == insDone, roomHash, path
+}
 
+// insertPlanned plans and applies the insertion of k at the end of descent
+// st. A plan that does not commit releases the record slot it took.
+func (tr *Trie) insertPlanned(t *table, st *searchState, syms, k []byte, v uint64) (status int, roomHash uint64) {
 	p := newPlan(t)
 	defer p.recycle()
-	ok := tr.planInsert(p, &st, syms, k, v)
-	if p.colorsFull {
-		return insFull, false, 0, path
+	ok := tr.planInsert(p, st, syms, k, v)
+	switch {
+	case p.colorsFull:
+		status = insFull
+	case p.needRoom:
+		status, roomHash = insNeedRoom, p.needRoomHash
+	case ok && p.apply(tr):
+		tr.count.Add(1)
+		return insDone, 0
+	default:
+		status = insRetry
 	}
-	if p.needRoom {
-		return insNeedRoom, false, p.needRoomHash, path
-	}
-	if !ok || p.failed {
-		return insRetry, false, 0, path
-	}
-	if !p.apply(tr) {
-		return insRetry, false, 0, path
-	}
-	tr.count.Add(1)
-	return insDone, true, 0, path
+	p.releaseRecord(tr.recs)
+	return status, roomHash
 }
 
 // planInsert plans the insertion of k at the end of descent st. The plan
@@ -187,15 +184,9 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 		p.addPred(&pred, predFound)
 	}
 
-	rec := tr.recs.alloc(k, v)
-	li, lloc := p.place(hLeaf, entry{
-		kind:        kindLeaf,
-		lastSym:     s,
-		parentColor: rawColor(term.w0),
-		recIdx:      rec,
-	})
+	p.allocRecord(tr.recs, k, v)
+	li, lloc := p.place(hLeaf, p.newLeaf(s, rawColor(term.w0)))
 	if li < 0 {
-		tr.recs.release(rec)
 		return false
 	}
 
@@ -211,7 +202,8 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v uint64) bool {
 	L := &path[len(path)-1]
 	j := L.depth
-	oldKey := tr.recs.key(rawRecIdx(L.w0))
+	var kbuf [inlineKeyMax]byte
+	oldKey := tr.recs.leafKey(L.w0, L.w1, &kbuf)
 	var obuf [96]byte
 	osyms := keys.AppendSymbols(obuf[:0], oldKey)
 
@@ -255,15 +247,13 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	// Two leaves at depth d+1.
 	hNew := p.t.step(hD, sNew)
 	hOldLeaf := p.t.step(hD, sOld)
-	rec := tr.recs.alloc(k, v)
-	liNew, locNew := p.place(hNew, entry{
-		kind: kindLeaf, lastSym: sNew, parentColor: rColor, recIdx: rec,
-	})
+	p.allocRecord(tr.recs, k, v)
+	liNew, locNew := p.place(hNew, p.newLeaf(sNew, rColor))
 	liOld, locOld := p.place(hOldLeaf, entry{
-		kind: kindLeaf, lastSym: sOld, parentColor: rColor, recIdx: rawRecIdx(L.w0),
+		kind: kindLeaf, lastSym: sOld, parentColor: rColor,
+		jumpLen: uint8(rawKeyCode(L.w0)), recIdx: rawRecIdx(L.w0), w1: L.w1,
 	})
 	if liNew < 0 || liOld < 0 {
-		tr.recs.release(rec)
 		return false
 	}
 
@@ -484,12 +474,9 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	}
 
 	// New leaf.
-	rec := tr.recs.alloc(k, v)
-	li, lloc := p.place(hNew, entry{
-		kind: kindLeaf, lastSym: sNew, parentColor: rColor, recIdx: rec,
-	})
+	p.allocRecord(tr.recs, k, v)
+	li, lloc := p.place(hNew, p.newLeaf(sNew, rColor))
 	if li < 0 {
-		tr.recs.release(rec)
 		return false
 	}
 

@@ -20,7 +20,12 @@ import (
 //     leaf of its subtree;
 //  5. the leaf linked list visits exactly the trie's leaves in ascending
 //     key order, starting at the trie minimum;
-//  6. the number of leaves equals Len().
+//  6. the number of leaves equals Len();
+//  7. every leaf's key word is well formed: a length code ≤ 9, zero
+//     padding past an inline key, and a long key's triple (kept for keys
+//     longer than 8 bytes only) inside its chunk;
+//  8. the record slots handed out and not released number Len(): every
+//     insert that did not commit gave its slot back.
 func (tr *Trie) CheckInvariants() error {
 	t := tr.tbl.Load()
 	w0, w1, w2, b, slot, ver, ok := tr.rootNode(t)
@@ -43,6 +48,12 @@ func (tr *Trie) CheckInvariants() error {
 	}
 	if c.leaves != tr.Len() {
 		return fmt.Errorf("walk found %d leaves, Len()=%d", c.leaves, tr.Len())
+	}
+	tr.recs.mu.Lock()
+	live := tr.recs.used - len(tr.recs.free)
+	tr.recs.mu.Unlock()
+	if live != tr.Len() {
+		return fmt.Errorf("%d record slots live, Len()=%d", live, tr.Len())
 	}
 	if !tr.cfg.DisableLeafList {
 		if err := c.checkLeafList(); err != nil {
@@ -69,8 +80,11 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 	switch e.kind {
 	case kindLeaf:
 		c.leaves++
-		key := c.tr.recs.key(e.recIdx)
-		c.keys = append(c.keys, append([]byte(nil), key...))
+		key, err := c.leafKey(&e)
+		if err != nil {
+			return locator{}, false, fmt.Errorf("leaf under %x: %v", name, err)
+		}
+		c.keys = append(c.keys, key)
 		loc := locator{h, e.color}
 		c.locs = append(c.locs, loc)
 		return loc, true, nil
@@ -146,6 +160,30 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 	return locator{}, false, fmt.Errorf("walk reached empty entry")
 }
 
+// leafKey checks leaf e's key word and returns a copy of its key.
+func (c *checker) leafKey(e *entry) ([]byte, error) {
+	code := int(e.jumpLen)
+	switch {
+	case code > inlineKeyMax+1:
+		return nil, fmt.Errorf("key length code %d > %d", code, inlineKeyMax+1)
+	case code > 0:
+		if n := code - 1; n < inlineKeyMax && e.w1>>(8*n) != 0 {
+			return nil, fmt.Errorf("inline key of %d bytes has nonzero padding: %x", n, e.w1)
+		}
+	default:
+		ci, pos, klen := keyTriple(e.w1)
+		if klen <= inlineKeyMax {
+			return nil, fmt.Errorf("key of %d bytes kept in a chunk", klen)
+		}
+		if ci >= uint64(len(*c.tr.recs.chunks.Load())) || pos+klen > recChunkSize {
+			return nil, fmt.Errorf("key triple (chunk %d, offset %d, len %d) outside the chunks", ci, pos, klen)
+		}
+	}
+	w0, w1, _ := e.encode()
+	var kbuf [inlineKeyMax]byte
+	return append([]byte(nil), c.tr.recs.leafKey(w0, w1, &kbuf)...), nil
+}
+
 // checkLeafList verifies the linked list matches the DFS leaf order.
 func (c *checker) checkLeafList() error {
 	for i := 1; i < len(c.keys); i++ {
@@ -178,7 +216,10 @@ func (c *checker) checkLeafList() error {
 		if cur != c.locs[i] {
 			return fmt.Errorf("leaf list order mismatch at %d", i)
 		}
-		key := c.tr.recs.key(e.recIdx)
+		key, err := c.leafKey(&e)
+		if err != nil {
+			return fmt.Errorf("leaf list at %d: %v", i, err)
+		}
 		if !bytes.Equal(key, c.keys[i]) {
 			return fmt.Errorf("leaf list key mismatch at %d", i)
 		}

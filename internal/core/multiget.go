@@ -21,12 +21,13 @@ import (
 //	          first probe's two buckets, all lines
 //	round r   mgDescend: probe one level; the moment     (each live key,
 //	          the child is known prefetch the next        once per round)
-//	          probe's buckets — or, at a leaf, its
-//	          record slot                → mgSlot
-//	          mgSlot: read the slot's meta word,
-//	          prefetch the key chunk bytes → mgVerify
-//	          mgVerify: key → bytes.Equal → value →
-//	          re-validate the leaf's bucket version
+//	          probe's buckets — or, at a leaf, decide
+//	          an inline key: a mismatch is done; a
+//	          match (or a long key) prefetches the
+//	          value slot and a long key's chunk
+//	          bytes                      → mgVerify
+//	          mgVerify: key → value → re-validate the
+//	          leaf's bucket version
 //
 // The prefetches are pure hints: every seqlock check, version re-validation
 // and retry decision is the single-key Get's, taken on the consuming round.
@@ -67,8 +68,7 @@ var mgScratchPool = sync.Pool{New: func() any { return new(mgScratch) }}
 // mgDone.
 const (
 	mgDescend = iota // next probe's buckets are prefetched
-	mgSlot           // leaf reached, its record slot is prefetched
-	mgVerify         // the record's key bytes are prefetched
+	mgVerify         // leaf reached, its value slot (and long key) prefetched
 	mgDone           // vals/found are final
 	mgRetry          // conflict: resolve via single-key Get at the end
 )
@@ -177,10 +177,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 			st := &states[j]
 			switch st.stage {
 			case mgDescend:
-				tr.mgAdvance(t, st, vals, found, j)
-			case mgSlot:
-				tr.recs.prefetchKey(rawRecIdx(st.w0))
-				st.stage = mgVerify
+				tr.mgAdvance(t, st, ks[j], vals, found, j)
 			case mgVerify:
 				tr.mgVerify(t, st, ks[j], vals, found, j)
 			default:
@@ -202,8 +199,9 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 // mgAdvance performs one probe step of key j's descent: it matches in-entry
 // jump symbols without memory accesses, then fetches exactly one child (or
 // reaches a terminal miss) and prefetches what the next round will read.
-// Conflicts mark the key for single-Get retry.
-func (tr *Trie) mgAdvance(t *table, st *mgState, vals []uint64, found []bool, j int) {
+// At a leaf holding a different inline key the lookup ends there, as Get's
+// does. Conflicts mark the key for single-Get retry.
+func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
 	at, m := matchNode(st.w0, st.w1, st.depth, st.syms)
 	switch m {
 	case nodeMiss:
@@ -224,17 +222,18 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, vals []uint64, found []bool, j 
 		st.prefetchNextProbe(t)
 		return
 	}
-	if rawDirty(w0) {
-		st.stage = mgRetry
+	if rawKeyCode(w0) != 0 && !tr.recs.leafKeyIs(w0, w1, k) {
+		vals[j], found[j] = 0, false
+		st.stage = mgDone
 		return
 	}
-	tr.recs.prefetchSlot(rawRecIdx(w0))
-	st.stage = mgSlot
+	tr.recs.prefetchRecord(w0, w1)
+	st.stage = mgVerify
 }
 
 // mgVerify is the leaf's last stage, the single-key Get's leafValue.
 func (tr *Trie) mgVerify(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
-	val, hit, ok := tr.leafValue(t, st.w0, st.bucket, st.ver, k)
+	val, hit, ok := tr.leafValue(t, st.w0, st.w1, st.bucket, st.ver, k)
 	if !ok {
 		st.stage = mgRetry
 		return

@@ -56,6 +56,14 @@ type plan struct {
 	needRoomHash uint64
 	colorsFull   bool // all colors for some hash taken: only a resize helps
 	failed       bool
+
+	// The inserted key's record, once allocRecord took it: its value slot,
+	// and its leaf's key word and length code (entry.go). A plan that does
+	// not commit releases the slot (releaseRecord).
+	rec     uint32
+	keyW1   uint64
+	keyCode uint8
+	hasRec  bool
 }
 
 // Plans are pooled: writers build and apply several per second per core,
@@ -84,6 +92,36 @@ func (p *plan) reset(t *table) {
 	p.needRoom = false
 	p.colorsFull = false
 	p.failed = false
+	p.hasRec = false
+}
+
+// allocRecord stores the inserted key's record: its value, and its bytes
+// when they do not fit the leaf's key word.
+func (p *plan) allocRecord(rs *recordStore, k []byte, v uint64) {
+	p.rec, p.keyW1, p.keyCode = rs.alloc(k, v)
+	p.hasRec = true
+}
+
+// releaseRecord frees the slot allocRecord took, for a plan that did not
+// commit.
+func (p *plan) releaseRecord(rs *recordStore) {
+	if p.hasRec {
+		rs.release(p.rec)
+		p.hasRec = false
+	}
+}
+
+// newLeaf returns the inserted key's leaf: the plan's record, under the
+// parent of color parentColor, for symbol lastSym.
+func (p *plan) newLeaf(lastSym byte, parentColor uint8) entry {
+	return entry{
+		kind:        kindLeaf,
+		lastSym:     lastSym,
+		parentColor: parentColor,
+		jumpLen:     p.keyCode,
+		recIdx:      p.rec,
+		w1:          p.keyW1,
+	}
 }
 
 // snapshot returns the index in p.snaps of bucket b's word-0 snapshot,

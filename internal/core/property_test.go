@@ -13,7 +13,7 @@ import (
 // Property: entry encoding round-trips exactly for every field combination.
 func TestEntryEncodeRoundTrip(t *testing.T) {
 	f := func(kind, tag, lastSym, color, parentColor, jumpLen, locColor, childColor uint8,
-		primary, dirty, hasNext, hasLoc, parentIsJump bool, recIdx uint32, w1, locHash uint64) bool {
+		primary, hasNext, hasLoc, parentIsJump bool, recIdx uint32, w1, locHash uint64) bool {
 		e := entry{
 			kind:         kind & 3,
 			tag:          tag & 0xf,
@@ -21,7 +21,6 @@ func TestEntryEncodeRoundTrip(t *testing.T) {
 			lastSym:      lastSym & 0x3f,
 			color:        color & 7,
 			parentColor:  parentColor & 7,
-			dirty:        dirty,
 			jumpLen:      jumpLen & 0xf,
 			locColor:     locColor & 7,
 			childColor:   childColor & 7,

@@ -38,7 +38,8 @@ func (tr *Trie) seekOnPath(t *table, st *searchState, k, syms []byte, after bool
 	var floor predLeaf
 	switch st.outcome {
 	case soLeaf:
-		c := bytes.Compare(tr.recs.key(rawRecIdx(term.w0)), k)
+		var kbuf [inlineKeyMax]byte
+		c := bytes.Compare(tr.recs.leafKey(term.w0, term.w1, &kbuf), k)
 		if c == 0 || c > 0 && after {
 			return *term, true, t.unchanged(path)
 		}
@@ -89,9 +90,9 @@ func (tr *Trie) minLeaf(t *table) (leaf pathNode, found, ok bool) {
 // re-validates the leaf: one deleted mid-read may have had its record slot
 // reused, and ok is false.
 func (tr *Trie) leafRecord(t *table, n *pathNode, dst []byte) (key []byte, val uint64, ok bool) {
-	idx := rawRecIdx(n.w0)
-	key = append(dst, tr.recs.key(idx)...)
-	val = tr.recs.value(idx)
+	var kbuf [inlineKeyMax]byte
+	key = append(dst, tr.recs.leafKey(n.w0, n.w1, &kbuf)...)
+	val = tr.recs.value(rawRecIdx(n.w0))
 	return key, val, t.loadVersion(n.ref.bucket) == n.ref.ver
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"bytes"
-
-	"repro/internal/keys"
-)
+import "repro/internal/keys"
 
 // Search outcomes.
 const (
@@ -219,7 +215,8 @@ func (tr *Trie) rootNode(t *table) (w0, w1, w2, b uint64, slot int, ver uint64, 
 // Get looks up key k and returns its value. This is the paper's lookup: a
 // trie search (not a plain hash lookup, because the trie stores unique
 // prefixes) followed by a comparison against the full key stored in the
-// record (§4.4).
+// record (§4.4). The leaf holds the key itself, inline or as a reference to
+// its bytes, so a hit ends with one dependent access, as the paper's does.
 func (tr *Trie) Get(k []byte) (uint64, bool) {
 	if len(k) > MaxKeyLen {
 		return 0, false
@@ -256,27 +253,24 @@ func (tr *Trie) getOnce(t *table, syms []byte, k []byte) (val uint64, found, ok 
 			return 0, false, false
 		}
 		if rawKind(w0) == kindLeaf {
-			if rawDirty(w0) {
-				return 0, false, false
-			}
-			return tr.leafValue(t, w0, b, ver, k)
+			return tr.leafValue(t, w0, w1, b, ver, k)
 		}
 	}
 }
 
-// leafValue is a lookup's last step: compare the record's key with k, read
-// its value, then re-validate the leaf (word 0 w0, read from bucket b at
-// version ver) — if it was deleted meanwhile, its record slot may have been
-// reused and both reads are stale. ok=false requests a restart.
-func (tr *Trie) leafValue(t *table, w0, b, ver uint64, k []byte) (val uint64, found, ok bool) {
-	idx := rawRecIdx(w0)
-	match := bytes.Equal(tr.recs.key(idx), k)
-	val = tr.recs.value(idx)
+// leafValue is a lookup's last step at the leaf with words w0, w1, read
+// from bucket b at version ver: compare the leaf's key with k, and on a
+// match read the value, then re-validate the leaf — if it was deleted
+// meanwhile, its record slot may have been reused and the value is stale.
+// The key word was read under the seqlock with w0, so a mismatch is final,
+// like a missing child bit. ok=false requests a restart.
+func (tr *Trie) leafValue(t *table, w0, w1, b, ver uint64, k []byte) (val uint64, found, ok bool) {
+	if !tr.recs.leafKeyIs(w0, w1, k) {
+		return 0, false, true
+	}
+	val = tr.recs.value(rawRecIdx(w0))
 	if t.loadVersion(b) != ver {
 		return 0, false, false
-	}
-	if !match {
-		return 0, false, true
 	}
 	return val, true, true
 }

@@ -24,7 +24,9 @@ type Stats struct {
 	// RecordPtrBytes is the per-key record bookkeeping (the "pointer to the
 	// key-value pair" the paper charges to the index).
 	RecordPtrBytes int64
-	// KeyBytes is the stored key data (excluded from index overhead).
+	// KeyBytes is the chunk storage of keys longer than 8 bytes (excluded
+	// from index overhead); shorter keys live in their leaves' words,
+	// inside TableBytes.
 	KeyBytes int64
 
 	// BytesPerKey / PaperBytesPerKey are the headline Figure 11 numbers.

@@ -4,15 +4,16 @@ import "repro/internal/keys"
 
 // LookupLevels returns the cache-line addresses a lookup of k touches, one
 // slice per trie level: the two candidate buckets of each node on the
-// root-to-leaf path, plus the record line. It counts the probe work of
-// Algorithm 1 exactly, including the superfluous accesses of §4.7: both
-// buckets are fetched per node, and jump nodes do not reduce the probe
-// count (the probes for symbols compressed into a jump node are issued
-// anyway). The levels are read off searchPath's descent: one per symbol
-// the descent consumed, including the one it stopped at. Its consumers are
-// the benchmark's coreShape (core.levels_per_lookup,
-// core.probe_lines_per_lookup) and the bench package's table3 (lines per
-// lookup × throughput = DRAM demand).
+// root-to-leaf path, plus the record level when the lookup reads the
+// record — a leaf holding a different inline key ends the lookup at the
+// leaf. It counts the probe work of Algorithm 1 exactly, including the
+// superfluous accesses of §4.7: both buckets are fetched per node, and
+// jump nodes do not reduce the probe count (the probes for symbols
+// compressed into a jump node are issued anyway). The levels are read off
+// searchPath's descent: one per symbol the descent consumed, including the
+// one it stopped at. Its consumers are the benchmark's coreShape
+// (core.levels_per_lookup, core.probe_lines_per_lookup) and the bench
+// package's table3 (lines per lookup × throughput = DRAM demand).
 func (tr *Trie) LookupLevels(k []byte) [][]uint64 {
 	var sbuf [96]byte
 	syms := keys.AppendSymbols(sbuf[:0], k)
@@ -36,9 +37,26 @@ func (tr *Trie) LookupLevels(k []byte) [][]uint64 {
 			levels = append(levels, []uint64{lineFor(b1), lineFor(b2)})
 		}
 		if st.outcome == soLeaf {
-			// Final dependent access: the record (key comparison, §4.4).
-			levels = append(levels, []uint64{1<<40 + uint64(rawRecIdx(st.terminal().w0))*32/64})
+			if rec := tr.recordLines(st.terminal(), k); len(rec) > 0 {
+				levels = append(levels, rec)
+			}
 		}
 		return levels
 	}
+}
+
+// recordLines returns the lines a lookup of k reads past leaf n, the final
+// dependent access (§4.4): a long key's first chunk line, and on a match
+// the 8-byte value slot's line. The lines are tagged into address ranges
+// of their own, apart from the buckets'.
+func (tr *Trie) recordLines(n *pathNode, k []byte) []uint64 {
+	var lines []uint64
+	if rawKeyCode(n.w0) == 0 {
+		ci, pos, _ := keyTriple(n.w1)
+		lines = append(lines, 2<<40+(ci*recChunkSize+pos)/64)
+	}
+	if tr.recs.leafKeyIs(n.w0, n.w1, k) {
+		lines = append(lines, 1<<40+uint64(rawRecIdx(n.w0))*8/64)
+	}
+	return lines
 }

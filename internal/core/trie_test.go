@@ -313,7 +313,8 @@ func TestResizeGrowth(t *testing.T) {
 // TestTableFullWithoutResize fills a fixed-size table until an insert fails.
 // The failing insert has run makeRoom's eviction chains; none may be left
 // half applied, so every key accepted before it still reads back and the
-// invariants hold.
+// invariants hold — among them that each insert whose plan found no room
+// gave back its record slot.
 func TestTableFullWithoutResize(t *testing.T) {
 	tr := New(Config{CapacityHint: 8, AutoResize: false})
 	model := map[string]uint64{}
