@@ -156,7 +156,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			hm.childColor = 0
 			hm.hasLoc = false
 			hm.w1 = C.w1
-			hm.recIdx = rawRecIdx(C.w0)
+			hm.recIdx = rawRecIdx(C.w2)
 			if rawHasNext(C.w0) && rawLoc(C.w0, C.w2) == lLoc {
 				// C's successor was the deleted leaf: skip over it.
 				hm.takeNext(L)
@@ -247,7 +247,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	if !p.apply(tr) {
 		return insRetry, path
 	}
-	tr.recs.release(rawRecIdx(L.w0))
+	tr.recs.release(rawRecIdx(L.w2), 0)
 	tr.count.Add(-1)
 	return insDone, path
 }

@@ -1,12 +1,14 @@
 package core
 
-// Entry encoding. Each hash table entry is one trie node, packed into three
-// 64-bit words so that readers can snapshot it with three atomic loads under
-// the bucket seqlock. The paper packs entries into 15 bytes (Figure 4); Go's
-// race-checked memory model requires word-granular atomics, so we spend 24
-// bytes and report both layouts in the memory accounting (see stats.go).
+// Entry encoding. Each hash table entry is one trie node, packed into a
+// 32-bit word 0 and two 64-bit words so that readers can snapshot it with
+// atomic loads under the bucket seqlock. The paper packs entries into 15
+// bytes (Figure 4); Go's race-checked memory model requires word-granular
+// atomics, so an entry takes 20 bytes, split between its bucket's head line
+// and its cold line (table.go), and the memory accounting reports both
+// layouts (see stats.go).
 //
-// Word 0 (metadata + record index):
+// Word 0 (32 bits; carried zero-extended in a uint64 outside table.go):
 //
 //	bits  0-1   kind (empty / internal / jump / leaf)
 //	bits  2-5   tag: h mod t
@@ -14,7 +16,9 @@ package core
 //	bits  7-12  lastSymbol: final symbol of this node's name
 //	bits 13-15  color: unique among live entries with the same hash
 //	bits 16-18  parentColor: color of the parent entry (regular nodes)
-//	bit   19    unused
+//	bit   19    parentIsJump: this node is the sole child of a jump node, so
+//	            its parentColor field is meaningless and the entry must never
+//	            match a SearchByParent probe
 //	bits 20-23  jumpLen: number of compressed symbols (jump nodes); for a
 //	            leaf, its key's length code: len+1 for a key of ≤ 8 bytes
 //	            held inline in word 1, 0 for a longer key held in a chunk
@@ -22,11 +26,6 @@ package core
 //	bits 27-29  childColor: color of a jump node's sole child
 //	bit   30    hasNext: leaf has a successor (word 2 locator valid)
 //	bit   31    hasLoc: subtree-max locator valid (internal/jump)
-//	bit   32    parentIsJump: this node is the sole child of a jump node, so
-//	            its parentColor field is meaningless and the entry must never
-//	            match a SearchByParent probe (leaves are never jump children,
-//	            so the bit does not collide with their record index)
-//	bits 33-63  record index (leaves)
 //
 // Word 1: child bitmap (internal, 33 bits) | packed jump symbols (jump,
 // 6 bits each) | key word (leaf): a key of ≤ 8 bytes packed little-endian
@@ -34,9 +33,12 @@ package core
 // (recstore.go). A leaf's words thus hold its whole key, so a lookup
 // decides the key from the same seqlock read that found the leaf.
 //
-// Word 2: locator hash — subtree-max leaf for internal/jump nodes, next leaf
-// in key order for leaves. A locator is (hash, color): it survives cuckoo
-// relocations, unlike a memory address (§4.4).
+// Word 2: locator hash in bits 0-31 — subtree-max leaf for internal/jump
+// nodes, next leaf in key order for leaves — and, for a leaf, its record
+// index in bits 32-63; an internal or jump node's high half is zero. A
+// locator is (hash, color): it survives cuckoo relocations, unlike a memory
+// address (§4.4). Hashes fit 32 bits because tables are capped at 2^28
+// buckets (maxBuckets), so S·t ≤ 2^32.
 const (
 	kindEmpty    = 0
 	kindInternal = 1
@@ -57,7 +59,7 @@ type entry struct {
 	hasNext      bool
 	hasLoc       bool
 	parentIsJump bool
-	recIdx       uint32
+	recIdx       uint32 // leaf: record index, word 2's high half
 	w1           uint64 // bitmap | jump symbols | key word
 	locHash      uint64 // subtree-max (internal/jump) or next-leaf (leaf) hash
 }
@@ -81,10 +83,9 @@ func (e *entry) encode() (w0, w1, w2 uint64) {
 		w0 |= 1 << 31
 	}
 	if e.parentIsJump {
-		w0 |= 1 << 32
+		w0 |= parentIsJumpBit
 	}
-	w0 |= uint64(e.recIdx&0x7fffffff) << 33
-	return w0, e.w1, e.locHash
+	return w0, e.w1, e.locHash | uint64(e.recIdx)<<32
 }
 
 func decodeEntry(w0, w1, w2 uint64) entry {
@@ -100,16 +101,22 @@ func decodeEntry(w0, w1, w2 uint64) entry {
 		childColor:   rawChildColor(w0),
 		hasNext:      rawHasNext(w0),
 		hasLoc:       rawHasLoc(w0),
-		parentIsJump: w0>>32&1 != 0,
-		recIdx:       rawRecIdx(w0),
+		parentIsJump: w0&parentIsJumpBit != 0,
+		recIdx:       rawRecIdx(w2),
 		w1:           w1,
-		locHash:      w2,
+		locHash:      w2 & hashMask,
 	}
 }
 
 // Word-0 fields read in place. The lookup paths carry a node as its raw
 // words and read only the fields they branch on; no entry is decoded.
-const primaryBit = 1 << 6
+const (
+	primaryBit      = 1 << 6
+	parentIsJumpBit = 1 << 19
+)
+
+// hashMask selects word 2's locator hash; a leaf's record index is above it.
+const hashMask = 1<<32 - 1
 
 func rawKind(w0 uint64) uint8       { return uint8(w0 & 3) }
 func rawTag(w0 uint64) uint8        { return uint8(w0 >> 2 & 0xf) }
@@ -117,7 +124,7 @@ func rawColor(w0 uint64) uint8      { return uint8(w0 >> 13 & 7) }
 func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
 func rawKeyCode(w0 uint64) int      { return rawJumpLen(w0) } // a leaf's jumpLen bits
 func rawChildColor(w0 uint64) uint8 { return uint8(w0 >> 27 & 7) }
-func rawRecIdx(w0 uint64) uint32    { return uint32(w0 >> 33 & 0x7fffffff) }
+func rawRecIdx(w2 uint64) uint32    { return uint32(w2 >> 32) }
 func rawHasNext(w0 uint64) bool     { return w0>>30&1 != 0 }
 func rawHasLoc(w0 uint64) bool      { return w0>>31&1 != 0 }
 
@@ -159,7 +166,7 @@ type locator struct {
 
 // rawLoc reads the locator of a node's words: its subtree-max leaf
 // (internal/jump) or its next leaf (leaf).
-func rawLoc(w0, w2 uint64) locator { return locator{w2, uint8(w0 >> 24 & 7)} }
+func rawLoc(w0, w2 uint64) locator { return locator{w2 & hashMask, uint8(w0 >> 24 & 7)} }
 
 func (e *entry) setLoc(l locator) {
 	e.locHash = l.hash

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Cuckoo relocations. When both candidate buckets of a new entry are full, a
@@ -18,13 +17,13 @@ import (
 // (§5: "if there is a concurrent relocation, the node will eventually be
 // found in a later iteration").
 
-// kickEdge moves the entry read as w0, w1, w2 from slot from to its
-// alternate bucket to. The words are checked against the slot at apply time;
-// the moved entry is the same words with the primary bit flipped.
+// kickEdge moves the entry whose word 0 was read as w0 from slot from to
+// its alternate bucket to. Word 0 is checked against the slot at apply
+// time; the moved entry is the slot's words with the primary bit flipped.
 type kickEdge struct {
-	from       slotRef
-	w0, w1, w2 uint64
-	to         uint64
+	from slotRef
+	w0   uint64
+	to   uint64
 }
 
 type bfsNode struct {
@@ -75,26 +74,26 @@ func (t *table) evict(h uint64, maxNodes int) (found, applied bool) {
 // search BFS-searches buckets reachable by relocation from the two
 // candidate buckets of h until a bucket with a free slot is found. Returns
 // the move sequence ordered root-to-free, in s's memory; the caller applies
-// it in reverse.
+// it in reverse. The chain is never empty: a root bucket with a free slot
+// still gives up an entry, because the caller asks for room after its plan
+// reserved that slot for an earlier placement — a free slot the table
+// still shows is one the plan already counted. The search reads bucket
+// heads only.
 func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, bool) {
 	b1, b2, _ := t.bucketsOf(h) // b1 != b2: kick offsets are nonzero
 	s.nodes = append(s.nodes[:0], bfsNode{bucket: b1, parent: -1}, bfsNode{bucket: b2, parent: -1})
 	clear(s.seen)
 	s.seen[b1], s.seen[b2] = struct{}{}, struct{}{}
 
-	var ws [entriesPerBucket * 3]uint64
+	var ws [entriesPerBucket]uint64
 	for qi := 0; qi < len(s.nodes) && len(s.nodes) < maxNodes; qi++ {
 		b := s.nodes[qi].bucket
-		if _, ok := t.loadSlots(b, ws[:]); !ok {
+		if _, ok := t.loadHeads(b, &ws); !ok {
 			continue
 		}
-		free := false
-		for slot := 0; slot < entriesPerBucket && !free; slot++ {
-			free = rawKind(ws[3*slot]) == kindEmpty
-		}
-		if free {
-			// Collect the chain here→...→root, then reverse it. A root
-			// with space needs no chain at all.
+		root := s.nodes[qi].parent == -1
+		if !root && slices.ContainsFunc(ws[:], func(w uint64) bool { return rawKind(w) == kindEmpty }) {
+			// Collect the chain here→...→root, then reverse it.
 			s.chain = s.chain[:0]
 			for i := qi; s.nodes[i].parent != -1; i = s.nodes[i].parent {
 				s.chain = append(s.chain, s.nodes[i].edge)
@@ -102,8 +101,10 @@ func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, boo
 			slices.Reverse(s.chain)
 			return s.chain, true
 		}
-		for slot := 0; slot < entriesPerBucket; slot++ {
-			w0 := ws[3*slot]
+		for slot, w0 := range ws {
+			if rawKind(w0) == kindEmpty {
+				continue
+			}
 			alt := t.altBucket(b, rawTag(w0), w0&primaryBit != 0)
 			if _, dup := s.seen[alt]; dup {
 				continue
@@ -112,7 +113,7 @@ func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, boo
 			s.nodes = append(s.nodes, bfsNode{
 				bucket: alt,
 				parent: qi,
-				edge:   kickEdge{slotRef{b, slot}, w0, ws[3*slot+1], ws[3*slot+2], alt},
+				edge:   kickEdge{slotRef{b, slot}, w0, alt},
 			})
 			if len(s.nodes) >= maxNodes {
 				break
@@ -155,22 +156,12 @@ func (t *table) applyMove(e *kickEdge) bool {
 		return false
 	}
 	ok := false
-	// Revalidate: source slot still holds the expected entry and the
-	// destination still has room.
-	base := fb*bucketWords + 1 + uint64(e.from.slot)*3
-	if atomic.LoadUint64(&t.words[base]) == e.w0 &&
-		atomic.LoadUint64(&t.words[base+1]) == e.w1 &&
-		atomic.LoadUint64(&t.words[base+2]) == e.w2 {
-		free := -1
-		for s := 0; s < entriesPerBucket; s++ {
-			tbase := tb*bucketWords + 1 + uint64(s)*3
-			if atomic.LoadUint64(&t.words[tbase])&3 == kindEmpty {
-				free = s
-				break
-			}
-		}
-		if free >= 0 {
-			t.storeSlot(tb, free, e.w0^primaryBit, e.w1, e.w2)
+	// Revalidate: the source slot still holds an entry with the expected
+	// word 0, which names its alternate bucket, and the destination still
+	// has room.
+	if w0, w1, w2 := t.loadSlot(fb, e.from.slot); w0 == e.w0 {
+		if free := t.freeSlot(tb); free >= 0 {
+			t.storeSlot(tb, free, w0^primaryBit, w1, w2)
 			t.clearSlot(fb, e.from.slot)
 			ok = true
 		}

@@ -76,7 +76,7 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 		if !t.tryLock(term.ref.bucket, term.ref.ver) {
 			return insRetry, false, 0, path
 		}
-		tr.recs.setValue(rawRecIdx(term.w0), v)
+		tr.recs.setValue(rawRecIdx(term.w2), v)
 		t.unlock(term.ref.bucket, term.ref.ver, false)
 		return insDone, false, 0, path
 	}
@@ -251,7 +251,7 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	liNew, locNew := p.place(hNew, p.newLeaf(sNew, rColor))
 	liOld, locOld := p.place(hOldLeaf, entry{
 		kind: kindLeaf, lastSym: sOld, parentColor: rColor,
-		jumpLen: uint8(rawKeyCode(L.w0)), recIdx: rawRecIdx(L.w0), w1: L.w1,
+		jumpLen: uint8(rawKeyCode(L.w0)), recIdx: rawRecIdx(L.w2), w1: L.w1,
 	})
 	if liNew < 0 || liOld < 0 {
 		return false

@@ -25,7 +25,10 @@ import (
 //     padding past an inline key, and a long key's triple (kept for keys
 //     longer than 8 bytes only) inside its chunk;
 //  8. the record slots handed out and not released number Len(): every
-//     insert that did not commit gave its slot back.
+//     insert that did not commit gave its slot back;
+//  9. every slot's word 2 holds a locator hash below S·t and, for a leaf, a
+//     record index below the slots handed out (zero for other nodes);
+//  10. every group's head padding word is zero.
 func (tr *Trie) CheckInvariants() error {
 	t := tr.tbl.Load()
 	w0, w1, w2, b, slot, ver, ok := tr.rootNode(t)
@@ -60,7 +63,7 @@ func (tr *Trie) CheckInvariants() error {
 			return err
 		}
 	}
-	if err := c.checkColors(); err != nil {
+	if err := c.checkSlots(); err != nil {
 		return err
 	}
 	return nil
@@ -233,18 +236,24 @@ func (c *checker) checkLeafList() error {
 	}
 }
 
-// checkColors verifies color uniqueness per hash.
-func (c *checker) checkColors() error {
+// checkSlots verifies every slot and head of the table: colors are unique
+// per hash, word 2's locator half is a hash of this table, a leaf's record
+// index names a slot the store handed out and a non-leaf's is zero, and
+// every group's head padding is zero.
+func (c *checker) checkSlots() error {
 	t := c.t
 	type hc struct {
 		h     uint64
 		color uint8
 	}
+	c.tr.recs.mu.Lock()
+	used := c.tr.recs.used
+	c.tr.recs.mu.Unlock()
+	domain := t.buckets * tagCount
 	seen := map[hc]bool{}
 	for b := uint64(0); b < t.buckets; b++ {
 		for s := 0; s < entriesPerBucket; s++ {
-			base := b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
+			e := decodeEntry(t.loadSlot(b, s))
 			if e.kind == kindEmpty {
 				continue
 			}
@@ -254,6 +263,20 @@ func (c *checker) checkColors() error {
 				return fmt.Errorf("duplicate (hash,color) = (%d,%d)", h, e.color)
 			}
 			seen[k] = true
+			if e.locHash >= domain {
+				return fmt.Errorf("bucket %d slot %d: locator hash %d outside [0, %d)", b, s, e.locHash, domain)
+			}
+			if e.kind == kindLeaf && int(e.recIdx) >= used {
+				return fmt.Errorf("bucket %d slot %d: record index %d, but %d slots handed out", b, s, e.recIdx, used)
+			}
+			if e.kind != kindLeaf && e.recIdx != 0 {
+				return fmt.Errorf("bucket %d slot %d: non-leaf with record index %d", b, s, e.recIdx)
+			}
+		}
+	}
+	for g := uint64(0); g < (t.buckets+groupBuckets-1)/groupBuckets; g++ {
+		if pad := t.headPad(g); pad != 0 {
+			return fmt.Errorf("group %d: head padding %#x", g, pad)
 		}
 	}
 	return nil

@@ -18,33 +18,31 @@ import (
 //
 //	entry     prefetch the caller's key bytes            (all keys)
 //	stage     symbols + hash ladder, prefetch the        (all keys)
-//	          first probe's two buckets, all lines
+//	          first probe's lines
 //	round r   mgDescend: probe one level; the moment     (each live key,
 //	          the child is known prefetch the next        once per round)
-//	          probe's buckets — or, at a leaf, decide
+//	          probe's lines — or, at a leaf, decide
 //	          an inline key: a mismatch is done; a
 //	          match (or a long key) prefetches the
 //	          value slot and a long key's chunk
 //	          bytes                      → mgVerify
+//	          a child whose head matched in its
+//	          secondary bucket prefetches that
+//	          bucket's cold line          → mgCold
+//	          mgCold: the child's cold words, then as
+//	          mgDescend once the child is known
 //	          mgVerify: key → value → re-validate the
 //	          leaf's bucket version
+//
+// A probe's lines are the heads of both candidate buckets and the primary
+// bucket's cold line (table.go): most children live in their primary
+// bucket, and a child found in its secondary one costs its key a round
+// rather than a stall.
 //
 // The prefetches are pure hints: every seqlock check, version re-validation
 // and retry decision is the single-key Get's, taken on the consuming round.
 // Keys that hit a concurrency conflict (torn read, table resize) fall back
 // to the single-key Get, which carries its own retry loop.
-
-// prefetch hints every cache line of bucket b. A 104-byte bucket starts at
-// word base = 13b of a 64-byte-aligned array, so it spans two lines, or
-// three when it starts past the middle of its first one.
-func (t *table) prefetch(b uint64) {
-	base := b * bucketWords
-	prefetchWord(&t.words[base])
-	prefetchWord(&t.words[base+8])
-	if base&7 > 3 {
-		prefetchWord(&t.words[base+bucketWords-1])
-	}
-}
 
 // prefetchBytes hints the first and last line of k; the lines between them
 // of a long key are a sequential stream the hardware follows by itself.
@@ -67,25 +65,30 @@ var mgScratchPool = sync.Pool{New: func() any { return new(mgScratch) }}
 // Stages of one key's descent; a key is live while its stage is below
 // mgDone.
 const (
-	mgDescend = iota // next probe's buckets are prefetched
+	mgDescend = iota // next probe's lines are prefetched
+	mgCold           // child's head read in its secondary bucket, cold line prefetched
 	mgVerify         // leaf reached, its value slot (and long key) prefetched
 	mgDone           // vals/found are final
 	mgRetry          // conflict: resolve via single-key Get at the end
 )
 
 // mgState tracks one key's in-flight descent. The current node is carried as
-// the raw words Get carries: word 0, word 1, and the bucket and version they
-// were read under.
+// the raw words Get carries, and the bucket and version they were read
+// under. In mgCold the child is half read: its word 0, slot, bucket and
+// version, and the symbol index at which it was probed.
 type mgState struct {
 	syms        []byte
 	hashes      []uint64 // hashes[i] = H(syms[:i]) under the current table
-	w0, w1      uint64
+	w0, w1, w2  uint64
 	bucket, ver uint64
 	depth       int // the node's name length, and the next symbol to consume
 	stage       uint8
+
+	cw0, cb, cver uint64
+	cslot, cat    int
 }
 
-// prefetchNextProbe hints the buckets of the next child this key will fetch:
+// prefetchNextProbe hints the lines of the next child this key will fetch:
 // for a regular node that is the next symbol's extension; for a jump node it
 // is the hash at the jump's end, since the intermediate symbols are compared
 // in-entry without probing.
@@ -96,8 +99,9 @@ func (st *mgState) prefetchNextProbe(t *table) {
 	}
 	if at < len(st.hashes) {
 		b1, b2, _ := t.bucketsOf(st.hashes[at])
-		t.prefetch(b1)
-		t.prefetch(b2)
+		t.prefetchHead(b1)
+		t.prefetchHead(b2)
+		t.prefetchCold(b1)
 	}
 }
 
@@ -178,6 +182,8 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 			switch st.stage {
 			case mgDescend:
 				tr.mgAdvance(t, st, ks[j], vals, found, j)
+			case mgCold:
+				tr.mgCold(t, st, ks[j], vals, found, j)
 			case mgVerify:
 				tr.mgVerify(t, st, ks[j], vals, found, j)
 			default:
@@ -198,9 +204,12 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 
 // mgAdvance performs one probe step of key j's descent: it matches in-entry
 // jump symbols without memory accesses, then fetches exactly one child (or
-// reaches a terminal miss) and prefetches what the next round will read.
-// At a leaf holding a different inline key the lookup ends there, as Get's
-// does. Conflicts mark the key for single-Get retry.
+// reaches a terminal miss) and prefetches what the next round will read. A
+// child found in its primary bucket is read whole; one whose head matched
+// only in its secondary bucket waits a round for that bucket's cold line
+// (mgCold). Anything else — a miss in both heads, a held lock, a changed
+// parent — takes Get's probe loop, which re-checks and retries. Conflicts
+// mark the key for single-Get retry.
 func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
 	at, m := matchNode(st.w0, st.w1, st.depth, st.syms)
 	switch m {
@@ -212,12 +221,52 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found 
 		st.stage = mgRetry
 		return
 	}
-	w0, w1, _, b, _, ver, ok := t.childOf(st.w0, st.bucket, st.ver, st.hashes[at+1], st.syms[at])
+	h := st.hashes[at+1]
+	want, mask := childMatch(st.w0, st.syms[at])
+	b1, b2, tag := t.bucketsOf(h)
+	want |= uint64(tag) << 2
+	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|primaryBit, mask); slot >= 0 && t.loadVersion(st.bucket) == st.ver {
+		tr.mgChild(t, st, k, vals, found, j, w0, w1, w2, b1, ver, at)
+		return
+	}
+	if w0, slot, ver := t.scanHead(b2, want, mask); slot >= 0 {
+		t.prefetchCold(b2)
+		st.cw0, st.cb, st.cver, st.cslot, st.cat = w0, b2, ver, slot, at
+		st.stage = mgCold
+		return
+	}
+	tr.mgProbe(t, st, k, vals, found, j, at)
+}
+
+// mgCold completes a child whose head matched in its secondary bucket: its
+// cold words are consistent if that bucket's version is unchanged, and the
+// child is the parent's while the parent's is.
+func (tr *Trie) mgCold(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
+	w1, w2 := t.loadCold(st.cb, st.cslot)
+	if t.loadVersion(st.cb) == st.cver && t.loadVersion(st.bucket) == st.ver {
+		tr.mgChild(t, st, k, vals, found, j, st.cw0, w1, w2, st.cb, st.cver, st.cat)
+		return
+	}
+	tr.mgProbe(t, st, k, vals, found, j, st.cat)
+}
+
+// mgProbe fetches the child probed at symbol index at with Get's probe
+// loop.
+func (tr *Trie) mgProbe(t *table, st *mgState, k []byte, vals []uint64, found []bool, j, at int) {
+	w0, w1, w2, b, _, ver, ok := t.childOf(st.w0, st.bucket, st.ver, st.hashes[at+1], st.syms[at])
 	if !ok {
 		st.stage = mgRetry
 		return
 	}
-	st.w0, st.w1, st.bucket, st.ver, st.depth = w0, w1, b, ver, at+1
+	tr.mgChild(t, st, k, vals, found, j, w0, w1, w2, b, ver, at)
+}
+
+// mgChild moves key j's descent to the child with words w0, w1, w2, read
+// from bucket b at version ver, probed at symbol index at. At a leaf
+// holding a different inline key the lookup ends there, as Get's does.
+func (tr *Trie) mgChild(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int, w0, w1, w2, b, ver uint64, at int) {
+	st.w0, st.w1, st.w2, st.bucket, st.ver, st.depth = w0, w1, w2, b, ver, at+1
+	st.stage = mgDescend
 	if rawKind(w0) != kindLeaf {
 		st.prefetchNextProbe(t)
 		return
@@ -227,13 +276,13 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found 
 		st.stage = mgDone
 		return
 	}
-	tr.recs.prefetchRecord(w0, w1)
+	tr.recs.prefetchRecord(w0, w1, w2)
 	st.stage = mgVerify
 }
 
 // mgVerify is the leaf's last stage, the single-key Get's leafValue.
 func (tr *Trie) mgVerify(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
-	val, hit, ok := tr.leafValue(t, st.w0, st.w1, st.bucket, st.ver, k)
+	val, hit, ok := tr.leafValue(t, st.w0, st.w1, st.w2, st.bucket, st.ver, k)
 	if !ok {
 		st.stage = mgRetry
 		return

@@ -103,10 +103,14 @@ func (p *plan) allocRecord(rs *recordStore, k []byte, v uint64) {
 }
 
 // releaseRecord frees the slot allocRecord took, for a plan that did not
-// commit.
+// commit, and gives back a long key's chunk bytes, which no leaf named.
 func (p *plan) releaseRecord(rs *recordStore) {
 	if p.hasRec {
-		rs.release(p.rec)
+		var abandoned uint64
+		if p.keyCode == 0 {
+			abandoned = p.keyW1
+		}
+		rs.release(p.rec, abandoned)
 		p.hasRec = false
 	}
 }
@@ -134,7 +138,7 @@ func (p *plan) snapshot(b uint64) (int, bool) {
 		}
 	}
 	s := snapCacheEnt{b: b}
-	ver, ok := p.t.loadSlots(b, s.w0[:])
+	ver, ok := p.t.loadHeads(b, &s.w0)
 	if !ok {
 		p.failed = true
 		return -1, false

@@ -27,9 +27,9 @@ func TestEntryEncodeRoundTrip(t *testing.T) {
 			hasNext:      hasNext,
 			hasLoc:       hasLoc,
 			parentIsJump: parentIsJump,
-			recIdx:       recIdx & 0x7fffffff,
+			recIdx:       recIdx,
 			w1:           w1,
-			locHash:      locHash,
+			locHash:      locHash & hashMask,
 		}
 		got := decodeEntry(e.encode())
 		return got == e

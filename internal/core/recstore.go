@@ -52,6 +52,7 @@ type recordStore struct {
 	free   []uint32 // freed slot indices (under mu)
 	used   int      // slots ever handed out, live or freed (under mu)
 	curPos int      // fill position in the active chunk (under mu)
+	keyLen int64    // chunk bytes holding key copies, live or dead (under mu)
 }
 
 func newRecordStore(capHint int) *recordStore {
@@ -102,6 +103,7 @@ func (rs *recordStore) appendKey(key []byte) uint64 {
 	ci, pos := len(chunks)-1, rs.curPos
 	copy(chunks[ci][pos:], key)
 	rs.curPos += len(key)
+	rs.keyLen += int64(len(key))
 	return uint64(ci)<<(recPosBits+recLenBits) | uint64(pos)<<recLenBits | uint64(len(key))
 }
 
@@ -163,13 +165,23 @@ func (rs *recordStore) grow() {
 	rs.grows.Add(1)
 }
 
-// release returns a slot to the free list. A long key's bytes are never
-// reclaimed: readers alias chunk bytes without a lock (see chunkKey), so
-// chunks stay immutable. The paper's implementation has no deletions at
-// all.
-func (rs *recordStore) release(idx uint32) {
+// release returns a slot to the free list. abandoned is the triple of a
+// long key that alloc copied for an insert that did not commit, or 0: no
+// leaf ever named those bytes, so no reader can hold them, and while they
+// are still the active chunk's tail the fill position rolls back over
+// them. Published key bytes are never reclaimed: readers alias chunk bytes
+// without a lock (see chunkKey), so they stay immutable. The paper's
+// implementation has no deletions at all.
+func (rs *recordStore) release(idx uint32, abandoned uint64) {
 	rs.mu.Lock()
 	rs.free = append(rs.free, idx)
+	if abandoned != 0 {
+		ci, pos, klen := keyTriple(abandoned)
+		if int(ci) == len(*rs.chunks.Load())-1 && int(pos+klen) == rs.curPos {
+			rs.curPos = int(pos)
+			rs.keyLen -= int64(klen)
+		}
+	}
 	rs.mu.Unlock()
 }
 
@@ -193,11 +205,11 @@ func (rs *recordStore) value(idx uint32) uint64 {
 }
 
 // prefetchRecord hints what a lookup that reached the leaf with words w0,
-// w1 reads next: its value slot and, for a long key, the key bytes. It is a
-// read-only hint for MultiGet's staged leaf: nothing is returned, so nothing
-// it touches needs re-validation.
-func (rs *recordStore) prefetchRecord(w0, w1 uint64) {
-	if sl, idx := *rs.slots.Load(), rawRecIdx(w0); int(idx) < len(sl) {
+// w1, w2 reads next: its value slot and, for a long key, the key bytes. It
+// is a read-only hint for MultiGet's staged leaf: nothing is returned, so
+// nothing it touches needs re-validation.
+func (rs *recordStore) prefetchRecord(w0, w1, w2 uint64) {
+	if sl, idx := *rs.slots.Load(), rawRecIdx(w2); int(idx) < len(sl) {
 		prefetchWord(&sl[idx])
 	}
 	if rawKeyCode(w0) == 0 {
@@ -231,13 +243,13 @@ func (rs *recordStore) setValue(idx uint32, v uint64) {
 }
 
 // memoryBytes reports the store's value-slot footprint (the "pointers to
-// key-value pairs" the paper counts as index overhead) and the long keys'
-// chunk footprint (key bytes, which the paper excludes).
-func (rs *recordStore) memoryBytes() (slotBytes, keyBytes int64) {
+// key-value pairs" the paper counts as index overhead), the long keys'
+// chunk footprint (key bytes, which the paper excludes) and how many chunk
+// bytes hold key copies, live or dead.
+func (rs *recordStore) memoryBytes() (slotBytes, keyBytes, keyLen int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	slots := *rs.slots.Load()
 	chunks := *rs.chunks.Load()
-	keyBytes = int64(len(chunks)) * recChunkSize
-	return int64(len(slots)) * 8, keyBytes
+	return int64(len(slots)) * 8, int64(len(chunks)) * recChunkSize, rs.keyLen
 }

@@ -25,6 +25,9 @@ func (tr *Trie) resize(old *table) error {
 	if tr.tbl.Load() != old {
 		return nil // another goroutine already resized
 	}
+	if old.buckets*2 > maxBuckets {
+		return ErrTableFull
+	}
 
 	// Quiesce: lock every bucket of the old table.
 	locked := make([]uint64, old.buckets)
@@ -45,7 +48,7 @@ func (tr *Trie) resize(old *table) error {
 	// hash value.
 	var b *rebuilder
 	var err error
-	for factor := uint64(2); factor <= 16; factor *= 2 {
+	for factor := uint64(2); factor <= 16 && old.buckets*factor <= maxBuckets; factor *= 2 {
 		nt := newTable(old.buckets*factor, tr.cfg.Seed+int64(old.buckets*factor))
 		b = &rebuilder{src: old, dst: nt, tr: tr}
 		if err = b.run(); err == nil {
@@ -202,8 +205,8 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 	t := b.dst
 	b1, b2, tag := t.bucketsOf(h)
 	var w1s, w2s [entriesPerBucket]uint64
-	t.loadSlots(b1, w1s[:])
-	t.loadSlots(b2, w2s[:])
+	t.loadHeads(b1, &w1s)
+	t.loadHeads(b2, &w2s)
 	used1, f1 := scanSlots(&w1s, tag, true)
 	used2, f2 := scanSlots(&w2s, tag, false)
 	color := freeColor(used1 | used2)
@@ -264,55 +267,28 @@ func (b *rebuilder) patchChildColor(l locator, c uint8) {
 }
 
 // lockedFind* read a quiesced (or unpublished) table directly, without
-// seqlock choreography.
+// seqlock choreography: the probe's word-0 match on each candidate head,
+// then the matched slot's cold words.
 func (t *table) lockedFind(l locator) (entry, slotRef, bool) {
-	b1, b2, tag := t.bucketsOf(l.hash)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary && e.color == l.color {
-				return e, slotRef{bc.b, s}, true
-			}
-		}
-	}
-	return entry{}, slotRef{}, false
+	return t.lockedProbe(l.hash, uint64(l.color&7)<<13, matchMaskByLoc)
 }
 
 func (t *table) lockedFindChildByParent(h uint64, lastSym byte, parentColor uint8) (entry, slotRef, bool) {
-	b1, b2, tag := t.bucketsOf(h)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary &&
-				!e.parentIsJump && e.lastSym == lastSym && e.parentColor == parentColor {
-				return e, slotRef{bc.b, s}, true
-			}
-		}
-	}
-	return entry{}, slotRef{}, false
+	return t.lockedProbe(h, matchByParent(lastSym, parentColor), matchMaskByParent)
 }
 
 func (t *table) lockedFindChildByColor(h uint64, lastSym byte, color uint8) (entry, slotRef, bool) {
+	return t.lockedProbe(h, matchByColor(lastSym, color), matchMaskByColor)
+}
+
+func (t *table) lockedProbe(h, want, mask uint64) (entry, slotRef, bool) {
 	b1, b2, tag := t.bucketsOf(h)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary &&
-				e.lastSym == lastSym && e.color == color {
-				return e, slotRef{bc.b, s}, true
-			}
+	want |= uint64(tag) << 2
+	for _, bc := range [2]struct{ b, want uint64 }{{b1, want | primaryBit}, {b2, want}} {
+		head, _ := bucketAt(bc.b)
+		if w0, s := t.matchHead(head, bc.want, mask); s >= 0 {
+			w1, w2 := t.loadCold(bc.b, s)
+			return decodeEntry(w0, w1, w2), slotRef{bc.b, s}, true
 		}
 	}
 	return entry{}, slotRef{}, false

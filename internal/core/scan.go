@@ -92,7 +92,7 @@ func (tr *Trie) minLeaf(t *table) (leaf pathNode, found, ok bool) {
 func (tr *Trie) leafRecord(t *table, n *pathNode, dst []byte) (key []byte, val uint64, ok bool) {
 	var kbuf [inlineKeyMax]byte
 	key = append(dst, tr.recs.leafKey(n.w0, n.w1, &kbuf)...)
-	val = tr.recs.value(rawRecIdx(n.w0))
+	val = tr.recs.value(rawRecIdx(n.w2))
 	return key, val, t.loadVersion(n.ref.bucket) == n.ref.ver
 }
 

@@ -54,7 +54,7 @@ func (st *searchState) terminal() *pathNode { return &st.path[len(st.path)-1] }
 // load per slot. probe adds the tag and primary bits to a match value; field
 // positions are defined in entry.go.
 const (
-	matchMaskByParent = uint64(0xf)<<2 | primaryBit | uint64(0x3f)<<7 | uint64(7)<<16 | 1<<32
+	matchMaskByParent = uint64(0xf)<<2 | primaryBit | uint64(0x3f)<<7 | uint64(7)<<16 | parentIsJumpBit
 	matchMaskByColor  = uint64(0xf)<<2 | primaryBit | uint64(0x3f)<<7 | uint64(7)<<13
 	matchMaskByLoc    = uint64(0xf)<<2 | primaryBit | uint64(7)<<13
 )
@@ -69,14 +69,17 @@ func matchByColor(lastSym byte, color uint8) uint64 {
 
 // probe finds the live entry of hash h whose word 0 matches want (tag and
 // primary bit excluded) under mask: first in h's primary bucket, then in its
-// secondary. found is false when neither bucket yielded it, whether it is
-// absent or was unreadable; callers retry or re-validate.
+// secondary. Each bucket's cold line is hinted before its head is read, so
+// the two misses overlap. found is false when neither bucket yielded it,
+// whether it is absent or was unreadable; callers retry or re-validate.
 func (t *table) probe(h, want, mask uint64) (w0, w1, w2, b uint64, slot int, ver uint64, found bool) {
 	b1, b2, tag := t.bucketsOf(h)
 	want |= uint64(tag) << 2
+	t.prefetchCold(b1)
 	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|primaryBit, mask); slot >= 0 {
 		return w0, w1, w2, b1, slot, ver, true
 	}
+	t.prefetchCold(b2)
 	if w0, w1, w2, slot, ver := t.scanBucket(b2, want, mask); slot >= 0 {
 		return w0, w1, w2, b2, slot, ver, true
 	}
@@ -114,10 +117,17 @@ func (t *table) probeChild(h, want, mask, pb, pver uint64) (w0, w1, w2, b uint64
 // colors are unique among live entries with the same hash, so that match is
 // exact too.
 func (t *table) childOf(pw0, pb, pver, h uint64, s byte) (w0, w1, w2, b uint64, slot int, ver uint64, ok bool) {
+	want, mask := childMatch(pw0, s)
+	return t.probeChild(h, want, mask, pb, pver)
+}
+
+// childMatch returns the word-0 match (tag and primary bit excluded) that
+// identifies the child for symbol s of the node with word 0 pw0.
+func childMatch(pw0 uint64, s byte) (want, mask uint64) {
 	if rawKind(pw0) == kindJump {
-		return t.probeChild(h, matchByColor(s, rawChildColor(pw0)), matchMaskByColor, pb, pver)
+		return matchByColor(s, rawChildColor(pw0)), matchMaskByColor
 	}
-	return t.probeChild(h, matchByParent(s, rawColor(pw0)), matchMaskByParent, pb, pver)
+	return matchByParent(s, rawColor(pw0)), matchMaskByParent
 }
 
 // Outcomes of matchNode.
@@ -248,27 +258,28 @@ func (tr *Trie) getOnce(t *table, syms []byte, k []byte) (val uint64, found, ok 
 		for ; depth <= at; depth++ {
 			h = t.step(h, syms[depth])
 		}
-		w0, w1, _, b, _, ver, ok = t.childOf(w0, b, ver, h, syms[at])
+		var w2 uint64
+		w0, w1, w2, b, _, ver, ok = t.childOf(w0, b, ver, h, syms[at])
 		if !ok {
 			return 0, false, false
 		}
 		if rawKind(w0) == kindLeaf {
-			return tr.leafValue(t, w0, w1, b, ver, k)
+			return tr.leafValue(t, w0, w1, w2, b, ver, k)
 		}
 	}
 }
 
-// leafValue is a lookup's last step at the leaf with words w0, w1, read
+// leafValue is a lookup's last step at the leaf with words w0, w1, w2, read
 // from bucket b at version ver: compare the leaf's key with k, and on a
 // match read the value, then re-validate the leaf — if it was deleted
 // meanwhile, its record slot may have been reused and the value is stale.
 // The key word was read under the seqlock with w0, so a mismatch is final,
 // like a missing child bit. ok=false requests a restart.
-func (tr *Trie) leafValue(t *table, w0, w1, b, ver uint64, k []byte) (val uint64, found, ok bool) {
+func (tr *Trie) leafValue(t *table, w0, w1, w2, b, ver uint64, k []byte) (val uint64, found, ok bool) {
 	if !tr.recs.leafKeyIs(w0, w1, k) {
 		return 0, false, true
 	}
-	val = tr.recs.value(rawRecIdx(w0))
+	val = tr.recs.value(rawRecIdx(w2))
 	if t.loadVersion(b) != ver {
 		return 0, false, false
 	}

@@ -15,10 +15,12 @@ type Stats struct {
 	JumpNodes     int
 	Leaves        int
 
-	// TableBytes is the Go table's actual footprint (24-byte entries + one
-	// version word per bucket). PaperTableBytes is what the paper's layout
-	// (64-byte buckets: 4×15-byte entries + 4-byte seqlock) would occupy at
-	// the same bucket count.
+	// TableBytes is the Go table's actual footprint: 256-byte groups of
+	// three buckets (table.go), so 85.3 bytes per bucket — a 4-byte seqlock
+	// and four 20-byte entries, plus 4 bytes of head padding per group.
+	// PaperTableBytes is what the paper's layout (64-byte buckets:
+	// 4×15-byte entries + 4-byte seqlock) would occupy at the same bucket
+	// count.
 	TableBytes      int64
 	PaperTableBytes int64
 	// RecordPtrBytes is the per-key record bookkeeping (the "pointer to the
@@ -26,8 +28,10 @@ type Stats struct {
 	RecordPtrBytes int64
 	// KeyBytes is the chunk storage of keys longer than 8 bytes (excluded
 	// from index overhead); shorter keys live in their leaves' words,
-	// inside TableBytes.
-	KeyBytes int64
+	// inside TableBytes. KeyBytesWritten is how much of it holds key
+	// copies, live or deleted.
+	KeyBytes        int64
+	KeyBytesWritten int64
 
 	// BytesPerKey / PaperBytesPerKey are the headline Figure 11 numbers.
 	BytesPerKey      float64
@@ -43,7 +47,7 @@ func (tr *Trie) Stats() Stats {
 	s.SlotsTotal = int(t.buckets) * entriesPerBucket
 	var w0s [entriesPerBucket]uint64
 	for b := uint64(0); b < t.buckets; b++ {
-		if _, ok := t.loadSlots(b, w0s[:]); !ok {
+		if _, ok := t.loadHeads(b, &w0s); !ok {
 			continue
 		}
 		for _, w := range w0s {
@@ -64,11 +68,9 @@ func (tr *Trie) Stats() Stats {
 	if s.Keys > 0 {
 		s.NodesPerKey = float64(s.SlotsUsed) / float64(s.Keys)
 	}
-	s.TableBytes = int64(t.buckets) * bucketWords * 8
+	s.TableBytes = int64(len(t.words)) * 8
 	s.PaperTableBytes = int64(t.buckets) * 64
-	slotBytes, keyBytes := tr.recs.memoryBytes()
-	s.RecordPtrBytes = slotBytes
-	s.KeyBytes = keyBytes
+	s.RecordPtrBytes, s.KeyBytes, s.KeyBytesWritten = tr.recs.memoryBytes()
 	if s.Keys > 0 {
 		s.BytesPerKey = float64(s.TableBytes+s.RecordPtrBytes) / float64(s.Keys)
 		// Paper layout: 64-byte buckets plus an 8-byte record pointer per key.

@@ -28,7 +28,7 @@ func TestLookupLevelsPinned(t *testing.T) {
 			lines += len(l)
 		}
 	}
-	const wantLevels, wantLines = 151995, 283990
+	const wantLevels, wantLines = 151995, 402828
 	if levels != wantLevels || lines != wantLines {
 		t.Fatalf("LookupLevels over %d probes: %d levels, %d lines; want %d, %d", len(probes), levels, lines, wantLevels, wantLines)
 	}

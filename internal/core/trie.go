@@ -48,7 +48,8 @@ func (c *Config) fill() {
 	}
 }
 
-// bucketsFor returns the power-of-two bucket count for an expected key count.
+// bucketsFor returns the power-of-two bucket count for an expected key
+// count, at most maxBuckets.
 func bucketsFor(keys int, loadFactor float64) uint64 {
 	// Random data costs ~1.25 nodes/key (§4.6); we size for 1.30 — ~4%
 	// headroom — so mildly prefix-heavy datasets don't immediately trip a
@@ -56,7 +57,7 @@ func bucketsFor(keys int, loadFactor float64) uint64 {
 	nodes := float64(keys) * 1.30
 	want := nodes / (entriesPerBucket * loadFactor)
 	b := uint64(hashR)
-	for float64(b) < want {
+	for float64(b) < want && b < maxBuckets {
 		b <<= 1
 	}
 	return b
