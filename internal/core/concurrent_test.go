@@ -440,7 +440,7 @@ func staleDescent(t *testing.T) (tr *Trie, tbl *table, k, syms []byte, st search
 // it took, which CheckInvariants counts.
 func TestInsertPlanRejectsStalePath(t *testing.T) {
 	tr, tbl, k, syms, st := staleDescent(t)
-	if status, _ := tr.insertPlanned(tbl, &st, syms, k, 1); status == insDone {
+	if status, _ := tr.insertPlanned(tbl, &st, syms, k, 1, roomRequest{}); status == insDone {
 		t.Error("an insert planned on a stale path committed")
 	}
 	checkInv(t, tr)

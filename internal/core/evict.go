@@ -46,10 +46,11 @@ var evictPool = sync.Pool{New: func() any {
 	return &evictScratch{seen: map[uint64]struct{}{}}
 }}
 
-// makeRoom tries to free a slot in one of the candidate buckets of hash h.
-func (tr *Trie) makeRoom(t *table, h uint64) bool {
+// makeRoom tries to free a slot in one of the candidate buckets of room.h
+// that none of the failed plan's reserved slots accounts for.
+func (tr *Trie) makeRoom(t *table, room roomRequest) bool {
 	for attempt := 0; attempt < 8; attempt++ {
-		found, applied := t.evict(h, tr.cfg.MaxKicks)
+		found, applied := t.evict(room.h, tr.cfg.MaxKicks, room.reserved)
 		if !found {
 			return false
 		}
@@ -64,10 +65,10 @@ func (tr *Trie) makeRoom(t *table, h uint64) bool {
 // candidate buckets of hash h, within maxNodes buckets, and applies it.
 // found is false when the search found no chain; applied is false when a
 // concurrent writer invalidated the chain it found.
-func (t *table) evict(h uint64, maxNodes int) (found, applied bool) {
+func (t *table) evict(h uint64, maxNodes int, reserved []uint64) (found, applied bool) {
 	s := evictPool.Get().(*evictScratch)
 	defer evictPool.Put(s)
-	chain, found := s.search(t, h, maxNodes)
+	chain, found := s.search(t, h, maxNodes, reserved)
 	return found, found && t.applyChain(chain)
 }
 
@@ -77,9 +78,13 @@ func (t *table) evict(h uint64, maxNodes int) (found, applied bool) {
 // it in reverse. The chain is never empty: a root bucket with a free slot
 // still gives up an entry, because the caller asks for room after its plan
 // reserved that slot for an earlier placement — a free slot the table
-// still shows is one the plan already counted. The search reads bucket
-// heads only.
-func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, bool) {
+// still shows is one the plan already counted. For the same reason the
+// chain never ends in a bucket whose free slots are all reserved (one per
+// entry of reserved naming it): moving an entry there would take the slot
+// an earlier placement of the plan needs, and the plan's next attempt would
+// ask for room for that placement and move the entry straight back. The
+// search reads bucket heads only.
+func (s *evictScratch) search(t *table, h uint64, maxNodes int, reserved []uint64) ([]kickEdge, bool) {
 	b1, b2, _ := t.bucketsOf(h) // b1 != b2: kick offsets are nonzero
 	s.nodes = append(s.nodes[:0], bfsNode{bucket: b1, parent: -1}, bfsNode{bucket: b2, parent: -1})
 	clear(s.seen)
@@ -91,8 +96,18 @@ func (s *evictScratch) search(t *table, h uint64, maxNodes int) ([]kickEdge, boo
 		if _, ok := t.loadHeads(b, &ws); !ok {
 			continue
 		}
-		root := s.nodes[qi].parent == -1
-		if !root && slices.ContainsFunc(ws[:], func(w uint64) bool { return rawKind(w) == kindEmpty }) {
+		free := 0
+		for _, w := range ws {
+			if rawKind(w) == kindEmpty {
+				free++
+			}
+		}
+		for _, r := range reserved {
+			if r == b {
+				free--
+			}
+		}
+		if s.nodes[qi].parent != -1 && free > 0 {
 			// Collect the chain here→...→root, then reverse it.
 			s.chain = s.chain[:0]
 			for i := qi; s.nodes[i].parent != -1; i = s.nodes[i].parent {

@@ -32,12 +32,13 @@ func (tr *Trie) Set(k []byte, v uint64) (added bool, err error) {
 	syms := keys.AppendSymbols(sbuf[:0], k)
 	var pbuf [32]pathNode
 	path := pbuf[:0]
+	var rbuf [8]uint64
+	room := roomRequest{reserved: rbuf[:0]}
 	roomAttempts := 0
 	for {
 		t := tr.tbl.Load()
 		var status int
-		var roomHash uint64
-		status, added, roomHash, path = tr.insertOnce(t, syms, k, v, path)
+		status, added, room, path = tr.insertOnce(t, syms, k, v, path, room)
 		switch status {
 		case insDone:
 			return added, nil
@@ -47,7 +48,7 @@ func (tr *Trie) Set(k []byte, v uint64) (added bool, err error) {
 			// Bound eviction attempts per insert: repeated failures mean the
 			// table is effectively full even if isolated slots exist.
 			roomAttempts++
-			if roomAttempts <= 16 && tr.makeRoom(t, roomHash) {
+			if roomAttempts <= 16 && tr.makeRoom(t, room) {
 				continue
 			}
 			fallthrough
@@ -64,45 +65,61 @@ func (tr *Trie) Set(k []byte, v uint64) (added bool, err error) {
 	}
 }
 
-func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pathNode) (int, bool, uint64, []pathNode) {
+// roomRequest is what an insert whose plan found no free slot asks makeRoom
+// for: a slot for hash h. reserved lists the bucket of every slot the
+// plan's earlier placements took. The plan did not commit, so the table
+// still shows those slots free, but its next attempt takes them again.
+type roomRequest struct {
+	h        uint64
+	reserved []uint64
+}
+
+func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pathNode, room roomRequest) (int, bool, roomRequest, []pathNode) {
 	var st searchState
 	path, st = tr.searchPath(t, syms, path)
 	if st.outcome == soRestart {
-		return insRetry, false, 0, path
+		return insRetry, false, room, path
 	}
 	term := st.terminal()
 	if st.outcome == soLeaf && tr.recs.leafKeyIs(term.w0, term.w1, k) {
 		// Update in place: lock the leaf's bucket to pin the record.
 		if !t.tryLock(term.ref.bucket, term.ref.ver) {
-			return insRetry, false, 0, path
+			return insRetry, false, room, path
 		}
 		tr.recs.setValue(rawRecIdx(term.w2), v)
 		t.unlock(term.ref.bucket, term.ref.ver, false)
-		return insDone, false, 0, path
+		return insDone, false, room, path
 	}
-	status, roomHash := tr.insertPlanned(t, &st, syms, k, v)
-	return status, status == insDone, roomHash, path
+	status, room := tr.insertPlanned(t, &st, syms, k, v, room)
+	return status, status == insDone, room, path
 }
 
 // insertPlanned plans and applies the insertion of k at the end of descent
-// st. A plan that does not commit releases the record slot it took.
-func (tr *Trie) insertPlanned(t *table, st *searchState, syms, k []byte, v uint64) (status int, roomHash uint64) {
+// st. A plan that does not commit releases the record slot it took; one
+// that found no free slot fills room in.
+func (tr *Trie) insertPlanned(t *table, st *searchState, syms, k []byte, v uint64, room roomRequest) (int, roomRequest) {
 	p := newPlan(t)
 	defer p.recycle()
 	ok := tr.planInsert(p, st, syms, k, v)
+	var status int
 	switch {
 	case p.colorsFull:
 		status = insFull
 	case p.needRoom:
-		status, roomHash = insNeedRoom, p.needRoomHash
+		status = insNeedRoom
+		room.h = p.needRoomHash
+		room.reserved = room.reserved[:0]
+		for i := range p.writes {
+			room.reserved = append(room.reserved, p.writes[i].b)
+		}
 	case ok && p.apply(tr):
 		tr.count.Add(1)
-		return insDone, 0
+		return insDone, room
 	default:
 		status = insRetry
 	}
 	p.releaseRecord(tr.recs)
-	return status, roomHash
+	return status, room
 }
 
 // planInsert plans the insertion of k at the end of descent st. The plan

@@ -225,7 +225,7 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 		t.writeSlot(b2, f2, e)
 		return color, nil
 	}
-	if found, applied := t.evict(h, 512); !found || !applied {
+	if found, applied := t.evict(h, 512, nil); !found || !applied {
 		return 0, ErrTableFull
 	}
 	return b.insertEntry(h, e)
