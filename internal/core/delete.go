@@ -99,7 +99,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			} else {
 				// Only a now-empty subtree can lose its max with no
 				// predecessor anywhere; that happens only at the root.
-				m.hasLoc = false
+				m.setFlag(hasLocBit, false)
 				m.setLoc(locator{})
 			}
 		}
@@ -108,7 +108,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	// Unlink from the leaf list.
 	if !tr.cfg.DisableLeafList {
 		if predFound {
-			p.modify(&pred.pathNode).takeNext(L)
+			p.modify(&pred.pathNode).takeNext(&L.node)
 		} else {
 			if _, ok := p.snapshot(0); !ok {
 				return insRetry, path
@@ -149,19 +149,19 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			moved = true
 
 			// The host keeps its identity (tag, primacy, name, colors)
-			// and becomes C's leaf, with C's key and record.
+			// and becomes C's leaf, with C's key and record; takeNext
+			// sets word 2's locator half.
 			hm := p.modify(host)
-			hm.kind = kindLeaf
-			hm.jumpLen = uint8(rawKeyCode(C.w0))
-			hm.childColor = 0
-			hm.hasLoc = false
-			hm.w1 = C.w1
-			hm.recIdx = rawRecIdx(C.w2)
+			hm.set(fKind, kindLeaf)
+			hm.set(fJumpLen, uint8(rawKeyCode(C.w0)))
+			hm.set(fChildColor, 0)
+			hm.setFlag(hasLocBit, false)
+			hm.w1, hm.w2 = C.w1, C.w2
 			if rawHasNext(C.w0) && rawLoc(C.w0, C.w2) == lLoc {
 				// C's successor was the deleted leaf: skip over it.
-				hm.takeNext(L)
+				hm.takeNext(&L.node)
 			} else {
-				hm.takeNext(&C)
+				hm.takeNext(&C.node)
 			}
 
 			// The leaf pointing at C must be retargeted. If k < kc the
@@ -179,7 +179,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 					if prevC.ref.slotRef != C.ref.slotRef {
 						pv := p.modify(&prevC.pathNode)
 						pv.setLoc(cNewLoc)
-						pv.hasNext = true
+						pv.setFlag(hasNextBit, true)
 					}
 				} else {
 					if _, ok := p.snapshot(0); !ok {
@@ -208,20 +208,18 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			p.clearEntry(C.ref)
 		} else if n := rawJumpLen(C.w0); rawKind(C.w0) == kindJump && 1+n <= maxJumpSymbols {
 			// Convert P into a jump node toward C's child, merging C.
-			pm.kind = kindJump
-			pm.jumpLen = uint8(1 + n)
+			pm.set(fKind, kindJump)
+			pm.set(fJumpLen, uint8(1+n))
 			pm.w1 = uint64(s2) | jumpSymbolRange(C.w1, 0, n)<<6
-			pm.childColor = rawChildColor(C.w0)
+			pm.set(fChildColor, rawChildColor(C.w0))
 			p.clearEntry(C.ref)
 		} else {
 			// Convert P into a jump node toward C.
-			pm.kind = kindJump
-			pm.jumpLen = 1
+			pm.set(fKind, kindJump)
+			pm.set(fJumpLen, 1)
 			pm.w1 = uint64(s2)
-			pm.childColor = rawColor(C.w0)
-			cm := p.modify(&C)
-			cm.parentIsJump = true
-			cm.parentColor = 0
+			pm.set(fChildColor, rawColor(C.w0))
+			p.modify(&C).setParent(0, true)
 		}
 	}
 
@@ -231,10 +229,10 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	// Translate every reference to C's old locator (the hoist moved it).
 	if moved {
 		for i := range p.mods {
-			translateLoc(&p.mods[i].ent, cOldLoc, cNewLoc)
+			p.mods[i].n.translateLoc(cOldLoc, cNewLoc)
 		}
 		for i := range p.writes {
-			translateLoc(&p.writes[i].ent, cOldLoc, cNewLoc)
+			p.writes[i].n.translateLoc(cOldLoc, cNewLoc)
 		}
 		if p.minUpdate && !p.minClear && p.newMin == cOldLoc {
 			p.newMin = cNewLoc
@@ -252,13 +250,13 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	return insDone, path
 }
 
-// translateLoc rewrites e's locator word if it references from.
-func translateLoc(e *entry, from, to locator) {
-	linked := e.hasLoc // internal and jump nodes: subtree-max
-	if e.kind == kindLeaf {
-		linked = e.hasNext
+// translateLoc rewrites n's locator if it references from.
+func (n *node) translateLoc(from, to locator) {
+	linked := rawHasLoc(n.w0) // internal and jump nodes: subtree-max
+	if rawKind(n.w0) == kindLeaf {
+		linked = rawHasNext(n.w0)
 	}
-	if linked && e.locHash == from.hash && e.locColor == from.color {
-		e.setLoc(to)
+	if linked && rawLoc(n.w0, n.w2) == from {
+		n.setLoc(to)
 	}
 }

@@ -1,31 +1,17 @@
 package core
 
-// Entry encoding. Each hash table entry is one trie node, packed into a
-// 32-bit word 0 and two 64-bit words so that readers can snapshot it with
-// atomic loads under the bucket seqlock. The paper packs entries into 15
-// bytes (Figure 4); Go's race-checked memory model requires word-granular
-// atomics, so an entry takes 20 bytes, split between its bucket's head line
-// and its cold line (table.go), and the memory accounting reports both
-// layouts (see stats.go).
+// Node format. Each hash table entry is one trie node, packed into a 32-bit
+// word 0 and two 64-bit words so that readers can snapshot it with atomic
+// loads under the bucket seqlock. The paper packs entries into 15 bytes
+// (Figure 4); Go's race-checked memory model requires word-granular atomics,
+// so an entry takes 20 bytes, split between its bucket's head line and its
+// cold line (table.go), and the memory accounting reports both layouts (see
+// stats.go).
 //
-// Word 0 (32 bits; carried zero-extended in a uint64 outside table.go):
-//
-//	bits  0-1   kind (empty / internal / jump / leaf)
-//	bits  2-5   tag: h mod t
-//	bit   6     primary: entry is in its primary bucket B1
-//	bits  7-12  lastSymbol: final symbol of this node's name
-//	bits 13-15  color: unique among live entries with the same hash
-//	bits 16-18  parentColor: color of the parent entry (regular nodes)
-//	bit   19    parentIsJump: this node is the sole child of a jump node, so
-//	            its parentColor field is meaningless and the entry must never
-//	            match a SearchByParent probe
-//	bits 20-23  jumpLen: number of compressed symbols (jump nodes); for a
-//	            leaf, its key's length code: len+1 for a key of ≤ 8 bytes
-//	            held inline in word 1, 0 for a longer key held in a chunk
-//	bits 24-26  locColor: color half of the locator in word 2
-//	bits 27-29  childColor: color of a jump node's sole child
-//	bit   30    hasNext: leaf has a successor (word 2 locator valid)
-//	bit   31    hasLoc: subtree-max locator valid (internal/jump)
+// A node is only ever its three words: readers branch on them in place,
+// and writers edit copies of them with the setters below. Word 0's layout
+// is the field table that follows; nothing outside this file names a bit
+// position of word 0.
 //
 // Word 1: child bitmap (internal, 33 bits) | packed jump symbols (jump,
 // 6 bits each) | key word (leaf): a key of ≤ 8 bytes packed little-endian
@@ -39,6 +25,8 @@ package core
 // locator is (hash, color): it survives cuckoo relocations, unlike a memory
 // address (§4.4). Hashes fit 32 bits because tables are capped at 2^28
 // buckets (maxBuckets), so S·t ≤ 2^32.
+type node struct{ w0, w1, w2 uint64 }
+
 const (
 	kindEmpty    = 0
 	kindInternal = 1
@@ -46,95 +34,123 @@ const (
 	kindLeaf     = 3
 )
 
-type entry struct {
-	kind         uint8
-	tag          uint8
-	primary      bool
-	lastSym      byte
-	color        uint8
-	parentColor  uint8
-	jumpLen      uint8 // jump: symbol count; leaf: key length code
-	locColor     uint8
-	childColor   uint8
-	hasNext      bool
-	hasLoc       bool
-	parentIsJump bool
-	recIdx       uint32 // leaf: record index, word 2's high half
-	w1           uint64 // bitmap | jump symbols | key word
-	locHash      uint64 // subtree-max (internal/jump) or next-leaf (leaf) hash
-}
+// field is a word-0 field given as its mask: its lowest set bit is the
+// shift and its bit count the width. Word 0 is carried zero-extended in a
+// uint64 outside table.go.
+type field uint64
 
-func (e *entry) encode() (w0, w1, w2 uint64) {
-	w0 = uint64(e.kind) & 3
-	w0 |= uint64(e.tag&0xf) << 2
-	if e.primary {
-		w0 |= primaryBit
-	}
-	w0 |= uint64(e.lastSym&0x3f) << 7
-	w0 |= uint64(e.color&7) << 13
-	w0 |= uint64(e.parentColor&7) << 16
-	w0 |= uint64(e.jumpLen&0xf) << 20
-	w0 |= uint64(e.locColor&7) << 24
-	w0 |= uint64(e.childColor&7) << 27
-	if e.hasNext {
-		w0 |= 1 << 30
-	}
-	if e.hasLoc {
-		w0 |= 1 << 31
-	}
-	if e.parentIsJump {
-		w0 |= parentIsJumpBit
-	}
-	return w0, e.w1, e.locHash | uint64(e.recIdx)<<32
-}
-
-func decodeEntry(w0, w1, w2 uint64) entry {
-	return entry{
-		kind:         rawKind(w0),
-		tag:          rawTag(w0),
-		primary:      w0&primaryBit != 0,
-		lastSym:      byte(w0 >> 7 & 0x3f),
-		color:        rawColor(w0),
-		parentColor:  uint8(w0 >> 16 & 7),
-		jumpLen:      uint8(rawJumpLen(w0)),
-		locColor:     uint8(w0 >> 24 & 7),
-		childColor:   rawChildColor(w0),
-		hasNext:      rawHasNext(w0),
-		hasLoc:       rawHasLoc(w0),
-		parentIsJump: w0&parentIsJumpBit != 0,
-		recIdx:       rawRecIdx(w2),
-		w1:           w1,
-		locHash:      w2 & hashMask,
-	}
-}
-
-// Word-0 fields read in place. The lookup paths carry a node as its raw
-// words and read only the fields they branch on; no entry is decoded.
+// Word 0's fields and flags; together they cover bits 0-31 exactly. A
+// leaf's fJumpLen is its key's length code: len+1 for a key of ≤ 8 bytes
+// held inline in word 1, 0 for a longer key held in a chunk.
 const (
-	primaryBit      = 1 << 6
-	parentIsJumpBit = 1 << 19
+	fKind           field = 0x3 << 0  // empty / internal / jump / leaf
+	fTag            field = 0xf << 2  // h mod t
+	fLastSym        field = 0x3f << 7 // final symbol of this node's name
+	fColor          field = 0x7 << 13 // unique among live entries with the same hash
+	fParentColor    field = 0x7 << 16 // color of the parent entry (regular parents)
+	fJumpLen        field = 0xf << 20 // jump: symbol count; leaf: key length code
+	fLocColor       field = 0x7 << 24 // color half of the locator in word 2
+	fChildColor     field = 0x7 << 27 // color of a jump node's sole child
+	primaryBit            = 1 << 6    // entry is in its primary bucket B1
+	parentIsJumpBit       = 1 << 19   // sole child of a jump node: fParentColor is 0 and never matched
+	hasNextBit            = 1 << 30   // leaf has a successor (word 2 locator valid)
+	hasLocBit             = 1 << 31   // subtree-max locator valid (internal/jump)
 )
 
-// hashMask selects word 2's locator hash; a leaf's record index is above it.
-const hashMask = 1<<32 - 1
+// get and put move a field's value out of and into place by dividing and
+// multiplying by the field's lowest bit, f&-f. For a constant f both fold
+// to shifts by constants, so an accessor compiles to a shift and a mask.
+func (f field) get(w0 uint64) uint64 { return w0 / uint64(f&-f) & uint64(f/(f&-f)) }
+func (f field) put(v uint8) uint64   { return uint64(v) * uint64(f&-f) & uint64(f) }
+func (n *node) set(f field, v uint8) { n.w0 = n.w0&^uint64(f) | f.put(v) }
+func (n *node) setFlag(bit uint64, on bool) {
+	if on {
+		n.w0 |= bit
+	} else {
+		n.w0 &^= bit
+	}
+}
 
-func rawKind(w0 uint64) uint8       { return uint8(w0 & 3) }
-func rawTag(w0 uint64) uint8        { return uint8(w0 >> 2 & 0xf) }
-func rawColor(w0 uint64) uint8      { return uint8(w0 >> 13 & 7) }
-func rawJumpLen(w0 uint64) int      { return int(w0 >> 20 & 0xf) }
+// Word-0 matches. A probe compares one atomic load of each slot's word 0
+// against a match value under a mask, with tagBits added for the bucket.
+const (
+	// tagPrimaryMask selects the fields that, with the bucket, name an
+	// entry's hash: its tag and its primacy.
+	tagPrimaryMask    = uint64(fTag) | primaryBit
+	matchMaskByParent = tagPrimaryMask | uint64(fLastSym|fParentColor) | parentIsJumpBit
+	matchMaskByColor  = tagPrimaryMask | uint64(fLastSym|fColor)
+	matchMaskByLoc    = tagPrimaryMask | uint64(fColor)
+)
+
+// tagBits is the word-0 tag and primacy of an entry of a hash with tag tag,
+// in its primary or secondary bucket.
+func tagBits(tag uint8, primary bool) uint64 {
+	w := fTag.put(tag)
+	if primary {
+		w |= primaryBit
+	}
+	return w
+}
+
+// childMatch returns the word-0 match (tag and primary bit excluded) that
+// identifies the child for symbol s of the node with word 0 pw0: a jump
+// node's child by its own color, which the jump node holds as childColor; a
+// regular node's child by its parentColor, the node's color. Either color
+// moves between two fields of equal width, so the ratio of their masks is
+// the shift that moves it.
+func childMatch(pw0 uint64, s byte) (want, mask uint64) {
+	want = fLastSym.put(s)
+	if rawKind(pw0) == kindJump {
+		return want | pw0&uint64(fChildColor)/uint64(fChildColor/fColor), matchMaskByColor
+	}
+	return want | pw0&uint64(fColor)*uint64(fParentColor/fColor), matchMaskByParent
+}
+
+func matchByLoc(l locator) uint64 { return fColor.put(l.color) }
+
+// newWord0 is the word 0 of a new node of kind kind whose name ends in
+// lastSym. The caller adds how it links to its parent and its kind's
+// fields; a placement adds its tag, primacy and color (setIdentity).
+func newWord0(kind uint8, lastSym byte) uint64 {
+	return fKind.put(kind) | fLastSym.put(lastSym)
+}
+
+// setIdentity gives n the tag, primacy and color that, with its bucket,
+// name its entry.
+func (n *node) setIdentity(tag uint8, primary bool, color uint8) {
+	n.w0 = n.w0&^(tagPrimaryMask|uint64(fColor)) | tagBits(tag, primary) | fColor.put(color)
+}
+
+// setParent links n under a regular parent of color c or, when viaJump,
+// under a jump node, which names its child by the child's own color.
+func (n *node) setParent(c uint8, viaJump bool) {
+	if viaJump {
+		c = 0
+	}
+	n.set(fParentColor, c)
+	n.setFlag(parentIsJumpBit, viaJump)
+}
+
+// hashMask selects word 2's locator hash; a leaf's record index is above it.
+const (
+	hashMask = 1<<32 - 1
+	recShift = 32
+)
+
+func rawKind(w0 uint64) uint8       { return uint8(fKind.get(w0)) }
+func rawTag(w0 uint64) uint8        { return uint8(fTag.get(w0)) }
+func rawColor(w0 uint64) uint8      { return uint8(fColor.get(w0)) }
+func rawJumpLen(w0 uint64) int      { return int(fJumpLen.get(w0)) }
 func rawKeyCode(w0 uint64) int      { return rawJumpLen(w0) } // a leaf's jumpLen bits
-func rawChildColor(w0 uint64) uint8 { return uint8(w0 >> 27 & 7) }
-func rawRecIdx(w2 uint64) uint32    { return uint32(w2 >> 32) }
-func rawHasNext(w0 uint64) bool     { return w0>>30&1 != 0 }
-func rawHasLoc(w0 uint64) bool      { return w0>>31&1 != 0 }
+func rawChildColor(w0 uint64) uint8 { return uint8(fChildColor.get(w0)) }
+func rawRecIdx(w2 uint64) uint32    { return uint32(w2 >> recShift) }
+func rawHasNext(w0 uint64) bool     { return w0&hasNextBit != 0 }
+func rawHasLoc(w0 uint64) bool      { return w0&hasLocBit != 0 }
 
 // rawJumpSymbol returns the i'th compressed symbol of a jump node's word 1.
 func rawJumpSymbol(w1 uint64, i int) byte {
 	return byte(w1 >> (6 * uint(i)) & 0x3f)
 }
-
-// jumpSymbol returns the i'th compressed symbol of a jump node.
-func (e *entry) jumpSymbol(i int) byte { return rawJumpSymbol(e.w1, i) }
 
 // jumpSymbolRange returns symbols [from, to) of a jump node's word 1, packed
 // as a word 1 of their own.
@@ -166,16 +182,16 @@ type locator struct {
 
 // rawLoc reads the locator of a node's words: its subtree-max leaf
 // (internal/jump) or its next leaf (leaf).
-func rawLoc(w0, w2 uint64) locator { return locator{w2 & hashMask, uint8(w0 >> 24 & 7)} }
+func rawLoc(w0, w2 uint64) locator { return locator{w2 & hashMask, uint8(fLocColor.get(w0))} }
 
-func (e *entry) setLoc(l locator) {
-	e.locHash = l.hash
-	e.locColor = l.color
+func (n *node) setLoc(l locator) {
+	n.set(fLocColor, l.color)
+	n.w2 = n.w2&^hashMask | l.hash
 }
 
-// takeNext gives leaf e node n's successor link, splicing e into the leaf
-// list where n's link pointed.
-func (e *entry) takeNext(n *pathNode) {
-	e.hasNext = rawHasNext(n.w0)
-	e.setLoc(rawLoc(n.w0, n.w2))
+// takeNext gives leaf n the successor link of leaf from, splicing n into the
+// leaf list where from's link pointed.
+func (n *node) takeNext(from *node) {
+	n.setFlag(hasNextBit, rawHasNext(from.w0))
+	n.setLoc(rawLoc(from.w0, from.w2))
 }

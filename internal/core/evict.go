@@ -46,11 +46,18 @@ var evictPool = sync.Pool{New: func() any {
 	return &evictScratch{seen: map[uint64]struct{}{}}
 }}
 
+// Eviction search bounds, in buckets visited: an insert's, and a rebuild
+// placement's, which has no other way to make room than a larger table.
+const (
+	maxKicks     = 128
+	rebuildKicks = 512
+)
+
 // makeRoom tries to free a slot in one of the candidate buckets of room.h
 // that none of the failed plan's reserved slots accounts for.
 func (tr *Trie) makeRoom(t *table, room roomRequest) bool {
 	for attempt := 0; attempt < 8; attempt++ {
-		found, applied := t.evict(room.h, tr.cfg.MaxKicks, room.reserved)
+		found, applied := t.evict(room.h, maxKicks, room.reserved)
 		if !found {
 			return false
 		}
@@ -174,10 +181,11 @@ func (t *table) applyMove(e *kickEdge) bool {
 	// Revalidate: the source slot still holds an entry with the expected
 	// word 0, which names its alternate bucket, and the destination still
 	// has room.
-	if w0, w1, w2 := t.loadSlot(fb, e.from.slot); w0 == e.w0 {
+	if n := t.loadSlot(fb, e.from.slot); n.w0 == e.w0 {
 		if free := t.freeSlot(tb); free >= 0 {
-			t.storeSlot(tb, free, w0^primaryBit, w1, w2)
-			t.clearSlot(fb, e.from.slot)
+			n.w0 ^= primaryBit
+			t.writeSlot(tb, free, n)
+			t.writeSlot(fb, e.from.slot, node{})
 			ok = true
 		}
 	}

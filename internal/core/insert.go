@@ -149,9 +149,9 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 	}
 	leaf := p.entOf(li)
 	if predFound {
-		leaf.takeNext(&pred.pathNode)
+		leaf.takeNext(&pred.node)
 		pm := p.modify(&pred.pathNode)
-		pm.hasNext = true
+		pm.setFlag(hasNextBit, true)
 		pm.setLoc(lloc)
 	} else {
 		// New global minimum. Register bucket 0 first (serializes min
@@ -160,7 +160,7 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 			return false
 		}
 		if oldMin, valid := unpackMinLoc(tr.minLoc.Load()); valid {
-			leaf.hasNext = true
+			leaf.setFlag(hasNextBit, true)
 			leaf.setLoc(oldMin)
 		}
 		p.setMin(lloc)
@@ -174,7 +174,7 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 		case !rawHasLoc(n.w0):
 			// Only the root of an empty trie lacks a subtree-max.
 			m := p.modify(n)
-			m.hasLoc = true
+			m.setFlag(hasLocBit, true)
 			m.setLoc(lloc)
 		case matchValid && rawLoc(n.w0, n.w2) == matchLoc:
 			p.modify(n).setLoc(lloc)
@@ -245,13 +245,11 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	var rColor uint8
 	if d == j {
 		rm := p.modify(L)
-		rm.kind = kindInternal
-		rm.recIdx = 0
-		rm.hasNext = false
-		rm.w1 = 0
-		rm.w1 = bitmapSet(rm.w1, sNew)
-		rm.w1 = bitmapSet(rm.w1, sOld)
-		rm.jumpLen = 0
+		rm.set(fKind, kindInternal)
+		rm.w2 &= hashMask // no record
+		rm.setFlag(hasNextBit, false)
+		rm.w1 = bitmapSet(bitmapSet(0, sNew), sOld)
+		rm.set(fJumpLen, 0)
 		rColor = rawColor(L.w0)
 	} else {
 		var ok bool
@@ -266,9 +264,11 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	hOldLeaf := p.t.step(hD, sOld)
 	p.allocRecord(tr.recs, k, v)
 	liNew, locNew := p.place(hNew, p.newLeaf(sNew, rColor))
-	liOld, locOld := p.place(hOldLeaf, entry{
-		kind: kindLeaf, lastSym: sOld, parentColor: rColor,
-		jumpLen: uint8(rawKeyCode(L.w0)), recIdx: rawRecIdx(L.w2), w1: L.w1,
+	// The old leaf keeps L's key (length code and word) and record.
+	liOld, locOld := p.place(hOldLeaf, node{
+		w0: newWord0(kindLeaf, sOld) | fParentColor.put(rColor) | fJumpLen.put(uint8(rawKeyCode(L.w0))),
+		w1: L.w1,
+		w2: L.w2 &^ hashMask,
 	})
 	if liNew < 0 || liOld < 0 {
 		return false
@@ -283,13 +283,13 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	// is R), and every other node placed so far but the two leaves is chain,
 	// placed with the locator deferred to here.
 	for i := range p.writes {
-		if w := &p.writes[i].ent; w.kind != kindLeaf {
-			w.hasLoc = true
+		if w := &p.writes[i].n; rawKind(w.w0) != kindLeaf {
+			w.setFlag(hasLocBit, true)
 			w.setLoc(bigLoc)
 		}
 	}
 	lm := p.modify(L)
-	lm.hasLoc = true
+	lm.setFlag(hasLocBit, true)
 	lm.setLoc(bigLoc)
 
 	if tr.cfg.DisableLeafList {
@@ -308,19 +308,19 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	oldLeaf := p.entOf(liOld)
 	var firstLoc locator
 	if sOld < sNew { // oldKey < k: prev → old → new → L.next
-		oldLeaf.hasNext = true
+		oldLeaf.setFlag(hasNextBit, true)
 		oldLeaf.setLoc(locNew)
-		newLeaf.takeNext(L)
+		newLeaf.takeNext(&L.node)
 		firstLoc = locOld
 	} else { // k < oldKey: prev → new → old → L.next
-		newLeaf.hasNext = true
+		newLeaf.setFlag(hasNextBit, true)
 		newLeaf.setLoc(locOld)
-		oldLeaf.takeNext(L)
+		oldLeaf.takeNext(&L.node)
 		firstLoc = locNew
 	}
 	if prevFound {
 		pm := p.modify(&prev.pathNode)
-		pm.hasNext = true
+		pm.setFlag(hasNextBit, true)
 		pm.setLoc(firstLoc)
 	} else {
 		if _, ok := p.snapshot(0); !ok {
@@ -338,7 +338,7 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 		}
 		if !rawHasLoc(n.w0) || rawLoc(n.w0, n.w2) == oldLLoc {
 			m := p.modify(n)
-			m.hasLoc = true
+			m.setFlag(hasLocBit, true)
 			m.setLoc(bigLoc)
 		}
 	}
@@ -353,14 +353,9 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 
 	// R is placed first so jump nodes can reference child colors; jumps are
 	// then placed bottom-up.
-	var rBitmap uint64
-	rBitmap = bitmapSet(rBitmap, sNew)
-	rBitmap = bitmapSet(rBitmap, sOld)
-	rIdx, rLoc := p.place(hD, entry{
-		kind:         kindInternal,
-		lastSym:      syms[d-1],
-		parentIsJump: true,
-		w1:           rBitmap,
+	rIdx, rLoc := p.place(hD, node{
+		w0: newWord0(kindInternal, syms[d-1]) | parentIsJumpBit,
+		w1: bitmapSet(bitmapSet(0, sNew), sOld),
 	})
 	if rIdx < 0 {
 		return 0, false
@@ -383,13 +378,10 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 		for m := j; m < start; m++ {
 			hStart = p.t.step(hStart, syms[m])
 		}
-		idx, loc := p.place(hStart, entry{
-			kind:         kindJump,
-			lastSym:      syms[start-1],
-			parentIsJump: true,
-			jumpLen:      uint8(end - start),
-			w1:           packJumpSymbols(syms[start:end]),
-			childColor:   childColor,
+		idx, loc := p.place(hStart, node{
+			w0: newWord0(kindJump, syms[start-1]) | parentIsJumpBit |
+				fJumpLen.put(uint8(end-start)) | fChildColor.put(childColor),
+			w1: packJumpSymbols(syms[start:end]),
 		})
 		if idx < 0 {
 			return 0, false
@@ -401,13 +393,13 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 		headEnd = d
 	}
 	hm := p.modify(L)
-	hm.kind = kindJump
-	hm.recIdx = 0
-	hm.hasNext = false
-	hm.hasLoc = false
-	hm.jumpLen = uint8(headEnd - j)
+	hm.set(fKind, kindJump)
+	hm.w2 &= hashMask // no record
+	hm.setFlag(hasNextBit, false)
+	hm.setFlag(hasLocBit, false)
+	hm.set(fJumpLen, uint8(headEnd-j))
 	hm.w1 = packJumpSymbols(syms[j:headEnd])
-	hm.childColor = childColor
+	hm.set(fChildColor, childColor)
 	return rLoc.color, true
 }
 
@@ -432,49 +424,43 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	oldHasLoc := rawHasLoc(J.w0)
 
 	// Branch node R.
-	var rBitmap uint64
-	rBitmap = bitmapSet(rBitmap, sOld)
-	rBitmap = bitmapSet(rBitmap, sNew)
+	rBitmap := bitmapSet(bitmapSet(0, sOld), sNew)
 	var rIdx = -1
 	var rColor uint8
 	if off == 0 {
 		rm := p.modify(J)
-		rm.kind = kindInternal
-		rm.jumpLen = 0
-		rm.childColor = 0
+		rm.set(fKind, kindInternal)
+		rm.set(fJumpLen, 0)
+		rm.set(fChildColor, 0)
 		rm.w1 = rBitmap
 		rColor = rawColor(J.w0)
 	} else {
 		var rLoc locator
-		rIdx, rLoc = p.place(hR, entry{
-			kind:         kindInternal,
-			lastSym:      syms[idx-1],
-			parentIsJump: true,
-			w1:           rBitmap,
+		rIdx, rLoc = p.place(hR, node{
+			w0: newWord0(kindInternal, syms[idx-1]) | parentIsJumpBit,
+			w1: rBitmap,
 		})
 		if rIdx < 0 {
 			return false
 		}
 		rColor = rLoc.color
 		jm := p.modify(J)
-		jm.jumpLen = uint8(off)
+		jm.set(fJumpLen, uint8(off))
 		jm.w1 = jumpSymbolRange(J.w1, 0, off)
-		jm.childColor = rColor
+		jm.set(fChildColor, rColor)
 	}
 
 	// Old branch below R.
 	if off+1 < m {
-		si, _ := p.place(hOld, entry{
-			kind:        kindJump,
-			lastSym:     sOld,
-			parentColor: rColor,
-			jumpLen:     uint8(m - off - 1),
-			w1:          jumpSymbolRange(J.w1, off+1, m),
-			childColor:  rawChildColor(J.w0),
-			hasLoc:      oldHasLoc,
-			locHash:     oldMaxLoc.hash,
-			locColor:    oldMaxLoc.color,
-		})
+		// The old branch keeps J's child and subtree-max locator.
+		ob := node{
+			w0: newWord0(kindJump, sOld) | fParentColor.put(rColor) |
+				fJumpLen.put(uint8(m-off-1)) | fChildColor.put(rawChildColor(J.w0)),
+			w1: jumpSymbolRange(J.w1, off+1, m),
+		}
+		ob.setFlag(hasLocBit, oldHasLoc)
+		ob.setLoc(oldMaxLoc)
+		si, _ := p.place(hOld, ob)
 		if si < 0 {
 			return false
 		}
@@ -485,9 +471,7 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 		if !ok {
 			return false
 		}
-		om := p.modify(&oc)
-		om.parentColor = rColor
-		om.parentIsJump = false
+		p.modify(&oc).setParent(rColor, false)
 	}
 
 	// New leaf.
@@ -504,11 +488,11 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	}
 	if rIdx >= 0 {
 		r := p.entOf(rIdx)
-		r.hasLoc = true
+		r.setFlag(hasLocBit, true)
 		r.setLoc(bigLoc)
 	}
 	jm := p.modify(J) // returns the mod registered above
-	jm.hasLoc = true
+	jm.setFlag(hasLocBit, true)
 	jm.setLoc(bigLoc)
 
 	if tr.cfg.DisableLeafList {

@@ -28,22 +28,22 @@ import (
 //     insert that did not commit gave its slot back;
 //  9. every slot's word 2 holds a locator hash below S·t and, for a leaf, a
 //     record index below the slots handed out (zero for other nodes);
-//  10. every group's head padding word is zero.
+//  10. every group's head padding word is zero;
+//  11. no node holds a field its kind does not use (staleField).
 func (tr *Trie) CheckInvariants() error {
 	t := tr.tbl.Load()
-	w0, w1, w2, b, slot, ver, ok := tr.rootNode(t)
+	w0, w1, w2, _, _, _, ok := tr.rootNode(t)
 	if !ok {
 		return fmt.Errorf("root not found")
 	}
-	root, rootRef := decodeEntry(w0, w1, w2), entryRef{slotRef{b, slot}, ver}
 	c := &checker{tr: tr, t: t}
-	maxLoc, hasMax, err := c.walk(root, rootRef, 0, nil)
+	maxLoc, hasMax, err := c.walk(node{w0, w1, w2}, 0, nil)
 	if err != nil {
 		return err
 	}
 	if !tr.cfg.DisableLeafList {
-		if root.hasLoc != hasMax {
-			return fmt.Errorf("root hasLoc=%v but subtree max present=%v", root.hasLoc, hasMax)
+		if rawHasLoc(w0) != hasMax {
+			return fmt.Errorf("root hasLoc=%v but subtree max present=%v", rawHasLoc(w0), hasMax)
 		}
 		if hasMax && rawLoc(w0, w2) != maxLoc {
 			return fmt.Errorf("root subtree-max locator mismatch")
@@ -77,49 +77,49 @@ type checker struct {
 	locs   []locator
 }
 
-// walk recursively checks node e (hash h, name prefix of key being built).
+// walk recursively checks node n (hash h, name prefix of key being built).
 // Returns the subtree-max locator.
-func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, bool, error) {
-	switch e.kind {
+func (c *checker) walk(n node, h uint64, name []byte) (locator, bool, error) {
+	switch rawKind(n.w0) {
 	case kindLeaf:
 		c.leaves++
-		key, err := c.leafKey(&e)
+		key, err := c.leafKey(n)
 		if err != nil {
 			return locator{}, false, fmt.Errorf("leaf under %x: %v", name, err)
 		}
 		c.keys = append(c.keys, key)
-		loc := locator{h, e.color}
+		loc := locator{h, rawColor(n.w0)}
 		c.locs = append(c.locs, loc)
 		return loc, true, nil
 	case kindJump:
-		if e.jumpLen == 0 || int(e.jumpLen) > maxJumpSymbols {
-			return locator{}, false, fmt.Errorf("jump node with bad length %d", e.jumpLen)
+		jl := rawJumpLen(n.w0)
+		if jl == 0 || jl > maxJumpSymbols {
+			return locator{}, false, fmt.Errorf("jump node with bad length %d", jl)
 		}
 		hc := h
-		for i := 0; i < int(e.jumpLen); i++ {
-			s := e.jumpSymbol(i)
+		for i := 0; i < jl; i++ {
+			s := rawJumpSymbol(n.w1, i)
 			if s > maxSymbol {
 				return locator{}, false, fmt.Errorf("jump symbol %d out of range", s)
 			}
 			hc = c.t.step(hc, s)
 		}
-		last := e.jumpSymbol(int(e.jumpLen) - 1)
-		child, cref, ok := c.t.lockedFindChildByColor(hc, last, e.childColor)
+		child, ok := c.t.lockedChild(n.w0, hc, rawJumpSymbol(n.w1, jl-1))
 		if !ok {
 			return locator{}, false, fmt.Errorf("jump child missing (name %x)", name)
 		}
-		if child.kind == kindLeaf {
+		if rawKind(child.w0) == kindLeaf {
 			return locator{}, false, fmt.Errorf("jump node child is a leaf")
 		}
-		if !child.parentIsJump {
+		if child.w0&parentIsJumpBit == 0 {
 			return locator{}, false, fmt.Errorf("jump child lacks parentIsJump")
 		}
-		ml, hm, err := c.walk(child, entryRef{cref, 0}, hc, name)
+		ml, hm, err := c.walk(child, hc, name)
 		if err != nil {
 			return locator{}, false, err
 		}
 		if !c.tr.cfg.DisableLeafList {
-			if !hm || !e.hasLoc || (locator{e.locHash, e.locColor}) != ml {
+			if !hm || !rawHasLoc(n.w0) || rawLoc(n.w0, n.w2) != ml {
 				return locator{}, false, fmt.Errorf("jump subtree-max mismatch")
 			}
 		}
@@ -129,19 +129,19 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 		var maxLoc locator
 		var hasMax bool
 		for s := 0; s <= maxSymbol; s++ {
-			if !bitmapHas(e.w1, byte(s)) {
+			if !bitmapHas(n.w1, byte(s)) {
 				continue
 			}
 			nchild++
 			hc := c.t.step(h, byte(s))
-			child, cref, ok := c.t.lockedFindChildByParent(hc, byte(s), e.color)
+			child, ok := c.t.lockedChild(n.w0, hc, byte(s))
 			if !ok {
 				return locator{}, false, fmt.Errorf("child sym %d missing under %x", s, name)
 			}
-			if child.parentIsJump {
+			if child.w0&parentIsJumpBit != 0 {
 				return locator{}, false, fmt.Errorf("regular child has parentIsJump set")
 			}
-			ml, hm, err := c.walk(child, entryRef{cref, 0}, hc, name)
+			ml, hm, err := c.walk(child, hc, name)
 			if err != nil {
 				return locator{}, false, err
 			}
@@ -149,12 +149,12 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 				maxLoc, hasMax = ml, true
 			}
 		}
-		isRoot := h == 0 && e.color == uint8(c.tr.rootColor.Load()) && e.lastSym == rootLastSym
+		isRoot := h == 0 && rawColor(n.w0) == uint8(c.tr.rootColor.Load()) && fLastSym.get(n.w0) == rootLastSym
 		if !isRoot && nchild < 2 {
 			return locator{}, false, fmt.Errorf("non-root internal node with %d children", nchild)
 		}
 		if !isRoot && !c.tr.cfg.DisableLeafList {
-			if !e.hasLoc || !hasMax || (locator{e.locHash, e.locColor}) != maxLoc {
+			if !rawHasLoc(n.w0) || !hasMax || rawLoc(n.w0, n.w2) != maxLoc {
 				return locator{}, false, fmt.Errorf("internal subtree-max mismatch (nchild=%d)", nchild)
 			}
 		}
@@ -163,18 +163,18 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 	return locator{}, false, fmt.Errorf("walk reached empty entry")
 }
 
-// leafKey checks leaf e's key word and returns a copy of its key.
-func (c *checker) leafKey(e *entry) ([]byte, error) {
-	code := int(e.jumpLen)
+// leafKey checks leaf n's key word and returns a copy of its key.
+func (c *checker) leafKey(n node) ([]byte, error) {
+	code := rawKeyCode(n.w0)
 	switch {
 	case code > inlineKeyMax+1:
 		return nil, fmt.Errorf("key length code %d > %d", code, inlineKeyMax+1)
 	case code > 0:
-		if n := code - 1; n < inlineKeyMax && e.w1>>(8*n) != 0 {
-			return nil, fmt.Errorf("inline key of %d bytes has nonzero padding: %x", n, e.w1)
+		if kl := code - 1; kl < inlineKeyMax && n.w1>>(8*kl) != 0 {
+			return nil, fmt.Errorf("inline key of %d bytes has nonzero padding: %x", kl, n.w1)
 		}
 	default:
-		ci, pos, klen := keyTriple(e.w1)
+		ci, pos, klen := keyTriple(n.w1)
 		if klen <= inlineKeyMax {
 			return nil, fmt.Errorf("key of %d bytes kept in a chunk", klen)
 		}
@@ -182,9 +182,8 @@ func (c *checker) leafKey(e *entry) ([]byte, error) {
 			return nil, fmt.Errorf("key triple (chunk %d, offset %d, len %d) outside the chunks", ci, pos, klen)
 		}
 	}
-	w0, w1, _ := e.encode()
 	var kbuf [inlineKeyMax]byte
-	return append([]byte(nil), c.tr.recs.leafKey(w0, w1, &kbuf)...), nil
+	return append([]byte(nil), c.tr.recs.leafKey(n.w0, n.w1, &kbuf)...), nil
 }
 
 // checkLeafList verifies the linked list matches the DFS leaf order.
@@ -209,8 +208,8 @@ func (c *checker) checkLeafList() error {
 	}
 	cur := minLoc
 	for i := 0; ; i++ {
-		e, _, ok := c.t.lockedFind(cur)
-		if !ok || e.kind != kindLeaf {
+		n, _, ok := c.t.lockedFind(cur)
+		if !ok || rawKind(n.w0) != kindLeaf {
 			return fmt.Errorf("leaf list broken at %d", i)
 		}
 		if i >= len(c.locs) {
@@ -219,20 +218,20 @@ func (c *checker) checkLeafList() error {
 		if cur != c.locs[i] {
 			return fmt.Errorf("leaf list order mismatch at %d", i)
 		}
-		key, err := c.leafKey(&e)
+		key, err := c.leafKey(n)
 		if err != nil {
 			return fmt.Errorf("leaf list at %d: %v", i, err)
 		}
 		if !bytes.Equal(key, c.keys[i]) {
 			return fmt.Errorf("leaf list key mismatch at %d", i)
 		}
-		if !e.hasNext {
+		if !rawHasNext(n.w0) {
 			if i != len(c.locs)-1 {
 				return fmt.Errorf("leaf list ends early at %d/%d", i, len(c.locs))
 			}
 			return nil
 		}
-		cur = locator{e.locHash, e.locColor}
+		cur = rawLoc(n.w0, n.w2)
 	}
 }
 
@@ -253,24 +252,27 @@ func (c *checker) checkSlots() error {
 	seen := map[hc]bool{}
 	for b := uint64(0); b < t.buckets; b++ {
 		for s := 0; s < entriesPerBucket; s++ {
-			e := decodeEntry(t.loadSlot(b, s))
-			if e.kind == kindEmpty {
+			n := t.loadSlot(b, s)
+			kind := rawKind(n.w0)
+			if kind == kindEmpty {
 				continue
 			}
-			h := t.hashOf(b, e.tag, e.primary)
-			k := hc{h, e.color}
+			h := t.hashOf(b, rawTag(n.w0), n.w0&primaryBit != 0)
+			k := hc{h, rawColor(n.w0)}
 			if seen[k] {
-				return fmt.Errorf("duplicate (hash,color) = (%d,%d)", h, e.color)
+				return fmt.Errorf("duplicate (hash,color) = (%d,%d)", h, k.color)
 			}
 			seen[k] = true
-			if e.locHash >= domain {
-				return fmt.Errorf("bucket %d slot %d: locator hash %d outside [0, %d)", b, s, e.locHash, domain)
+			if lh := n.w2 & hashMask; lh >= domain {
+				return fmt.Errorf("bucket %d slot %d: locator hash %d outside [0, %d)", b, s, lh, domain)
 			}
-			if e.kind == kindLeaf && int(e.recIdx) >= used {
-				return fmt.Errorf("bucket %d slot %d: record index %d, but %d slots handed out", b, s, e.recIdx, used)
+			if ri := rawRecIdx(n.w2); kind == kindLeaf && int(ri) >= used {
+				return fmt.Errorf("bucket %d slot %d: record index %d, but %d slots handed out", b, s, ri, used)
+			} else if kind != kindLeaf && ri != 0 {
+				return fmt.Errorf("bucket %d slot %d: non-leaf with record index %d", b, s, ri)
 			}
-			if e.kind != kindLeaf && e.recIdx != 0 {
-				return fmt.Errorf("bucket %d slot %d: non-leaf with record index %d", b, s, e.recIdx)
+			if f := n.staleField(); f != "" {
+				return fmt.Errorf("bucket %d slot %d: %s", b, s, f)
 			}
 		}
 	}
@@ -280,4 +282,32 @@ func (c *checker) checkSlots() error {
 		}
 	}
 	return nil
+}
+
+// staleField describes a field of node n that its kind does not use but
+// that is not zero, or returns "". Such a bit is one a
+// writer left behind when it changed the node's kind or unlinked it.
+func (n node) staleField() string {
+	kind := rawKind(n.w0)
+	linked := rawHasLoc(n.w0)
+	if kind == kindLeaf {
+		linked = rawHasNext(n.w0)
+	}
+	switch {
+	case kind == kindLeaf && rawChildColor(n.w0) != 0:
+		return "leaf with a childColor"
+	case kind == kindLeaf && rawHasLoc(n.w0):
+		return "leaf with hasLoc"
+	case kind == kindInternal && rawJumpLen(n.w0) != 0:
+		return "internal node with a jumpLen"
+	case kind == kindInternal && rawChildColor(n.w0) != 0:
+		return "internal node with a childColor"
+	case kind != kindLeaf && rawHasNext(n.w0):
+		return "internal or jump node with hasNext"
+	case !linked && rawLoc(n.w0, n.w2) != (locator{}):
+		return "unlinked node with a locator"
+	case n.w0&parentIsJumpBit != 0 && fParentColor.get(n.w0) != 0:
+		return "jump node's child with a parentColor"
+	}
+	return ""
 }

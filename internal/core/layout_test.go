@@ -34,7 +34,7 @@ func TestTableGeometry(t *testing.T) {
 	for i, k := range dataset.Generate(dataset.Rand8, 20000, 3) {
 		mustSet(t, tr, k, uint64(i))
 	}
-	if tr.Stats().Buckets == bucketsFor(1024, 0.85) {
+	if tr.Stats().Buckets == bucketsFor(1024) {
 		t.Fatal("20 k keys did not resize a default table")
 	}
 	check(tr)
@@ -48,7 +48,7 @@ func TestTableSizeCap(t *testing.T) {
 	if maxBuckets*tagCount-1 > hashMask {
 		t.Fatalf("a %d-bucket table's hashes overflow word 2's locator half", maxBuckets)
 	}
-	if got := bucketsFor(1<<40, 0.85); got != maxBuckets {
+	if got := bucketsFor(1 << 40); got != maxBuckets {
 		t.Fatalf("bucketsFor(2^40 keys) = %d, want %d", got, maxBuckets)
 	}
 	tr := New(Config{AutoResize: true})
@@ -57,6 +57,14 @@ func TestTableSizeCap(t *testing.T) {
 	if err := tr.resize(full); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("resize past %d buckets: err %v, want ErrTableFull", maxBuckets, err)
 	}
+}
+
+// testLeaf is a leaf in its primary bucket with tag tag, for filling
+// buckets by hand.
+func testLeaf(tag uint8) node {
+	n := node{w0: newWord0(kindLeaf, 1)}
+	n.setIdentity(tag, true, 0)
+	return n
 }
 
 // TestMakeRoomFreesARootSlot: a plan whose first placement reserved the
@@ -82,7 +90,7 @@ func TestMakeRoomFreesARootSlot(t *testing.T) {
 			if alt := tb.altBucket(b, tag, true); alt == root || alt == b1 || alt == b2 {
 				continue
 			}
-			tb.writeSlot(b, slot, entry{kind: kindLeaf, tag: tag, primary: true, lastSym: 1})
+			tb.writeSlot(b, slot, testLeaf(tag))
 			slot++
 		}
 		if slot < n {
@@ -144,7 +152,7 @@ func TestMakeRoomSkipsReservedSlots(t *testing.T) {
 				continue
 			}
 			taken[alt] = true
-			tb.writeSlot(b, len(alts), entry{kind: kindLeaf, tag: tag, primary: true, lastSym: 1})
+			tb.writeSlot(b, len(alts), testLeaf(tag))
 			alts = append(alts, alt)
 		}
 		if len(alts) < n {
@@ -199,7 +207,7 @@ func TestGrowthFillsEachTable(t *testing.T) {
 		for b := uint64(0); b < tb.buckets; b++ {
 			head, _ := bucketAt(b)
 			for i := 0; i < entriesPerBucket; i++ {
-				if *tb.u32(w0At(head, i))&3 != kindEmpty {
+				if rawKind(uint64(*tb.u32(w0At(head, i)))) != kindEmpty {
 					n++
 				}
 			}

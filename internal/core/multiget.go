@@ -224,12 +224,11 @@ func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found 
 	h := st.hashes[at+1]
 	want, mask := childMatch(st.w0, st.syms[at])
 	b1, b2, tag := t.bucketsOf(h)
-	want |= uint64(tag) << 2
-	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|primaryBit, mask); slot >= 0 && t.loadVersion(st.bucket) == st.ver {
+	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|tagBits(tag, true), mask); slot >= 0 && t.loadVersion(st.bucket) == st.ver {
 		tr.mgChild(t, st, k, vals, found, j, w0, w1, w2, b1, ver, at)
 		return
 	}
-	if w0, slot, ver := t.scanHead(b2, want, mask); slot >= 0 {
+	if w0, slot, ver := t.scanHead(b2, want|tagBits(tag, false), mask); slot >= 0 {
 		t.prefetchCold(b2)
 		st.cw0, st.cb, st.cver, st.cslot, st.cat = w0, b2, ver, slot, at
 		st.stage = mgCold

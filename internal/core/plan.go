@@ -15,12 +15,12 @@ import (
 type plannedWrite struct {
 	b    uint64
 	slot int
-	ent  entry
+	n    node
 }
 
 type plannedMod struct {
 	ref entryRef
-	ent entry
+	n   node
 }
 
 // snapCacheEnt is a plan's copy of word 0 of each slot of one bucket, read
@@ -117,14 +117,11 @@ func (p *plan) releaseRecord(rs *recordStore) {
 
 // newLeaf returns the inserted key's leaf: the plan's record, under the
 // parent of color parentColor, for symbol lastSym.
-func (p *plan) newLeaf(lastSym byte, parentColor uint8) entry {
-	return entry{
-		kind:        kindLeaf,
-		lastSym:     lastSym,
-		parentColor: parentColor,
-		jumpLen:     p.keyCode,
-		recIdx:      p.rec,
-		w1:          p.keyW1,
+func (p *plan) newLeaf(lastSym byte, parentColor uint8) node {
+	return node{
+		w0: newWord0(kindLeaf, lastSym) | fParentColor.put(parentColor) | fJumpLen.put(p.keyCode),
+		w1: p.keyW1,
+		w2: uint64(p.rec) << recShift,
 	}
 }
 
@@ -168,19 +165,12 @@ func (p *plan) markDirty(b uint64) {
 	p.dirty = append(p.dirty, b)
 }
 
-// tagPrimaryMask selects the word-0 fields that, with the bucket, name an
-// entry's hash: its tag and its primacy.
-const tagPrimaryMask = uint64(0xf)<<2 | primaryBit
-
 // scanSlots reads the word 0s of one candidate bucket of a hash with the
 // given tag, primary for its primary bucket: used is the set (as a bitmask)
 // of colors its live entries of that hash hold, free its first empty slot
 // (-1 if none). Placements in a plan and in the rebuilder both use it.
 func scanSlots(w0s *[entriesPerBucket]uint64, tag uint8, primary bool) (used uint8, free int) {
-	want := uint64(tag) << 2
-	if primary {
-		want |= primaryBit
-	}
+	want := tagBits(tag, primary)
 	free = -1
 	for i, w := range w0s {
 		switch {
@@ -204,7 +194,7 @@ func freeColor(used uint8) uint8 { return uint8(bits.TrailingZeros8(^used)) }
 // are filled in. Returns the write index (for later field patching) and the
 // entry's locator. On failure the plan is marked needRoom (no free slot) or
 // failed (transient read conflict / colors exhausted).
-func (p *plan) place(h uint64, proto entry) (int, locator) {
+func (p *plan) place(h uint64, proto node) (int, locator) {
 	if p.failed || p.needRoom {
 		return -1, locator{}
 	}
@@ -237,34 +227,32 @@ func (p *plan) place(h uint64, proto entry) (int, locator) {
 		p.needRoomHash = h
 		return -1, locator{}
 	}
-	proto.tag = tag
-	proto.primary = primary
-	proto.color = color
-	s.w0[slot], _, _ = proto.encode()
+	proto.setIdentity(tag, primary, color)
+	s.w0[slot] = proto.w0
 	p.writes = append(p.writes, plannedWrite{s.b, slot, proto})
 	return len(p.writes) - 1, locator{h, color}
 }
 
-// entOf returns a mutable pointer to a placed entry for field patching.
-func (p *plan) entOf(writeIdx int) *entry { return &p.writes[writeIdx].ent }
+// entOf returns a mutable pointer to a placed node for field patching.
+func (p *plan) entOf(writeIdx int) *node { return &p.writes[writeIdx].n }
 
 // modify registers (or returns the already-registered) overwrite of node
-// n, decoding n's words on its first edit. The returned pointer is mutated
-// by the caller.
-func (p *plan) modify(n *pathNode) *entry {
-	if e := p.modOf(n.ref); e != nil {
-		return e
+// n, starting from a copy of the words it was read as. The returned pointer
+// is mutated by the caller.
+func (p *plan) modify(n *pathNode) *node {
+	if m := p.modOf(n.ref); m != nil {
+		return m
 	}
-	p.mods = append(p.mods, plannedMod{n.ref, decodeEntry(n.w0, n.w1, n.w2)})
-	return &p.mods[len(p.mods)-1].ent
+	p.mods = append(p.mods, plannedMod{n.ref, n.node})
+	return &p.mods[len(p.mods)-1].n
 }
 
 // modOf registers ref for validation and returns its overwrite, if any.
-func (p *plan) modOf(ref entryRef) *entry {
+func (p *plan) modOf(ref entryRef) *node {
 	p.addRef(ref)
 	for i := range p.mods {
 		if p.mods[i].ref.slotRef == ref.slotRef {
-			return &p.mods[i].ent
+			return &p.mods[i].n
 		}
 	}
 	return nil
@@ -272,8 +260,8 @@ func (p *plan) modOf(ref entryRef) *entry {
 
 // clearEntry registers removal of an existing entry.
 func (p *plan) clearEntry(ref entryRef) {
-	if e := p.modOf(ref); e != nil {
-		*e = entry{}
+	if m := p.modOf(ref); m != nil {
+		*m = node{}
 		return
 	}
 	p.mods = append(p.mods, plannedMod{ref: ref})
@@ -324,12 +312,12 @@ func (p *plan) apply(tr *Trie) bool {
 			// Placement bucket must have been registered via snapshot.
 			panic("core: plan write to unlocked bucket")
 		}
-		p.t.writeSlot(w.b, w.slot, w.ent)
+		p.t.writeSlot(w.b, w.slot, w.n)
 		p.markDirty(w.b)
 	}
 	for i := range p.mods {
 		m := &p.mods[i]
-		p.t.writeSlot(m.ref.bucket, m.ref.slot, m.ent)
+		p.t.writeSlot(m.ref.bucket, m.ref.slot, m.n)
 		p.markDirty(m.ref.bucket)
 	}
 	if p.minUpdate {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,32 +11,69 @@ import (
 	"repro/internal/keys"
 )
 
-// Property: entry encoding round-trips exactly for every field combination.
-func TestEntryEncodeRoundTrip(t *testing.T) {
-	f := func(kind, tag, lastSym, color, parentColor, jumpLen, locColor, childColor uint8,
-		primary, hasNext, hasLoc, parentIsJump bool, recIdx uint32, w1, locHash uint64) bool {
-		e := entry{
-			kind:         kind & 3,
-			tag:          tag & 0xf,
-			primary:      primary,
-			lastSym:      lastSym & 0x3f,
-			color:        color & 7,
-			parentColor:  parentColor & 7,
-			jumpLen:      jumpLen & 0xf,
-			locColor:     locColor & 7,
-			childColor:   childColor & 7,
-			hasNext:      hasNext,
-			hasLoc:       hasLoc,
-			parentIsJump: parentIsJump,
-			recIdx:       recIdx,
-			w1:           w1,
-			locHash:      locHash & hashMask,
+// word0Layout lists word 0's fields and flags, for TestWord0FieldTable.
+var word0Layout = []struct {
+	name string
+	f    field
+}{
+	{"kind", fKind}, {"tag", fTag}, {"primary", primaryBit}, {"lastSym", fLastSym},
+	{"color", fColor}, {"parentColor", fParentColor}, {"parentIsJump", parentIsJumpBit},
+	{"jumpLen", fJumpLen}, {"locColor", fLocColor}, {"childColor", fChildColor},
+	{"hasNext", hasNextBit}, {"hasLoc", hasLocBit},
+}
+
+// TestWord0FieldTable: word 0's fields are contiguous, do not overlap and
+// cover bits 0-31 exactly; setting one field to any value it holds changes
+// no other bit of the node; and each match mask is the fields it names.
+func TestWord0FieldTable(t *testing.T) {
+	var all uint64
+	for _, x := range word0Layout {
+		m := uint64(x.f)
+		if low := m >> bits.TrailingZeros64(m); m == 0 || low&(low+1) != 0 {
+			t.Fatalf("%s: mask %#x is not one run of bits", x.name, m)
 		}
-		got := decodeEntry(e.encode())
-		return got == e
+		if all&m != 0 {
+			t.Fatalf("%s overlaps another field: %#x", x.name, all&m)
+		}
+		all |= m
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+	if all != 1<<32-1 {
+		t.Fatalf("word 0's fields cover %#x, want bits 0-31", all)
+	}
+
+	f := func(w0 uint32, w1, w2 uint64, which, v uint8) bool {
+		x := word0Layout[int(which)%len(word0Layout)]
+		v &= uint8(uint64(x.f) >> bits.TrailingZeros64(uint64(x.f)))
+		n := node{uint64(w0), w1, w2}
+		if bits.OnesCount64(uint64(x.f)) == 1 {
+			n.setFlag(uint64(x.f), v != 0)
+		} else {
+			n.set(x.f, v)
+		}
+		return x.f.get(n.w0) == uint64(v) && n.w0&^uint64(x.f) == uint64(w0)&^uint64(x.f) &&
+			n.w1 == w1 && n.w2 == w2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
+	}
+
+	for _, m := range []struct {
+		name string
+		mask uint64
+		of   []field
+	}{
+		{"tagPrimaryMask", tagPrimaryMask, []field{fTag, primaryBit}},
+		{"matchMaskByParent", matchMaskByParent, []field{fTag, primaryBit, fLastSym, fParentColor, parentIsJumpBit}},
+		{"matchMaskByColor", matchMaskByColor, []field{fTag, primaryBit, fLastSym, fColor}},
+		{"matchMaskByLoc", matchMaskByLoc, []field{fTag, primaryBit, fColor}},
+	} {
+		var want uint64
+		for _, f := range m.of {
+			want |= uint64(f)
+		}
+		if m.mask != want {
+			t.Errorf("%s = %#x, want %#x", m.name, m.mask, want)
+		}
 	}
 }
 

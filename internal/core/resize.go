@@ -49,7 +49,7 @@ func (tr *Trie) resize(old *table) error {
 	var b *rebuilder
 	var err error
 	for factor := uint64(2); factor <= 16 && old.buckets*factor <= maxBuckets; factor *= 2 {
-		nt := newTable(old.buckets*factor, tr.cfg.Seed+int64(old.buckets*factor))
+		nt := newTable(old.buckets*factor, tableSeed+int64(old.buckets*factor))
 		b = &rebuilder{src: old, dst: nt, tr: tr}
 		if err = b.run(); err == nil {
 			break
@@ -115,19 +115,19 @@ func (b *rebuilder) run() error {
 
 // copyChildren copies the children of node old with old/new hashes oldHash/
 // newHash and new-table locator newLoc. Returns the subtree-max locator.
-func (b *rebuilder) copyChildren(old entry, oldHash, newHash uint64, newLoc locator) (locator, bool, error) {
-	switch old.kind {
+func (b *rebuilder) copyChildren(old node, oldHash, newHash uint64, newLoc locator) (locator, bool, error) {
+	switch rawKind(old.w0) {
 	case kindLeaf:
 		return locator{}, false, nil
 	case kindJump:
 		oh, nh := oldHash, newHash
-		for i := 0; i < int(old.jumpLen); i++ {
-			s := old.jumpSymbol(i)
+		n := rawJumpLen(old.w0)
+		for i := 0; i < n; i++ {
+			s := rawJumpSymbol(old.w1, i)
 			oh = b.src.step(oh, s)
 			nh = b.dst.step(nh, s)
 		}
-		lastSym := old.jumpSymbol(int(old.jumpLen) - 1)
-		childOld, _, ok := b.src.lockedFindChildByColor(oh, lastSym, old.childColor)
+		childOld, ok := b.src.lockedChild(old.w0, oh, rawJumpSymbol(old.w1, n-1))
 		if !ok {
 			return locator{}, false, errResizeRace
 		}
@@ -141,7 +141,7 @@ func (b *rebuilder) copyChildren(old entry, oldHash, newHash uint64, newLoc loca
 			}
 			oh := b.src.step(oldHash, byte(s))
 			ch := b.dst.step(newHash, byte(s))
-			childOld, _, ok := b.src.lockedFindChildByParent(oh, byte(s), old.color)
+			childOld, ok := b.src.lockedChild(old.w0, oh, byte(s))
 			if !ok {
 				return locator{}, false, errResizeRace
 			}
@@ -160,20 +160,15 @@ func (b *rebuilder) copyChildren(old entry, oldHash, newHash uint64, newLoc loca
 
 // copyNode copies one node and its subtree. parentLoc is the parent's
 // new-table locator; parentIsJump selects the child-linking scheme.
-func (b *rebuilder) copyNode(old entry, oldHash, newHash uint64, parentLoc locator, parentIsJump bool) (locator, bool, error) {
-	ne := old
-	ne.parentIsJump = parentIsJump
-	if parentIsJump {
-		ne.parentColor = 0
-	} else {
-		ne.parentColor = parentLoc.color
+func (b *rebuilder) copyNode(old node, oldHash, newHash uint64, parentLoc locator, parentIsJump bool) (locator, bool, error) {
+	n := old
+	n.setParent(parentLoc.color, parentIsJump)
+	leaf := rawKind(old.w0) == kindLeaf
+	if leaf {
+		n.setFlag(hasNextBit, false) // patchNext links it
+		n.setLoc(locator{})
 	}
-	if ne.kind == kindLeaf {
-		ne.hasNext = false
-		ne.locHash = 0
-		ne.locColor = 0
-	}
-	color, err := b.insertEntry(newHash, ne)
+	color, err := b.insertEntry(newHash, n)
 	if err != nil {
 		return locator{}, false, err
 	}
@@ -181,7 +176,7 @@ func (b *rebuilder) copyNode(old entry, oldHash, newHash uint64, parentLoc locat
 	if parentIsJump {
 		b.patchChildColor(parentLoc, color)
 	}
-	if old.kind == kindLeaf {
+	if leaf {
 		if b.prevLeaf.valid {
 			b.patchNext(b.prevLeaf.loc, myLoc)
 		} else {
@@ -199,9 +194,9 @@ func (b *rebuilder) copyNode(old entry, oldHash, newHash uint64, parentLoc locat
 	return maxLoc, hasMax, nil
 }
 
-// insertEntry places an entry into the new (unpublished, single-threaded)
+// insertEntry places node n into the new (unpublished, single-threaded)
 // table, running evictions as needed. Returns the assigned color.
-func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
+func (b *rebuilder) insertEntry(h uint64, n node) (uint8, error) {
 	t := b.dst
 	b1, b2, tag := t.bucketsOf(h)
 	var w1s, w2s [entriesPerBucket]uint64
@@ -213,83 +208,80 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 	if color == numColors {
 		return 0, ErrTableFull
 	}
-	e.tag = tag
-	e.color = color
 	if f1 >= 0 {
-		e.primary = true
-		t.writeSlot(b1, f1, e)
+		n.setIdentity(tag, true, color)
+		t.writeSlot(b1, f1, n)
 		return color, nil
 	}
 	if f2 >= 0 {
-		e.primary = false
-		t.writeSlot(b2, f2, e)
+		n.setIdentity(tag, false, color)
+		t.writeSlot(b2, f2, n)
 		return color, nil
 	}
-	if found, applied := t.evict(h, 512, nil); !found || !applied {
+	if found, applied := t.evict(h, rebuildKicks, nil); !found || !applied {
 		return 0, ErrTableFull
 	}
-	return b.insertEntry(h, e)
+	return b.insertEntry(h, n)
 }
 
-// patch rewrites the new-table entry at l as f returns it. f takes and
-// returns the entry by value so that it stays off the heap.
-func (b *rebuilder) patch(l locator, f func(entry) entry) {
-	e, ref, ok := b.dst.lockedFind(l)
+// patch rewrites the new-table node at l as f returns it. f takes and
+// returns the node by value so that it stays off the heap.
+func (b *rebuilder) patch(l locator, f func(node) node) {
+	n, ref, ok := b.dst.lockedFind(l)
 	if !ok {
 		panic("cuckootrie: rebuild patch target missing")
 	}
-	b.dst.writeSlot(ref.bucket, ref.slot, f(e))
+	b.dst.writeSlot(ref.bucket, ref.slot, f(n))
 }
 
 func (b *rebuilder) patchLoc(l locator, target locator, has bool) {
-	b.patch(l, func(e entry) entry {
-		e.hasLoc = has
+	b.patch(l, func(n node) node {
+		n.setFlag(hasLocBit, has)
 		if has {
-			e.setLoc(target)
+			n.setLoc(target)
 		}
-		return e
+		return n
 	})
 }
 
 func (b *rebuilder) patchNext(l locator, target locator) {
-	b.patch(l, func(e entry) entry {
-		e.hasNext = true
-		e.setLoc(target)
-		return e
+	b.patch(l, func(n node) node {
+		n.setFlag(hasNextBit, true)
+		n.setLoc(target)
+		return n
 	})
 }
 
 func (b *rebuilder) patchChildColor(l locator, c uint8) {
-	b.patch(l, func(e entry) entry {
-		e.childColor = c
-		return e
+	b.patch(l, func(n node) node {
+		n.set(fChildColor, c)
+		return n
 	})
 }
 
-// lockedFind* read a quiesced (or unpublished) table directly, without
-// seqlock choreography: the probe's word-0 match on each candidate head,
-// then the matched slot's cold words.
-func (t *table) lockedFind(l locator) (entry, slotRef, bool) {
-	return t.lockedProbe(l.hash, uint64(l.color&7)<<13, matchMaskByLoc)
+// lockedFind and lockedChild are locate and childOf for a quiesced (or
+// unpublished) table, read without seqlock choreography: the probe's
+// word-0 match on each candidate head, then the matched slot's cold words.
+func (t *table) lockedFind(l locator) (node, slotRef, bool) {
+	return t.lockedProbe(l.hash, matchByLoc(l), matchMaskByLoc)
 }
 
-func (t *table) lockedFindChildByParent(h uint64, lastSym byte, parentColor uint8) (entry, slotRef, bool) {
-	return t.lockedProbe(h, matchByParent(lastSym, parentColor), matchMaskByParent)
+// lockedChild finds the child for symbol s, of hash h, of the node with
+// word 0 pw0.
+func (t *table) lockedChild(pw0, h uint64, s byte) (node, bool) {
+	want, mask := childMatch(pw0, s)
+	n, _, ok := t.lockedProbe(h, want, mask)
+	return n, ok
 }
 
-func (t *table) lockedFindChildByColor(h uint64, lastSym byte, color uint8) (entry, slotRef, bool) {
-	return t.lockedProbe(h, matchByColor(lastSym, color), matchMaskByColor)
-}
-
-func (t *table) lockedProbe(h, want, mask uint64) (entry, slotRef, bool) {
+func (t *table) lockedProbe(h, want, mask uint64) (node, slotRef, bool) {
 	b1, b2, tag := t.bucketsOf(h)
-	want |= uint64(tag) << 2
-	for _, bc := range [2]struct{ b, want uint64 }{{b1, want | primaryBit}, {b2, want}} {
+	for _, bc := range [2]struct{ b, want uint64 }{{b1, want | tagBits(tag, true)}, {b2, want | tagBits(tag, false)}} {
 		head, _ := bucketAt(bc.b)
 		if w0, s := t.matchHead(head, bc.want, mask); s >= 0 {
 			w1, w2 := t.loadCold(bc.b, s)
-			return decodeEntry(w0, w1, w2), slotRef{bc.b, s}, true
+			return node{w0, w1, w2}, slotRef{bc.b, s}, true
 		}
 	}
-	return entry{}, slotRef{}, false
+	return node{}, slotRef{}, false
 }

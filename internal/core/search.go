@@ -10,21 +10,20 @@ const (
 	soRestart             // concurrent conflict; restart with a fresh table pointer
 )
 
-// pathNode is one trie node as a descent read it: its raw words, the slot
-// and bucket version they were read under, and its name's length and hash.
-// Reads branch on the words in place; a plan decodes a node only when it
-// first edits it.
+// pathNode is one trie node as a descent read it: its words, the slot and
+// bucket version they were read under, and its name's length and hash.
+// Reads branch on the words in place; a writer's plan edits a copy of them.
 type pathNode struct {
-	w0, w1, w2 uint64
-	ref        entryRef
-	depth      int    // name length in symbols (set on descent paths only)
-	hash       uint64 // H(name)
+	node
+	ref   entryRef
+	depth int    // name length in symbols (set on descent paths only)
+	hash  uint64 // H(name)
 }
 
 // asNode carries a probe's raw result as a node; the caller fills in depth
 // and hash.
 func asNode(w0, w1, w2, b uint64, slot int, ver uint64, ok bool) (pathNode, bool) {
-	return pathNode{w0: w0, w1: w1, w2: w2, ref: entryRef{slotRef{b, slot}, ver}}, ok
+	return pathNode{node: node{w0, w1, w2}, ref: entryRef{slotRef{b, slot}, ver}}, ok
 }
 
 func (n *pathNode) loc() locator { return locator{n.hash, rawColor(n.w0)} }
@@ -50,37 +49,19 @@ type searchState struct {
 
 func (st *searchState) terminal() *pathNode { return &st.path[len(st.path)-1] }
 
-// Raw word-0 matching masks: candidate filtering happens on a single atomic
-// load per slot. probe adds the tag and primary bits to a match value; field
-// positions are defined in entry.go.
-const (
-	matchMaskByParent = uint64(0xf)<<2 | primaryBit | uint64(0x3f)<<7 | uint64(7)<<16 | parentIsJumpBit
-	matchMaskByColor  = uint64(0xf)<<2 | primaryBit | uint64(0x3f)<<7 | uint64(7)<<13
-	matchMaskByLoc    = uint64(0xf)<<2 | primaryBit | uint64(7)<<13
-)
-
-func matchByParent(lastSym byte, parentColor uint8) uint64 {
-	return uint64(lastSym&0x3f)<<7 | uint64(parentColor&7)<<16
-}
-
-func matchByColor(lastSym byte, color uint8) uint64 {
-	return uint64(lastSym&0x3f)<<7 | uint64(color&7)<<13
-}
-
 // probe finds the live entry of hash h whose word 0 matches want (tag and
-// primary bit excluded) under mask: first in h's primary bucket, then in its
+// primary bit excluded) under mask (entry.go): first in h's primary bucket, then in its
 // secondary. Each bucket's cold line is hinted before its head is read, so
 // the two misses overlap. found is false when neither bucket yielded it,
 // whether it is absent or was unreadable; callers retry or re-validate.
 func (t *table) probe(h, want, mask uint64) (w0, w1, w2, b uint64, slot int, ver uint64, found bool) {
 	b1, b2, tag := t.bucketsOf(h)
-	want |= uint64(tag) << 2
 	t.prefetchCold(b1)
-	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|primaryBit, mask); slot >= 0 {
+	if w0, w1, w2, slot, ver := t.scanBucket(b1, want|tagBits(tag, true), mask); slot >= 0 {
 		return w0, w1, w2, b1, slot, ver, true
 	}
 	t.prefetchCold(b2)
-	if w0, w1, w2, slot, ver := t.scanBucket(b2, want, mask); slot >= 0 {
+	if w0, w1, w2, slot, ver := t.scanBucket(b2, want|tagBits(tag, false), mask); slot >= 0 {
 		return w0, w1, w2, b2, slot, ver, true
 	}
 	return 0, 0, 0, 0, -1, 0, false
@@ -119,15 +100,6 @@ func (t *table) probeChild(h, want, mask, pb, pver uint64) (w0, w1, w2, b uint64
 func (t *table) childOf(pw0, pb, pver, h uint64, s byte) (w0, w1, w2, b uint64, slot int, ver uint64, ok bool) {
 	want, mask := childMatch(pw0, s)
 	return t.probeChild(h, want, mask, pb, pver)
-}
-
-// childMatch returns the word-0 match (tag and primary bit excluded) that
-// identifies the child for symbol s of the node with word 0 pw0.
-func childMatch(pw0 uint64, s byte) (want, mask uint64) {
-	if rawKind(pw0) == kindJump {
-		return matchByColor(s, rawChildColor(pw0)), matchMaskByColor
-	}
-	return matchByParent(s, rawColor(pw0)), matchMaskByParent
 }
 
 // Outcomes of matchNode.

@@ -124,7 +124,7 @@ const (
 func (t *table) matchHead(head uintptr, want, mask uint64) (w0 uint64, slot int) {
 	for i := 0; i < entriesPerBucket; i++ {
 		w := uint64(atomic.LoadUint32(t.u32(w0At(head, i))))
-		if w&3 != kindEmpty && w&mask == want {
+		if w&uint64(fKind) != kindEmpty && w&mask == want {
 			return w, i
 		}
 	}
@@ -216,10 +216,10 @@ func (t *table) loadHeads(b uint64, w0s *[entriesPerBucket]uint64) (ver uint64, 
 // loadSlot reads slot of bucket b without seqlock choreography: for a
 // bucket the caller holds locked, or a table no writer can reach (a
 // quiesced or unpublished one).
-func (t *table) loadSlot(b uint64, slot int) (w0, w1, w2 uint64) {
+func (t *table) loadSlot(b uint64, slot int) node {
 	head, _ := bucketAt(b)
-	w1, w2 = t.loadCold(b, slot)
-	return uint64(atomic.LoadUint32(t.u32(w0At(head, slot)))), w1, w2
+	w1, w2 := t.loadCold(b, slot)
+	return node{uint64(atomic.LoadUint32(t.u32(w0At(head, slot)))), w1, w2}
 }
 
 // freeSlot returns the first empty slot of bucket b, which the caller holds
@@ -227,7 +227,7 @@ func (t *table) loadSlot(b uint64, slot int) (w0, w1, w2 uint64) {
 func (t *table) freeSlot(b uint64) int {
 	head, _ := bucketAt(b)
 	for i := 0; i < entriesPerBucket; i++ {
-		if atomic.LoadUint32(t.u32(w0At(head, i)))&3 == kindEmpty {
+		if rawKind(uint64(atomic.LoadUint32(t.u32(w0At(head, i))))) == kindEmpty {
 			return i
 		}
 	}
@@ -239,25 +239,16 @@ func (t *table) headPad(g uint64) uint32 {
 	return atomic.LoadUint32(t.u32(uintptr(g)*groupBytes + groupBuckets*headBytes))
 }
 
-// writeSlot stores an entry into a slot. The caller must hold the bucket's
-// seqlock (odd version). Stores are atomic so concurrent seqlock readers see
-// no torn words (they will discard the read anyway when the version check
-// fails).
-func (t *table) writeSlot(b uint64, slot int, e entry) {
-	w0, w1, w2 := e.encode()
-	t.storeSlot(b, slot, w0, w1, w2)
-}
-
-// storeSlot is writeSlot for an entry already in raw words; w0 must fit 32
-// bits.
-func (t *table) storeSlot(b uint64, slot int, w0, w1, w2 uint64) {
+// writeSlot stores node n into a slot. The caller must hold the bucket's
+// seqlock (odd version), or own a table no reader can reach. Stores are
+// atomic so concurrent seqlock readers see no torn words (they will discard
+// the read anyway when the version check fails).
+func (t *table) writeSlot(b uint64, slot int, n node) {
 	head, cold := bucketAt(b)
-	atomic.StoreUint64(t.u64(w1At(cold, slot)), w1)
-	atomic.StoreUint64(t.u64(w2At(cold, slot)), w2)
-	atomic.StoreUint32(t.u32(w0At(head, slot)), uint32(w0))
+	atomic.StoreUint64(t.u64(w1At(cold, slot)), n.w1)
+	atomic.StoreUint64(t.u64(w2At(cold, slot)), n.w2)
+	atomic.StoreUint32(t.u32(w0At(head, slot)), uint32(n.w0))
 }
-
-func (t *table) clearSlot(b uint64, slot int) { t.storeSlot(b, slot, 0, 0, 0) }
 
 // tryLock CAS-locks bucket b, validating that its version still equals ver.
 func (t *table) tryLock(b uint64, ver uint64) bool {

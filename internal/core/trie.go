@@ -12,14 +12,6 @@ type Config struct {
 	// that this many keys reach roughly the paper's 85% load factor
 	// (≈1.25 trie nodes per random key, §4.6).
 	CapacityHint int
-	// LoadFactor is the target table load factor used for sizing; the paper
-	// uses 0.85 (§6.1).
-	LoadFactor float64
-	// Seed seeds the kick table and the hash's symbol permutation; fixed
-	// default for reproducibility. Each resize derives a fresh seed from
-	// the new geometry, so repeated rebuild attempts use independent hash
-	// functions (see hasher.symTab).
-	Seed int64
 	// AutoResize doubles the table when an insertion cannot find room. The
 	// paper's implementation omits automatic resizing (§6.1); ours supports
 	// it as an extension but defaults off to match the paper.
@@ -29,28 +21,28 @@ type Config struct {
 	// ablation of §6.2 (footnote 10): without the list, insert throughput
 	// approaches ARTOLC's.
 	DisableLeafList bool
-	// MaxKicks bounds the cuckoo eviction search depth.
-	MaxKicks int
 }
 
 func (c *Config) fill() {
 	if c.CapacityHint <= 0 {
 		c.CapacityHint = 1024
 	}
-	if c.LoadFactor <= 0 || c.LoadFactor >= 1 {
-		c.LoadFactor = 0.85
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x5eed5eed
-	}
-	if c.MaxKicks <= 0 {
-		c.MaxKicks = 128
-	}
 }
+
+const (
+	// loadFactor is the table load factor sizing aims for, the paper's
+	// (§6.1).
+	loadFactor = 0.85
+	// tableSeed seeds the kick table and the hash's symbol permutation,
+	// fixed for reproducibility. Each resize derives a fresh seed from the
+	// new geometry, so repeated rebuild attempts use independent hash
+	// functions (see hasher.symTab).
+	tableSeed = 0x5eed5eed
+)
 
 // bucketsFor returns the power-of-two bucket count for an expected key
 // count, at most maxBuckets.
-func bucketsFor(keys int, loadFactor float64) uint64 {
+func bucketsFor(keys int) uint64 {
 	// Random data costs ~1.25 nodes/key (§4.6); we size for 1.30 — ~4%
 	// headroom — so mildly prefix-heavy datasets don't immediately trip a
 	// resize. Pathological datasets still need more; AutoResize covers them.
@@ -68,15 +60,16 @@ var (
 	// ErrTableFull is returned when an insertion cannot find room and
 	// AutoResize is disabled (matching the paper's fixed-size tables).
 	ErrTableFull = errors.New("cuckootrie: hash table full (enable AutoResize or raise CapacityHint)")
-	// ErrKeyTooLong is returned for keys whose jump-chain bookkeeping would
-	// overflow the packed entry fields.
+	// ErrKeyTooLong is returned for keys longer than MaxKeyLen.
 	ErrKeyTooLong = errors.New("cuckootrie: key too long")
 	// ErrScansDisabled is returned by ordered operations when the leaf list
 	// is disabled.
 	ErrScansDisabled = errors.New("cuckootrie: ordered operations disabled (DisableLeafList)")
 )
 
-// MaxKeyLen is the maximum supported key length in bytes.
+// MaxKeyLen is the maximum supported key length in bytes. A key longer
+// than 8 bytes is named by a chunk triple whose length field is recLenBits
+// (13) bits wide (recstore.go), so the limit must stay below 2^13.
 const MaxKeyLen = 1 << 12
 
 // rootLastSym is the root entry's sentinel last-symbol value (> any symbol).
@@ -115,13 +108,14 @@ func unpackMinLoc(v uint64) (locator, bool) {
 func New(cfg Config) *Trie {
 	cfg.fill()
 	tr := &Trie{cfg: cfg, recs: newRecordStore(cfg.CapacityHint)}
-	t := newTable(bucketsFor(cfg.CapacityHint, cfg.LoadFactor), cfg.Seed)
+	t := newTable(bucketsFor(cfg.CapacityHint), tableSeed)
 	// Install the root: name ε, hash 0, an internal node with no children.
 	// Its lastSym is a sentinel no real symbol can equal (symbols are ≤ 32),
 	// so the root can never falsely match a child search for another entry
 	// that hashes to 0 (e.g. the empty key's leaf).
-	root := entry{kind: kindInternal, tag: 0, primary: true, color: 0, lastSym: rootLastSym}
-	b1, _, _ := t.bucketsOf(0)
+	root := node{w0: newWord0(kindInternal, rootLastSym)}
+	b1, _, tag := t.bucketsOf(0)
+	root.setIdentity(tag, true, 0)
 	t.writeSlot(b1, 0, root)
 	tr.rootColor.Store(0)
 	tr.tbl.Store(t)
@@ -135,7 +129,7 @@ func (tr *Trie) Len() int { return int(tr.count.Load()) }
 // transient contention; the caller should retry (and revalidate whatever
 // produced the locator if the retry limit is hit — see followLocator).
 func (t *table) locate(l locator) (w0, w1, w2, b uint64, slot int, ver uint64, found bool) {
-	return t.probe(l.hash, uint64(l.color&7)<<13, matchMaskByLoc)
+	return t.probe(l.hash, matchByLoc(l), matchMaskByLoc)
 }
 
 // followLocator resolves a locator to its leaf, retrying across concurrent
