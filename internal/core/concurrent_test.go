@@ -401,49 +401,65 @@ func TestLookupsWaitOutHeldSeqlock(t *testing.T) {
 	}
 }
 
-// symKey returns the 8-byte key whose leading 5-bit groups are d, the rest
-// zero: its symbols are d[i]+1, then 1s, then the terminator.
-func symKey(d ...uint64) []byte {
+// symVal returns the value whose leading 5-bit groups are d, the rest
+// zero: its 8-byte key's symbols are d[i]+1, then 1s, then the terminator.
+func symVal(d ...uint64) uint64 {
 	var v uint64
 	for i, x := range d {
 		v |= x << (59 - 5*i)
 	}
-	return keys.Uint64Key(v)
+	return v
 }
 
-// staleDescent returns a trie and a descent for k = (3,5,8) that an insert
-// has since outdated. The trie holds (1), (3,5,10), (3,5,12) and (3,7); the
-// descent ends at node (3,5), which lacks k's symbol. Then x = (3,2) is set:
-// x is a new child of node (3), whose copy on the path lacks it, and leaf
-// (1) now links to x. x is the true floor of k, and x < k.
-func staleDescent(t *testing.T) (tr *Trie, tbl *table, k, syms []byte, st searchState) {
+// staleDescent returns a trie of keys made by key and a descent for
+// k = (3,5,8) that an insert has since outdated. The trie holds (1),
+// (3,5,10), (3,5,12) and (3,7); the descent ends at node (3,5), which lacks
+// k's symbol. Then x = (3,2) is set: x is a new child of node (3), whose
+// copy on the path lacks it, and leaf (1) now links to x. x is the true
+// floor of k, and x < k.
+func staleDescent(t *testing.T, key func(uint64) []byte) (tr *Trie, tbl *table, k, syms []byte, st searchState) {
 	t.Helper()
 	tr = New(Config{CapacityHint: 1 << 10})
-	for i, key := range [][]byte{symKey(1), symKey(3, 5, 10), symKey(3, 5, 12), symKey(3, 7)} {
-		mustSet(t, tr, key, uint64(i))
+	for i, v := range []uint64{symVal(1), symVal(3, 5, 10), symVal(3, 5, 12), symVal(3, 7)} {
+		mustSet(t, tr, key(v), uint64(i))
 	}
-	k = symKey(3, 5, 8)
+	k = key(symVal(3, 5, 8))
 	syms = keys.AppendSymbols(nil, k)
 	tbl = tr.tbl.Load()
 	_, st = tr.searchPath(tbl, syms, nil)
 	if st.outcome != soMissing {
 		t.Fatalf("descent for %x: outcome %d, want soMissing", k, st.outcome)
 	}
-	mustSet(t, tr, symKey(3, 2), 9)
+	mustSet(t, tr, key(symVal(3, 2)), 9)
 	return tr, tbl, k, syms, st
 }
 
 // TestInsertPlanRejectsStalePath: an insert planned on an outdated descent
 // must not commit. Read through node (3)'s stale bitmap, k's predecessor
 // looks like (1), whose next leaf is now x: committed, the plan would link
-// (1) → k → x with x < k. The aborted plan must give back the record slot
-// it took, which CheckInvariants counts.
+// (1) → k → x with x < k. A key takes its record only when its plan
+// commits, so the aborted plan must leave the record store as it was: no
+// slot taken, no key bytes copied.
 func TestInsertPlanRejectsStalePath(t *testing.T) {
-	tr, tbl, k, syms, st := staleDescent(t)
-	if status, _ := tr.insertPlanned(tbl, &st, syms, k, 1, roomRequest{}); status == insDone {
-		t.Error("an insert planned on a stale path committed")
+	for _, f := range keyForms {
+		t.Run(f.name, func(t *testing.T) {
+			tr, tbl, k, syms, st := staleDescent(t, f.key)
+			type recState struct {
+				used, free, curPos int
+				keyLen             int64
+			}
+			rs := tr.recs
+			snap := func() recState { return recState{rs.used, len(rs.free), rs.curPos, rs.keyLen} }
+			before := snap()
+			if status, _ := tr.insertPlanned(tbl, &st, syms, k, 1, roomRequest{}); status == insDone {
+				t.Error("an insert planned on a stale path committed")
+			}
+			if after := snap(); after != before {
+				t.Errorf("record store %+v after the aborted insert, want %+v", after, before)
+			}
+			checkInv(t, tr)
+		})
 	}
-	checkInv(t, tr)
 }
 
 // TestSeekRejectsStalePath: the floor search on an outdated descent must
@@ -451,18 +467,22 @@ func TestInsertPlanRejectsStalePath(t *testing.T) {
 // like (1): the search would answer (1) as the largest key ≤ k, and (1)'s
 // next leaf x as the smallest key ≥ k.
 func TestSeekRejectsStalePath(t *testing.T) {
-	tr, tbl, k, syms, st := staleDescent(t)
-	for _, after := range []bool{false, true} {
-		if leaf, found, ok := tr.seekOnPath(tbl, &st, k, syms, after); ok {
-			var kbuf [inlineKeyMax]byte
-			t.Errorf("after=%v: answered %x (found %v) from a stale path", after, tr.recs.leafKey(leaf.w0, leaf.w1, &kbuf), found)
-		}
-	}
-	if got, _, _ := tr.Predecessor(k); !bytes.Equal(got, symKey(3, 2)) {
-		t.Errorf("Predecessor(%x) = %x, want %x", k, got, symKey(3, 2))
-	}
-	if got, _, _ := tr.Successor(k); !bytes.Equal(got, symKey(3, 5, 10)) {
-		t.Errorf("Successor(%x) = %x, want %x", k, got, symKey(3, 5, 10))
+	for _, f := range keyForms {
+		t.Run(f.name, func(t *testing.T) {
+			tr, tbl, k, syms, st := staleDescent(t, f.key)
+			for _, after := range []bool{false, true} {
+				if leaf, found, ok := tr.seekOnPath(tbl, &st, k, syms, after); ok {
+					var kbuf [inlineKeyMax]byte
+					t.Errorf("after=%v: answered %x (found %v) from a stale path", after, tr.recs.leafKey(leaf.w0, leaf.w1, &kbuf), found)
+				}
+			}
+			if got, _, _ := tr.Predecessor(k); !bytes.Equal(got, f.key(symVal(3, 2))) {
+				t.Errorf("Predecessor(%x) = %x, want %x", k, got, f.key(symVal(3, 2)))
+			}
+			if got, _, _ := tr.Successor(k); !bytes.Equal(got, f.key(symVal(3, 5, 10))) {
+				t.Errorf("Successor(%x) = %x, want %x", k, got, f.key(symVal(3, 5, 10)))
+			}
+		})
 	}
 }
 

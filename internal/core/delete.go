@@ -34,36 +34,34 @@ func (tr *Trie) Delete(k []byte) bool {
 	var pbuf [32]pathNode
 	path := pbuf[:0]
 	for {
-		t := tr.tbl.Load()
-		var st int
-		st, path = tr.deleteOnce(t, syms, k, path)
-		switch st {
-		case insDone:
-			return true
-		case insFull: // not present
-			return false
+		var present, ok bool
+		present, ok, path = tr.deleteOnce(tr.tbl.Load(), syms, k, path)
+		if ok {
+			return present
 		}
 	}
 }
 
-func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (int, []pathNode) {
+// deleteOnce makes one attempt to delete k. ok reports whether the attempt
+// decided; present, whether k was there (and is now deleted).
+func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (present, ok bool, _ []pathNode) {
 	var st searchState
 	path, st = tr.searchPath(t, syms, path)
 	if st.outcome == soRestart {
-		return insRetry, path
+		return false, false, path
 	}
 	if st.outcome != soLeaf {
-		return insFull, path
+		return false, true, path
 	}
 	L := &path[len(path)-1]
 	if !tr.recs.leafKeyIs(L.w0, L.w1, k) {
-		return insFull, path
+		return false, true, path
 	}
 	P := &path[len(path)-2]
 	if rawKind(P.w0) != kindInternal {
 		// A leaf's parent is always regular (jump children are never
 		// leaves); a mismatch means a torn read.
-		return insRetry, path
+		return false, false, path
 	}
 	s := syms[L.depth-1]
 	lLoc := L.loc()
@@ -81,7 +79,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 		var ok bool
 		pred, predFound, ok = t.predViaAncestors(path[:len(path)-1], syms)
 		if !ok {
-			return insRetry, path
+			return false, false, path
 		}
 		p.addPred(&pred, predFound)
 	}
@@ -111,7 +109,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			p.modify(&pred.pathNode).takeNext(&L.node)
 		} else {
 			if _, ok := p.snapshot(0); !ok {
-				return insRetry, path
+				return false, false, path
 			}
 			if rawHasNext(L.w0) {
 				p.setMin(rawLoc(L.w0, L.w2))
@@ -132,7 +130,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 		hC := t.step(P.hash, s2)
 		C, ok := asNode(t.childOf(P.w0, P.ref.bucket, P.ref.ver, hC, s2))
 		if !ok {
-			return insRetry, path
+			return false, false, path
 		}
 		C.hash = hC
 		p.addRef(C.ref)
@@ -172,7 +170,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 			if s > s2 && !tr.cfg.DisableLeafList {
 				prevC, prevFound, ok := t.predViaAncestors(path[:len(path)-2], syms)
 				if !ok {
-					return insRetry, path
+					return false, false, path
 				}
 				p.addPred(&prevC, prevFound)
 				if prevFound {
@@ -183,7 +181,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 					}
 				} else {
 					if _, ok := p.snapshot(0); !ok {
-						return insRetry, path
+						return false, false, path
 					}
 					p.setMin(cNewLoc)
 				}
@@ -240,14 +238,14 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 	}
 
 	if p.failed {
-		return insRetry, path
+		return false, false, path
 	}
 	if !p.apply(tr) {
-		return insRetry, path
+		return false, false, path
 	}
-	tr.recs.release(rawRecIdx(L.w2), 0)
+	tr.recs.release(rawRecIdx(L.w2))
 	tr.count.Add(-1)
-	return insDone, path
+	return true, true, path
 }
 
 // translateLoc rewrites n's locator if it references from.

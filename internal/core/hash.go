@@ -76,15 +76,6 @@ func (hs *hasher) step(h uint64, sym byte) uint64 {
 	return v/hashR + hs.mult*(v%hashR)
 }
 
-// hashKey hashes the first n symbols of the symbol sequence syms.
-func (hs *hasher) hashSyms(syms []byte, n int) uint64 {
-	h := uint64(0)
-	for i := 0; i < n; i++ {
-		h = hs.step(h, syms[i])
-	}
-	return h
-}
-
 // bucketsOf returns the two candidate buckets and the tag for hash h.
 // B1 = ⌊h/t⌋; B2 = (B1 + f(h mod t)) mod S (§4.2).
 func (hs *hasher) bucketsOf(h uint64) (b1, b2 uint64, tag uint8) {

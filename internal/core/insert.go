@@ -95,46 +95,43 @@ func (tr *Trie) insertOnce(t *table, syms []byte, k []byte, v uint64, path []pat
 }
 
 // insertPlanned plans and applies the insertion of k at the end of descent
-// st. A plan that does not commit releases the record slot it took; one
-// that found no free slot fills room in.
+// st. The key takes its record only if the plan commits (plan.apply). A
+// plan that found no free slot fills room in.
 func (tr *Trie) insertPlanned(t *table, st *searchState, syms, k []byte, v uint64, room roomRequest) (int, roomRequest) {
 	p := newPlan(t)
 	defer p.recycle()
-	ok := tr.planInsert(p, st, syms, k, v)
-	var status int
+	p.key, p.val = append(p.key[:0], k...), v
+	ok := tr.planInsert(p, st, syms)
 	switch {
 	case p.colorsFull:
-		status = insFull
+		return insFull, room
 	case p.needRoom:
-		status = insNeedRoom
 		room.h = p.needRoomHash
 		room.reserved = room.reserved[:0]
 		for i := range p.writes {
 			room.reserved = append(room.reserved, p.writes[i].b)
 		}
+		return insNeedRoom, room
 	case ok && p.apply(tr):
 		tr.count.Add(1)
 		return insDone, room
-	default:
-		status = insRetry
 	}
-	p.releaseRecord(tr.recs)
-	return status, room
+	return insRetry, room
 }
 
-// planInsert plans the insertion of k at the end of descent st. The plan
+// planInsert plans the insertion of p's key at the end of descent st. The plan
 // validates the whole descent path, not only the nodes it writes: what an
 // ancestor held when it was read (its child bitmap, say) decides the
 // predecessor the new leaf is linked after.
-func (tr *Trie) planInsert(p *plan, st *searchState, syms, k []byte, v uint64) bool {
+func (tr *Trie) planInsert(p *plan, st *searchState, syms []byte) bool {
 	p.check(st.path)
 	switch st.outcome {
 	case soMissing:
-		return tr.planSimpleLeaf(p, st.path, syms, st.idx, k, v)
+		return tr.planSimpleLeaf(p, st.path, syms, st.idx)
 	case soLeaf:
-		return tr.planLeafSplit(p, st.path, syms, k, v)
+		return tr.planLeafSplit(p, st.path, syms)
 	}
-	return tr.planJumpSplit(p, st.path, syms, st.idx, st.jumpOff, k, v)
+	return tr.planJumpSplit(p, st.path, syms, st.idx, st.jumpOff)
 }
 
 // linkLeaf wires the new leaf (write index li, locator lloc) into the sorted
@@ -185,7 +182,7 @@ func (tr *Trie) linkLeaf(p *plan, ancestors []pathNode, li int, lloc locator,
 
 // planSimpleLeaf handles soMissing: a new leaf under regular node
 // path[last] for symbol syms[idx].
-func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k []byte, v uint64) bool {
+func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int) bool {
 	term := &path[len(path)-1]
 	s := syms[idx]
 	hLeaf := p.t.step(term.hash, s)
@@ -201,8 +198,7 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 		p.addPred(&pred, predFound)
 	}
 
-	p.allocRecord(tr.recs, k, v)
-	li, lloc := p.place(hLeaf, p.newLeaf(s, rawColor(term.w0)))
+	li, lloc := p.placeLeaf(hLeaf, s, rawColor(term.w0))
 	if li < 0 {
 		return false
 	}
@@ -216,7 +212,7 @@ func (tr *Trie) planSimpleLeaf(p *plan, path []pathNode, syms []byte, idx int, k
 // planLeafSplit handles soLeaf with a different stored key: replace leaf L
 // (name k[:j]) with a chain of jump nodes covering the common prefix, a
 // regular branch node at the divergence, and two leaves.
-func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v uint64) bool {
+func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte) bool {
 	L := &path[len(path)-1]
 	j := L.depth
 	var kbuf [inlineKeyMax]byte
@@ -262,8 +258,7 @@ func (tr *Trie) planLeafSplit(p *plan, path []pathNode, syms []byte, k []byte, v
 	// Two leaves at depth d+1.
 	hNew := p.t.step(hD, sNew)
 	hOldLeaf := p.t.step(hD, sOld)
-	p.allocRecord(tr.recs, k, v)
-	liNew, locNew := p.place(hNew, p.newLeaf(sNew, rColor))
+	liNew, locNew := p.placeLeaf(hNew, sNew, rColor)
 	// The old leaf keeps L's key (length code and word) and record.
 	liOld, locOld := p.place(hOldLeaf, node{
 		w0: newWord0(kindLeaf, sOld) | fParentColor.put(rColor) | fJumpLen.put(uint8(rawKeyCode(L.w0))),
@@ -405,7 +400,7 @@ func (tr *Trie) placeChain(p *plan, path []pathNode, syms []byte, j, d int, hD u
 
 // planJumpSplit handles soJumpMismatch: jump node J (depth j, jumpLen m)
 // diverges from the key at offset off (global symbol index idx).
-func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off int, k []byte, v uint64) bool {
+func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off int) bool {
 	J := &path[len(path)-1]
 	j := J.depth
 	m := rawJumpLen(J.w0)
@@ -475,8 +470,7 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	}
 
 	// New leaf.
-	p.allocRecord(tr.recs, k, v)
-	li, lloc := p.place(hNew, p.newLeaf(sNew, rColor))
+	li, lloc := p.placeLeaf(hNew, sNew, rColor)
 	if li < 0 {
 		return false
 	}

@@ -24,8 +24,8 @@ import (
 //  7. every leaf's key word is well formed: a length code ≤ 9, zero
 //     padding past an inline key, and a long key's triple (kept for keys
 //     longer than 8 bytes only) inside its chunk;
-//  8. the record slots handed out and not released number Len(): every
-//     insert that did not commit gave its slot back;
+//  8. the record slots handed out and not released number Len(): only a
+//     committed insert takes one, and every delete frees its leaf's;
 //  9. every slot's word 2 holds a locator hash below S·t and, for a leaf, a
 //     record index below the slots handed out (zero for other nodes);
 //  10. every group's head padding word is zero;

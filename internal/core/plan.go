@@ -8,9 +8,10 @@ import (
 // A plan accumulates a writer's intended changes — new entries to place and
 // existing entries to overwrite — computed optimistically from consistent
 // bucket snapshots. Applying the plan CAS-locks every involved bucket,
-// validating that nothing changed since it was read (§5), then writes and
-// releases. Any validation failure aborts the whole plan and the operation
-// restarts from scratch.
+// validating that nothing changed since it was read (§5), then takes an
+// insert's record, writes and releases. Any validation failure aborts the
+// whole plan, which has then taken nothing, and the operation restarts
+// from scratch.
 
 type plannedWrite struct {
 	b    uint64
@@ -57,13 +58,13 @@ type plan struct {
 	colorsFull   bool // all colors for some hash taken: only a resize helps
 	failed       bool
 
-	// The inserted key's record, once allocRecord took it: its value slot,
-	// and its leaf's key word and length code (entry.go). A plan that does
-	// not commit releases the slot (releaseRecord).
-	rec     uint32
-	keyW1   uint64
-	keyCode uint8
-	hasRec  bool
+	// An insert's key and value, and the write index of its new leaf (-1
+	// for none). apply stores them in the record store once the plan can no
+	// longer fail. key is the plan's own copy, so the caller's key does not
+	// escape to the pooled plan.
+	key  []byte
+	val  uint64
+	leaf int
 }
 
 // Plans are pooled: writers build and apply several per second per core,
@@ -92,37 +93,22 @@ func (p *plan) reset(t *table) {
 	p.needRoom = false
 	p.colorsFull = false
 	p.failed = false
-	p.hasRec = false
+	p.leaf = -1
 }
 
-// allocRecord stores the inserted key's record: its value, and its bytes
-// when they do not fit the leaf's key word.
-func (p *plan) allocRecord(rs *recordStore, k []byte, v uint64) {
-	p.rec, p.keyW1, p.keyCode = rs.alloc(k, v)
-	p.hasRec = true
-}
-
-// releaseRecord frees the slot allocRecord took, for a plan that did not
-// commit, and gives back a long key's chunk bytes, which no leaf named.
-func (p *plan) releaseRecord(rs *recordStore) {
-	if p.hasRec {
-		var abandoned uint64
-		if p.keyCode == 0 {
-			abandoned = p.keyW1
-		}
-		rs.release(p.rec, abandoned)
-		p.hasRec = false
+// placeLeaf places the inserted key's leaf, for symbol lastSym under the
+// parent of color parentColor. A key of ≤ 8 bytes goes in the leaf's key
+// word now; a longer key's triple and the record index are filled in by
+// apply.
+func (p *plan) placeLeaf(h uint64, lastSym byte, parentColor uint8) (int, locator) {
+	n := node{w0: newWord0(kindLeaf, lastSym) | fParentColor.put(parentColor)}
+	if len(p.key) <= inlineKeyMax {
+		n.w0 |= fJumpLen.put(uint8(len(p.key) + 1))
+		n.w1 = inlineKey(p.key)
 	}
-}
-
-// newLeaf returns the inserted key's leaf: the plan's record, under the
-// parent of color parentColor, for symbol lastSym.
-func (p *plan) newLeaf(lastSym byte, parentColor uint8) node {
-	return node{
-		w0: newWord0(kindLeaf, lastSym) | fParentColor.put(parentColor) | fJumpLen.put(p.keyCode),
-		w1: p.keyW1,
-		w2: uint64(p.rec) << recShift,
-	}
+	li, loc := p.place(h, n)
+	p.leaf = li
+	return li, loc
 }
 
 // snapshot returns the index in p.snaps of bucket b's word-0 snapshot,
@@ -305,6 +291,15 @@ func (p *plan) apply(tr *Trie) bool {
 	if !p.checked() {
 		p.locks.release(p.t, false)
 		return false
+	}
+	if p.leaf >= 0 {
+		// The plan commits: only now does the inserted key take a record.
+		n := &p.writes[p.leaf].n
+		idx, triple := tr.recs.alloc(p.key, p.val)
+		if triple != 0 {
+			n.w1 = triple
+		}
+		n.w2 |= uint64(idx) << recShift
 	}
 	for i := range p.writes {
 		w := &p.writes[i]

@@ -44,6 +44,9 @@ const (
 // by copy, never by append: reassigning a slice header that readers load
 // concurrently would itself be a race. The slot array is replaced only when
 // it is full (grow).
+//
+// mu is the innermost lock of the trie: alloc takes it under a committing
+// plan's bucket locks, and nothing takes a bucket lock while holding it.
 type recordStore struct {
 	mu     sync.Mutex
 	slots  atomic.Pointer[[]uint64]
@@ -64,18 +67,17 @@ func newRecordStore(capHint int) *recordStore {
 	return rs
 }
 
-// alloc stores value in a new slot and returns the slot's index with the
-// key word and length code of key's leaf (entry.go); only a key longer than
-// 8 bytes is copied, into a chunk. len(key) must be ≤ MaxKeyLen
-// (< recChunkSize). The index and key word must be published to readers
+// alloc stores value in a new slot and returns the slot's index and, for a
+// key longer than 8 bytes, the triple of its copy in a chunk (0 for a
+// shorter key, which its leaf holds inline). len(key) must be ≤ MaxKeyLen
+// (< recChunkSize). Only a plan that commits calls it (plan.apply), with
+// its bucket locks held. The index and triple must be published to readers
 // only through a seqlock-protected entry write.
-func (rs *recordStore) alloc(key []byte, value uint64) (idx uint32, w1 uint64, code uint8) {
+func (rs *recordStore) alloc(key []byte, value uint64) (idx uint32, triple uint64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if len(key) <= inlineKeyMax {
-		w1, code = inlineKey(key), uint8(len(key)+1)
-	} else {
-		w1 = rs.appendKey(key)
+	if len(key) > inlineKeyMax {
+		triple = rs.appendKey(key)
 	}
 	if n := len(rs.free); n > 0 {
 		idx = rs.free[n-1]
@@ -88,7 +90,7 @@ func (rs *recordStore) alloc(key []byte, value uint64) (idx uint32, w1 uint64, c
 		rs.used++
 	}
 	atomic.StoreUint64(&(*rs.slots.Load())[idx], value)
-	return idx, w1, code
+	return idx, triple
 }
 
 // appendKey copies a long key into the active chunk, or into a new one when
@@ -165,23 +167,13 @@ func (rs *recordStore) grow() {
 	rs.grows.Add(1)
 }
 
-// release returns a slot to the free list. abandoned is the triple of a
-// long key that alloc copied for an insert that did not commit, or 0: no
-// leaf ever named those bytes, so no reader can hold them, and while they
-// are still the active chunk's tail the fill position rolls back over
-// them. Published key bytes are never reclaimed: readers alias chunk bytes
-// without a lock (see chunkKey), so they stay immutable. The paper's
-// implementation has no deletions at all.
-func (rs *recordStore) release(idx uint32, abandoned uint64) {
+// release returns a deleted leaf's slot to the free list. Its key bytes
+// are never reclaimed: readers alias chunk bytes without a lock (see
+// chunkKey), so they stay immutable. The paper's implementation has no
+// deletions at all.
+func (rs *recordStore) release(idx uint32) {
 	rs.mu.Lock()
 	rs.free = append(rs.free, idx)
-	if abandoned != 0 {
-		ci, pos, klen := keyTriple(abandoned)
-		if int(ci) == len(*rs.chunks.Load())-1 && int(pos+klen) == rs.curPos {
-			rs.curPos = int(pos)
-			rs.keyLen -= int64(klen)
-		}
-	}
 	rs.mu.Unlock()
 }
 

@@ -3,9 +3,10 @@ package core
 import "errors"
 
 // Resizing. The hash function's domain is [0, S·t), so every node's hash —
-// and hence its buckets — changes with the table size, and the table stores
-// no keys to rehash from. The trie is therefore rebuilt by a DFS that
-// reconstructs node names symbol-by-symbol. The paper describes an
+// and hence its buckets — changes with the table size. Leaves hold their
+// keys, but internal and jump nodes store no names to rehash from. The trie
+// is therefore rebuilt by a DFS that reconstructs node names
+// symbol-by-symbol. The paper describes an
 // incremental scheme ([33], §5); ours is stop-the-world: the old table's
 // buckets are all CAS-locked (draining writers), the new table is built,
 // and the trie's table pointer is swapped. Old-table locks are never

@@ -58,7 +58,8 @@ func bucketsFor(keys int) uint64 {
 // Errors returned by Trie operations.
 var (
 	// ErrTableFull is returned when an insertion cannot find room and
-	// AutoResize is disabled (matching the paper's fixed-size tables).
+	// AutoResize is disabled (matching the paper's fixed-size tables), or
+	// when a resize would take the table past maxBuckets (2^28) buckets.
 	ErrTableFull = errors.New("cuckootrie: hash table full (enable AutoResize or raise CapacityHint)")
 	// ErrKeyTooLong is returned for keys longer than MaxKeyLen.
 	ErrKeyTooLong = errors.New("cuckootrie: key too long")

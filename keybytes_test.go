@@ -9,10 +9,9 @@ import (
 )
 
 // TestLongKeyBytesWrittenOnce: a key longer than 8 bytes is copied into a
-// chunk when its insert plans its leaf, before the plan is known to
-// commit. A plan that does not commit (it needs room, its table resizes,
-// or it is full) must give those bytes back, so loading distinct 16-byte
-// keys writes exactly the live keys' bytes into chunks.
+// chunk only when its insert commits. A plan that does not commit (it
+// needs room, its table resizes, or it is full) copies nothing, so loading
+// distinct 16-byte keys writes exactly the live keys' bytes into chunks.
 func TestLongKeyBytesWrittenOnce(t *testing.T) {
 	const keyLen = 16
 	load := func(tr *cuckootrie.Trie, n int, seed int64) {
